@@ -40,11 +40,10 @@ def main():
     parser.add_argument("--sim-rounds", type=int, default=40)
     parser.add_argument("--loss", type=float, default=0.3)
     parser.add_argument("--seed", type=int, default=7)
-    parser.add_argument("--workers", type=int, default=1)
     args = parser.parse_args()
 
     spec = parse_spec(load_json(args.spec))
-    config = SynthConfig(grid_us=spec.grid_us, workers=args.workers)
+    config = SynthConfig(grid_us=spec.grid_us)
 
     table = {}
     for mode in spec.modes:

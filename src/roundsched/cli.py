@@ -5,7 +5,8 @@ against a spec), simulate (run the beacon protocol over schedules), and
 model (emit timing and energy tables as CSV).
 
 Exit codes: 0 success, 1 usage or input error (including a solver that
-ran out of budget), 2 proven infeasible, 3 schedule audit violations.
+ran out of budget; its best schedule, not proven optimal, is still
+written if it had one), 2 proven infeasible, 3 schedule audit violations.
 JSON results go to stdout unless an output file is named; human status
 lines go to stderr.
 """
@@ -90,7 +91,6 @@ def _cmd_synth(args) -> int:
         grid_us=spec.grid_us,
         t_max_us=args.t_max_us,
         solver_budget_ms=args.budget_ms,
-        workers=args.workers,
     )
     out = synthesize(mode, spec.network, config)
     if args.lp_dir is not None:
@@ -100,8 +100,9 @@ def _cmd_synth(args) -> int:
                 mode, r, spec.network, grid_us=config.grid_us, t_max_us=config.t_max_us
             )
             write_lp(inst, os.path.join(args.lp_dir, f"{mode.id}_r{r}.lp"))
-    if out.status == "feasible":
+    if out.schedule is not None:
         _emit(dumps(schedule_to_obj(out.schedule)), args.out)
+    if out.status == "feasible":
         _status(
             f"feasible: {out.rounds_used} rounds, objective {out.objective_us} us, "
             f"{out.solver_calls} solver calls"
@@ -110,7 +111,13 @@ def _cmd_synth(args) -> int:
     if out.status == "infeasible":
         _status(f"infeasible: exhausted round counts after {out.solver_calls} solver calls")
         return 2
-    _status(f"timeout: solver budget exhausted after {out.solver_calls} solver calls")
+    best = ""
+    if out.schedule is not None:
+        best = (
+            f"best schedule has {out.rounds_used} rounds, objective "
+            f"{out.objective_us} us, not proven optimal; "
+        )
+    _status(f"timeout: {best}solver budget exhausted after {out.solver_calls} solver calls")
     return 1
 
 
@@ -236,8 +243,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", help="mode id (defaults to the only mode)")
     p.add_argument("--out", help="write the schedule JSON here instead of stdout")
     p.add_argument("--lp-dir", help="dump one LP file per attempted round count")
-    p.add_argument("--budget-ms", type=int, help="per-round-count solver budget")
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument(
+        "--budget-ms",
+        type=int,
+        help="solver time budget for the whole search over round counts",
+    )
     p.add_argument("--t-max-us", type=int, help="cap on the scheduling horizon")
     p.set_defaults(run=_cmd_synth)
 

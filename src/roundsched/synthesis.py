@@ -4,10 +4,17 @@ Round counts are tried in increasing order starting from zero; the first
 count whose program has an integer solution wins, so the schedule uses
 as few communication rounds as possible and, for that count, minimizes
 the summed worst-case chain latency of the applications.
+
+The solver budget is one deadline for the whole search, not a budget
+per round count.  When it runs out while the solver holds a schedule for
+the current count, that schedule is audited and returned with status
+"timeout": it uses as few rounds as possible (every smaller count was
+refuted), but its latency is not proven optimal.
 """
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass
 
 from .checker import check
@@ -21,14 +28,13 @@ from .timing import NetworkParams, round_length
 class SynthConfig:
     grid_us: int = 1
     t_max_us: int | None = None
-    solver_budget_ms: int | None = None
-    workers: int = 1
+    solver_budget_ms: int | None = None  # for the whole synthesize() call
 
 
 @dataclass
 class SynthesisOutcome:
     status: str  # "feasible" | "infeasible" | "timeout"
-    schedule: ModeSchedule | None
+    schedule: ModeSchedule | None  # on "timeout", the audited incumbent if any
     rounds_used: int | None
     objective_us: int | None
     solver_calls: int
@@ -56,26 +62,30 @@ def synthesize(
         raise ValueError(f"mode {mode.id} is not well formed: {sorted(report.codes())}")
 
     r_max = max_rounds(mode, params, config)
+    deadline = None
+    if config.solver_budget_ms is not None:
+        deadline = time.monotonic() + config.solver_budget_ms / 1000
     calls = 0
     nodes = 0
     for n_rounds in range(r_max + 1):
         inst = build_instance(
             mode, n_rounds, params, grid_us=config.grid_us, t_max_us=config.t_max_us
         )
-        sol = solve(inst, budget_ms=config.solver_budget_ms, workers=config.workers)
+        budget_ms = None if deadline is None else (deadline - time.monotonic()) * 1000
+        sol = solve(inst, budget_ms=budget_ms)
         calls += 1
         nodes += sol.nodes
-        if sol.status == "timeout":
+        if sol.status == "infeasible":
+            continue
+        if sol.values is None:
             return SynthesisOutcome("timeout", None, None, None, calls, nodes)
-        if sol.status == "optimal":
-            schedule = extract_schedule(inst, sol.values, mode, params)
-            audit = check(mode, schedule, params)
-            if not audit.ok:
-                raise RuntimeError(
-                    "synthesized schedule failed its own audit: "
-                    f"{sorted(audit.failed())}"
-                )
-            return SynthesisOutcome(
-                "feasible", schedule, n_rounds, sol.objective, calls, nodes
+        schedule = extract_schedule(inst, sol.values, mode, params)
+        audit = check(mode, schedule, params)
+        if not audit.ok:
+            raise RuntimeError(
+                "synthesized schedule failed its own audit: "
+                f"{sorted(audit.failed())}"
             )
+        status = "feasible" if sol.status == "optimal" else "timeout"
+        return SynthesisOutcome(status, schedule, n_rounds, sol.objective, calls, nodes)
     return SynthesisOutcome("infeasible", None, None, None, calls, nodes)

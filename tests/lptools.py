@@ -2,8 +2,9 @@
 
 The parser reads the interchange format written by the package and
 rebuilds matrices from the text alone, so a round trip through it plus
-scipy's milp gives a cross check that shares no code with the package's
-own branch and bound.
+scipy's milp checks the written text against the package's solver.  Both
+ends run HiGHS, so this checks the export, not the engine; the engine is
+checked against exhaustive enumeration (test_solver, acceptance 5).
 """
 
 from __future__ import annotations

@@ -62,6 +62,28 @@ def control_mode(period_ms: int = 100) -> Mode:
     return Mode("normal", (control_app(period_ms),))
 
 
+def ladder_mode(k: int) -> Mode:
+    """k sensor -> controller -> actuator loops sharing one controller node,
+    periods alternating 200/400 ms, 1 ms tasks.
+
+    Synthesized on a 5 ms grid over wide_params(hops=2), k = 4 needs four
+    rounds, and HiGHS finds an optimal schedule for them (444 ms summed
+    latency) seconds before it can prove it optimal.
+    """
+    apps = []
+    for i in range(k):
+        p = 200 if i % 2 == 0 else 400
+        apps.append(
+            mk_app(
+                f"loop{i}",
+                p,
+                [(f"s{i}", f"n_s{i}", 1), (f"c{i}", "n_ctrl", 1), (f"a{i}", f"n_a{i}", 1)],
+                [(f"s{i}", f"c{i}", f"ms{i}"), (f"c{i}", f"a{i}", f"mc{i}")],
+            )
+        )
+    return Mode(f"ladder{k}", tuple(apps))
+
+
 def wide_params(hops: int = 4) -> NetworkParams:
     """The reference deployment: 5 data slots of 10-byte payloads."""
     return NetworkParams(hops=hops, slots_per_round=5, payload_bytes=10)

@@ -4,17 +4,26 @@ Exit codes under test: 0 success, 1 input or budget errors, 2 proven
 infeasible, 3 audit violations.
 """
 
+import dataclasses
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+from roundsched import cli
 from roundsched.cli import main
+from roundsched.synthesis import synthesize
 from roundsched.timing import NetworkParams, round_length_grid
 
 SPEC_DIR = Path(__file__).resolve().parent.parent / "specs"
 CONTROL = str(SPEC_DIR / "control_loop.json")
 SCENARIO = str(SPEC_DIR / "mode_change.json")
+SRC = Path(__file__).resolve().parent.parent / "src"
+# a spec on which HiGHS printf()s a diagnostic line to the C stdout
+HIGHS_STDOUT = str(Path(__file__).resolve().parent / "data" / "highs_stdout.json")
 
 
 @pytest.fixture(scope="module")
@@ -40,7 +49,9 @@ class TestSynth:
         assert "feasible: 2 rounds, objective 89000 us, 3 solver calls" in err
         sched = json.loads(out.read_text())
         assert sched["mode_id"] == "normal"
-        assert [r["t"] for r in sched["rounds"]] == [1000, 45_000]
+        assert len(sched["rounds"]) == 2
+        rc = main(["check", "--spec", CONTROL, "--schedule", str(out)])
+        assert rc == 0
 
     def test_stdout_when_no_out_file(self, capsys):
         rc = main(["synth", "--spec", CONTROL, "--mode", "fallback"])
@@ -62,6 +73,32 @@ class TestSynth:
                    "--budget-ms", "0"])
         assert rc == 1
         assert "timeout" in capsys.readouterr().err
+
+    def test_timeout_writes_the_incumbent(self, capsys, tmp_path, monkeypatch):
+        def out_of_time(*args):
+            return dataclasses.replace(synthesize(*args), status="timeout")
+
+        monkeypatch.setattr(cli, "synthesize", out_of_time)
+        out = tmp_path / "s.json"
+        rc = main(["synth", "--spec", CONTROL, "--mode", "normal",
+                   "--out", str(out)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "timeout: best schedule has 2 rounds, objective 89000 us, " \
+            "not proven optimal" in err
+        assert main(["check", "--spec", CONTROL, "--schedule", str(out)]) == 0
+
+    def test_stdout_is_only_json_in_a_subprocess(self):
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (str(SRC), env.get("PYTHONPATH")) if p
+        )
+        proc = subprocess.run(
+            [sys.executable, "-m", "roundsched.cli", "synth", "--spec", HIGHS_STDOUT],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout)["mode_id"] == "rand64"
 
     def test_mode_flag_required_for_multi_mode_spec(self, capsys):
         rc = main(["synth", "--spec", CONTROL])

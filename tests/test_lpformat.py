@@ -2,8 +2,9 @@
 
 The round trip here goes instance -> LP text -> test-side parser ->
 scipy milp, and the result must agree with the package's own solver.
-That chain exercises the renderer, the written coefficients, and the
-solver against an implementation that shares nothing with them.
+That chain exercises the renderer and the written coefficients; the
+package solves the instance from memory, so a wrong coefficient in the
+text shows up as a disagreement.
 """
 
 import pytest

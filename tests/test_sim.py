@@ -1,16 +1,16 @@
 """Protocol simulation: beacons, losses, and two-phase mode changes.
 
 The mode-change timeline asserted here was traced by hand from the
-synthesized control schedules (rounds at 1 ms and 45 ms of a 100 ms
-cycle, 42 644 us rounds) before the simulator existed.
+control schedules of the `table` fixture (rounds at 1 ms and 45 ms of a
+100 ms cycle, 42 644 us rounds) before the simulator existed.
 """
 
 import pytest
 from support import control_mode, mk_app, small_params, wide_params
 
+from roundsched.checker import check
 from roundsched.model import Mode, ModeSchedule, Round
 from roundsched.sim import Scenario, SwitchRequest, simulate
-from roundsched.synthesis import SynthConfig, synthesize
 
 
 def fallback_mode():
@@ -25,14 +25,34 @@ def fallback_mode():
 
 @pytest.fixture(scope="module")
 def table():
+    """The control schedules the timeline below was traced from, audited."""
     params = wide_params(hops=2)
-    cfg = SynthConfig(grid_us=1000)
     normal = control_mode()
     fallback = fallback_mode()
-    out_n = synthesize(normal, params, cfg)
-    out_f = synthesize(fallback, params, cfg)
-    assert out_n.status == out_f.status == "feasible"
-    return {"normal": (normal, out_n.schedule), "fallback": (fallback, out_f.schedule)}
+    rl = 42_644
+    sched_n = ModeSchedule(
+        mode_id="normal",
+        hyperperiod_us=100_000,
+        round_len_us=rl,
+        task_offsets={"t1": 0, "t2": 0, "t3": 44_000, "t5": 88_000, "t6": 88_000},
+        message_offsets={"m1": 1000, "m2": 1000, "m3": 45_000},
+        message_deadlines={"m1": 43_000, "m2": 43_000, "m3": 43_000},
+        rounds=(Round(1000, ("m1", "m2")), Round(45_000, ("m3",))),
+        leftover={"m1": 0, "m2": 0, "m3": 0},
+    )
+    sched_f = ModeSchedule(
+        mode_id="fallback",
+        hyperperiod_us=100_000,
+        round_len_us=rl,
+        task_offsets={"w1": 0, "w2": 44_000},
+        message_offsets={"wm": 1000},
+        message_deadlines={"wm": 43_000},
+        rounds=(Round(1000, ("wm",)),),
+        leftover={"wm": 0},
+    )
+    assert check(normal, sched_n, params).ok
+    assert check(fallback, sched_f, params).ok
+    return {"normal": (normal, sched_n), "fallback": (fallback, sched_f)}
 
 
 def beacon_times(trace):

@@ -1,4 +1,4 @@
-"""Branch-and-bound solver checked against exhaustive enumeration.
+"""MILP solver checked against exhaustive enumeration.
 
 The oracle tries every integer point of the variable box with its own
 row arithmetic, so agreement on forty seeded programs is meaningful
@@ -23,12 +23,12 @@ def knapsackish() -> ILPInstance:
 
 
 class TestBasics:
-    def test_integral_relaxation_needs_one_node(self):
+    def test_integral_relaxation_is_optimal(self):
         inst = ILPInstance(name="free")
         inst.add_var("x", 0, 3)
         inst.objective = {0: 1}
         sol = solve(inst)
-        assert (sol.status, sol.objective, sol.nodes) == ("optimal", 0, 1)
+        assert (sol.status, sol.objective) == ("optimal", 0)
         assert sol.values == {"x": 0}
 
     def test_branching_beats_the_rounded_relaxation(self):
@@ -36,7 +36,6 @@ class TestBasics:
         assert sol.status == "optimal"
         assert sol.objective == -6
         assert sol.values == {"x": 2, "y": 0}
-        assert sol.nodes > 1
 
     def test_contradictory_row_is_infeasible(self):
         inst = ILPInstance(name="dead")

@@ -5,8 +5,17 @@ confirmed by the exhaustive search oracle, so these are regression pins
 on behaviour, not on whatever the code happened to produce.
 """
 
+import time
+
 import pytest
-from support import control_mode, mk_app, small_params, wide_params, random_small_case
+from support import (
+    control_mode,
+    ladder_mode,
+    mk_app,
+    random_small_case,
+    small_params,
+    wide_params,
+)
 
 from roundsched.checker import brute_force_min_rounds, check
 from roundsched.model import Mode
@@ -57,11 +66,9 @@ class TestKnownCases:
         assert out.rounds_used == 2
         assert out.objective_us == 89_000
         assert out.solver_calls == 3
-        sched = out.schedule
-        assert sched.rounds[0].alloc == ("m1", "m2")
-        assert sched.rounds[1].alloc == ("m3",)
-        assert sched.leftover == {"m1": 0, "m2": 0, "m3": 0}
-        assert check(mode, sched, params).ok
+        # several optima tie at 89 ms; which one is returned is up to the
+        # solver, so only the audit is asserted, not the slot allocation
+        assert check(mode, out.schedule, params).ok
 
     def test_single_slot_fan_in_needs_two_rounds(self):
         out = synthesize(fan_in_mode(), small_params(slots=1), GRID)
@@ -108,6 +115,39 @@ class TestLimitsAndGuards:
         app = mk_app("a", 20, [("t1", "n1", 1)], [("t1", "t9", "m")])
         with pytest.raises(ValueError, match="unknown_edge_task"):
             synthesize(Mode(id="bad", applications=(app,)), small_params(), GRID)
+
+
+class TestBudget:
+    """The budget is one deadline for the whole search over round counts,
+    and running out of it still yields the audited incumbent."""
+
+    BUDGET_MS = 3000
+    # time allowed past the deadline for HiGHS to notice it and for the
+    # audit of the incumbent; refuting counts 0..3 alone takes about 0.5 s,
+    # so a budget restarted per round count would overrun it
+    SLACK_S = 0.25
+
+    @pytest.fixture(scope="class")
+    def run(self):
+        mode, params = ladder_mode(4), wide_params(hops=2)
+        cfg = SynthConfig(grid_us=5000, solver_budget_ms=self.BUDGET_MS)
+        t0 = time.monotonic()
+        out = synthesize(mode, params, cfg)
+        return mode, params, out, time.monotonic() - t0
+
+    def test_one_deadline_covers_every_round_count(self, run):
+        _mode, _params, out, wall = run
+        assert out.status == "timeout"
+        assert out.solver_calls >= 2
+        budget_s = self.BUDGET_MS / 1000
+        assert budget_s <= wall <= budget_s + self.SLACK_S
+
+    def test_timeout_returns_the_audited_incumbent(self, run):
+        mode, params, out, _wall = run
+        assert out.solver_calls == 5  # counts 0..3 refuted, 4 ran out
+        assert out.rounds_used == 4
+        assert check(mode, out.schedule, params).ok
+        assert out.objective_us >= 444_000  # the proven optimum
 
 
 class TestOracleAgreement:
