@@ -2,7 +2,11 @@
 
 check() re-derives every scheduling property straight from the model and
 the counting step functions; it shares no code with the ILP construction,
-so the two can disagree only if one of them is wrong.
+so the two can disagree only if one of them is wrong.  Up to sorting,
+the audit is linear in the rounds plus each message's check instants: the
+allocations are gathered in one pass over the rounds, and each message's
+demand <= service <= arrival ordering is checked in one merged sweep of
+its instants and round ends (stepfuncs.first_order_violation).
 
 brute_force_min_rounds() searches the full (grid-aligned) design space of
 small instances.  It exists to pin down optimal round counts for the
@@ -25,7 +29,13 @@ from .model import (
     chains,
     hyperperiod,
 )
-from .stepfuncs import MsgTiming, check_order, deadline_instants, release_instants
+from .stepfuncs import (
+    MsgTiming,
+    check_order,
+    deadline_instants,
+    first_order_violation,
+    release_instants,
+)
 from .timing import NetworkParams, round_length
 
 VERDICT_FAMILIES = (
@@ -188,6 +198,14 @@ def check(mode: Mode, schedule: ModeSchedule, params: NetworkParams) -> CheckRep
                 f"rounds {a},{b}",
                 f"start {rb.t} before {ra.t} + {t_r}",
             )
+    for i in range(1, len(schedule.rounds)):
+        if schedule.rounds[i].t < schedule.rounds[i - 1].t:
+            rep.add(
+                "round_overlap",
+                f"rounds {i - 1},{i}",
+                f"listed out of time order: start {schedule.rounds[i].t} "
+                f"after start {schedule.rounds[i - 1].t}",
+            )
 
     # -- node exclusivity ----------------------------------------------------
     rep.evaluated.add("node_exclusive")
@@ -274,13 +292,22 @@ def check(mode: Mode, schedule: ModeSchedule, params: NetworkParams) -> CheckRep
         }
     )
     rounds_sorted = tuple(sorted(schedule.rounds, key=lambda r: r.t))
+    # one entry per allocated slot, in round order; unknown ids were
+    # reported under domains
+    allocs_of: dict[str, list[Round]] = {mid: [] for mid in msgs}
+    for r in rounds_sorted:
+        for slot in r.alloc:
+            if slot in allocs_of:
+                allocs_of[slot].append(r)
+    round_points = {0, h}
+    round_points.update(min(h + 1, r.t + t_r + 1) for r in rounds_sorted)
     for mid in sorted(msgs):
         p = period_of[mid]
         o = schedule.message_offsets[mid]
         d = schedule.message_deadlines[mid]
         r0 = schedule.leftover[mid]
         n_inst = h // p
-        allocs = [r for r in rounds_sorted for slot in r.alloc if slot == mid]
+        allocs = allocs_of[mid]
 
         if r0 not in (0, 1):
             rep.add("leftover", f"message {mid}", f"carried count {r0} not 0 or 1")
@@ -332,15 +359,19 @@ def check(mode: Mode, schedule: ModeSchedule, params: NetworkParams) -> CheckRep
 
         if r0 in (0, 1):
             mt = MsgTiming(mid, o, d, p)
-            points = {0, h}
-            points.update(min(h + 1, r.t + t_r + 1) for r in rounds_sorted)
+            points = set(round_points)
             points.update(x for x in release_instants(mt, h) if x <= h)
             points.update(x + 1 for x in deadline_instants(mt, h) if x + 1 <= h + 1)
-            for t in sorted(points):
-                msg = check_order(mt, t, rounds_sorted, r0, t_r)
-                if msg is not None:
-                    rep.add("curve_order", f"message {mid}", msg)
-                    break
+            t = first_order_violation(
+                mt, sorted(points), [r.t + t_r for r in allocs], r0
+            )
+            if t is not None:
+                # the one-instant definition words the violation
+                rep.add(
+                    "curve_order",
+                    f"message {mid}",
+                    check_order(mt, t, rounds_sorted, r0, t_r),
+                )
 
     return rep
 

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Optional
+from typing import Iterable
 
 TimeUs = int
 
@@ -135,12 +135,14 @@ class Mode:
 class Round:
     """One communication round: start time and its slot allocation.
 
-    alloc has one entry per data slot, a message id or None for an idle slot.
-    The round length is a property of the network parameters, not stored here.
+    alloc lists the message id sent in each used data slot, in slot order;
+    a message may take several slots.  Idle slots are not listed: a round
+    has slots_per_round - len(alloc) of them.  The round length is a
+    property of the network parameters, not stored here.
     """
 
     t: TimeUs
-    alloc: tuple[Optional[str], ...]
+    alloc: tuple[str, ...]
 
     def count(self, mid: str) -> int:
         return sum(1 for a in self.alloc if a == mid)

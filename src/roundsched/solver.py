@@ -101,18 +101,11 @@ def _milp(inst: ILPInstance, time_limit_s: float | None):
         )
 
 
-def solve(
-    inst: ILPInstance,
-    *,
-    budget_ms: float | None = None,
-    workers: int = 1,
-) -> SolverSolution:
+def solve(inst: ILPInstance, *, budget_ms: float | None = None) -> SolverSolution:
     """Minimize the instance objective over integer points.
 
     budget_ms bounds the wall time; when it runs out the result is
     "timeout", with the best verified point found so far, if any.
-    workers is accepted for compatibility and ignored: milp exposes no
-    thread count.
     """
     time_limit_s = deadline = None
     if budget_ms is not None:

@@ -6,12 +6,17 @@ time t, how many must already be delivered, and how many the rounds have
 actually carried. All three count from the hyperperiod origin t=0 and use
 exact integer arithmetic (floor/ceil with mathematically correct behaviour
 for negative numerators).
+
+service() and check_order() evaluate one instant by scanning every round.
+service_sweep() and first_order_violation() give the same counts and
+verdicts over an ascending list of instants in one merged pass, which is
+what the schedule checker runs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .model import Round, TimeUs
 
@@ -140,4 +145,41 @@ def check_order(
             f"message {m.id} at t={t}: demand={df} service={sf} "
             f"arrival={af} violates demand <= service <= arrival"
         )
+    return None
+
+
+def service_sweep(
+    instants: Iterable[TimeUs], deliveries: Sequence[TimeUs], carried: int
+) -> Iterator[tuple[TimeUs, int]]:
+    """(t, service at t) for each of the ascending instants, in one pass.
+
+    deliveries holds one round end per allocated slot of the message, in
+    ascending order (a round carrying it in two slots appears twice), so
+    the counts equal service() with the same rounds and carried backlog.
+    Each delivery is passed once: the cost is linear in the instants plus
+    the deliveries, not their product.
+    """
+    served = -carried
+    i = 0
+    for t in instants:
+        while i < len(deliveries) and deliveries[i] < t:
+            served += 1
+            i += 1
+        yield t, served
+
+
+def first_order_violation(
+    m: MsgTiming,
+    instants: Iterable[TimeUs],
+    deliveries: Sequence[TimeUs],
+    carried: int,
+) -> Optional[TimeUs]:
+    """The first of the ascending instants at which check_order() fails.
+
+    Compares demand <= service <= arrival along service_sweep(); returns
+    None when the ordering holds at every instant.
+    """
+    for t, sf in service_sweep(instants, deliveries, carried):
+        if not demand(m, t) <= sf <= arrival(m, t):
+            return t
     return None

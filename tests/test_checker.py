@@ -103,6 +103,16 @@ class TestMutations:
         rep = self.run(mutate(rounds=(Round(1000, ("m",)), Round(1000 + T_R, ()))))
         assert "round_overlap" not in rep.failed()
 
+    def test_rounds_listed_out_of_time_order(self):
+        # the same two rounds as a clean schedule, listed late one first
+        rep = self.run(mutate(rounds=(Round(51_000, ()), Round(1000, ("m",)))))
+        assert rep.failed() == {"round_overlap"}
+        assert [str(v) for v in rep.violations] == [
+            "round_overlap at rounds 0,1: "
+            "listed out of time order: start 1000 after start 51000"
+        ]
+        assert self.run(mutate(rounds=(Round(1000, ("m",)), Round(51_000, ())))).ok
+
     def test_round_outside_hyperperiod(self):
         rep = self.run(
             mutate(rounds=(Round(1000, ("m",)), Round(100_000 - T_R + 1, ())))

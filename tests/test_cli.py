@@ -203,6 +203,29 @@ class TestSimulate:
         assert "schedule audit failed" in capsys.readouterr().err
 
 
+    def test_rounds_out_of_time_order_fail_audit(self, capsys, synthesized, tmp_path):
+        data = json.loads(synthesized["normal"].read_text())
+        assert len(data["rounds"]) == 2
+        data["rounds"].reverse()  # same rounds, later one listed first
+        bad = tmp_path / "swapped.json"
+        bad.write_text(json.dumps(data))
+        rc = main(["check", "--spec", CONTROL, "--schedule", str(bad)])
+        assert rc == 3
+        report = json.loads(capsys.readouterr().out)
+        assert report["families"]["round_overlap"] == "fail"
+        assert "listed out of time order" in report["violations"][0]["detail"]
+        trace = tmp_path / "trace.json"
+        rc = main([
+            "simulate", "--spec", CONTROL, "--scenario", SCENARIO,
+            "--schedule", f"normal={bad}",
+            "--schedule", f"fallback={synthesized['fallback']}",
+            "--trace", str(trace),
+        ])
+        assert rc == 3
+        assert "normal: round_overlap" in capsys.readouterr().err
+        assert not trace.exists()
+
+
 class TestModel:
     def test_round_length_table(self, capsys):
         rc = main(["model", "--table", "round-length", "--spec", CONTROL,

@@ -17,9 +17,11 @@ from roundsched.stepfuncs import (
     check_order,
     deadline_instants,
     demand,
+    first_order_violation,
     leftover,
     release_instants,
     service,
+    service_sweep,
 )
 from support import af_oracle, df_oracle, sv_oracle
 
@@ -194,3 +196,32 @@ def test_service_matches_direct_count(m, starts, carried):
     rs = tuple(Round(s, ("m",)) for s in starts)
     for t in range(0, 41, 3):
         assert service(mt, t, rs, carried, 4) == sv_oracle("m", t, rs, carried, 4)
+
+
+# --- the merged sweep against the one-instant definitions -----------------
+
+rounds_strategy = st.lists(
+    st.tuples(
+        st.integers(0, 36),  # start
+        st.lists(st.sampled_from(["m", "x"]), max_size=3),  # slots
+    ),
+    max_size=5,
+).map(lambda rs: tuple(Round(t, tuple(a)) for t, a in sorted(rs, key=lambda r: r[0])))
+
+
+@given(
+    msg_strategy,
+    rounds_strategy,
+    st.integers(0, 1),
+    st.lists(st.integers(0, 60), unique=True).map(sorted),
+)
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+def test_sweep_matches_service_and_check_order_at_every_instant(m, rs, carried, instants):
+    o, d, p = m
+    mt = MsgTiming("m", o, d, p)
+    deliveries = [r.t + 4 for r in rs for a in r.alloc if a == "m"]
+    swept = list(service_sweep(instants, deliveries, carried))
+    assert swept == [(t, service(mt, t, rs, carried, 4)) for t in instants]
+    failing = [t for t in instants if check_order(mt, t, rs, carried, 4) is not None]
+    want = failing[0] if failing else None
+    assert first_order_violation(mt, instants, deliveries, carried) == want
