@@ -16,6 +16,8 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from dataclasses import replace
+from typing import Iterable
 
 from .checker import check
 from .ilp import build_instance
@@ -31,7 +33,7 @@ from .specio import (
     parse_spec,
     report_to_obj,
     schedule_to_obj,
-    trace_to_obj,
+    trace_chunks,
 )
 from .synthesis import SynthConfig, synthesize
 from .timing import (
@@ -43,12 +45,12 @@ from .timing import (
 )
 
 
-def _emit(text: str, path: str | None) -> None:
+def _emit(chunks: Iterable[str], path: str | None) -> None:
     if path is None:
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
     else:
         with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            fh.writelines(chunks)
 
 
 def _status(msg: str) -> None:
@@ -101,7 +103,7 @@ def _cmd_synth(args) -> int:
             )
             write_lp(inst, os.path.join(args.lp_dir, f"{mode.id}_r{r}.lp"))
     if out.schedule is not None:
-        _emit(dumps(schedule_to_obj(out.schedule)), args.out)
+        _emit([dumps(schedule_to_obj(out.schedule))], args.out)
     if out.status == "feasible":
         _status(
             f"feasible: {out.rounds_used} rounds, objective {out.objective_us} us, "
@@ -126,7 +128,7 @@ def _cmd_check(args) -> int:
     schedule = parse_schedule(load_json(args.schedule))
     mode = _pick_mode(spec, args.mode if args.mode else schedule.mode_id)
     report = check(mode, schedule, spec.network)
-    _emit(dumps(report_to_obj(report)), args.report)
+    _emit([dumps(report_to_obj(report))], args.report)
     if report.ok:
         _status("schedule passes all checks")
         return 0
@@ -164,7 +166,7 @@ def _cmd_simulate(args) -> int:
         _status("schedule audit failed; " + "; ".join(bad))
         return 3
     trace = simulate(table, scenario)
-    _emit(dumps(trace_to_obj(trace)), args.trace)
+    _emit(trace_chunks(trace), args.trace)
     _status(
         f"simulated {trace.beacons_sent} rounds: {trace.beacons_missed} missed "
         f"beacons, {trace.transmissions} transmissions, "
@@ -209,25 +211,11 @@ def _cmd_model(args) -> int:
     else:
         lines.append(",".join(ENERGY_GRID_HEADER))
         for h in hops:
-            ph = NetworkParams(
-                hops=h,
-                slots_per_round=base.slots_per_round,
-                payload_bytes=base.payload_bytes,
-                retransmissions=base.retransmissions,
-                beacon_bytes=base.beacon_bytes,
-                cal_bytes=base.cal_bytes,
-                header_bytes=base.header_bytes,
-                bitrate_bps=base.bitrate_bps,
-                wakeup_us=base.wakeup_us,
-                start_us=base.start_us,
-                radio_delay_us=base.radio_delay_us,
-                gap_us=base.gap_us,
-            )
-            for row in energy_saving_grid(ph, payloads, slots):
+            for row in energy_saving_grid(replace(base, hops=h), payloads, slots):
                 lines.append(
                     ",".join(str(x) for x in row[:-1]) + f",{float(row[-1]):.6f}"
                 )
-    _emit("\n".join(lines) + "\n", args.out)
+    _emit(["\n".join(lines) + "\n"], args.out)
     return 0
 
 

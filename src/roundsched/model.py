@@ -13,7 +13,7 @@ from typing import Iterable
 
 TimeUs = int
 
-#: validate_spec refuses hyperperiods beyond this (about 11.6 days in us);
+#: hyperperiod() refuses hyperperiods beyond this (about 11.6 days in us);
 #: such inputs are almost certainly unit mistakes.
 HYPERPERIOD_CAP_US = 10**12
 
@@ -412,40 +412,3 @@ def validate_modes_disjoint(modes: Iterable[Mode], report: ValidationReport) -> 
                     f"application {app.id}",
                     f"appears in modes {prev!r} and {mode.id!r}",
                 )
-
-
-@dataclass(frozen=True, slots=True)
-class SystemSpec:
-    """Everything a parsed input file describes.
-
-    network is a timing.NetworkParams, synth a synthesis.SynthConfig; both are
-    kept untyped here so the model layer stays import-free.
-    """
-
-    network: object
-    applications: tuple[Application, ...]
-    modes: tuple[Mode, ...]
-    synth: object = None
-
-    def mode_by_id(self, mid: str) -> Mode:
-        for m in self.modes:
-            if m.id == mid:
-                return m
-        raise KeyError(mid)
-
-
-def validate_spec(spec: SystemSpec) -> ValidationReport:
-    """Structural validation of a whole system description.
-
-    Collects every violation instead of stopping at the first; an empty
-    report means the synthesizer can be run on any of the modes.
-    """
-    report = ValidationReport()
-    moded = {app.id for mode in spec.modes for app in mode.applications}
-    for app in spec.applications:
-        if app.id not in moded:
-            validate_application(app, report)
-    for mode in spec.modes:
-        validate_mode(mode, report)
-    validate_modes_disjoint(spec.modes, report)
-    return report

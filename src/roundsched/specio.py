@@ -6,13 +6,17 @@ Errors carry the JSON path of the offending value so they read like
 "$.modes[0].applications[1].tasks[2].wcet_us: expected int, got bool".
 
 Writers are byte-stable: keys sorted, two-space indent, one trailing
-newline.
+newline. A simulation trace is not built as one string: trace_chunks()
+encodes its events in blocks of TRACE_BLOCK_EVENTS with the C JSON
+encoder and yields each block as it is made, giving the same bytes as
+dumps(trace_to_obj(trace)).
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from typing import Iterator
 
 from .checker import CheckReport
 from .model import Application, Message, Mode, ModeSchedule, Round, Task
@@ -274,19 +278,62 @@ def parse_scenario(x, path: str = "$") -> Scenario:
     )
 
 
-def trace_to_obj(trace: SimTrace) -> dict:
+def _summary_obj(trace: SimTrace) -> dict:
     return {
-        "summary": {
-            "beacons_sent": trace.beacons_sent,
-            "beacons_missed": trace.beacons_missed,
-            "transmissions": trace.transmissions,
-            "collisions": trace.collisions,
-            "resyncs": trace.resyncs,
-        },
-        "events": [
-            {"t": t, "kind": kind, **data} for t, kind, data in trace.events
-        ],
+        "beacons_sent": trace.beacons_sent,
+        "beacons_missed": trace.beacons_missed,
+        "transmissions": trace.transmissions,
+        "collisions": trace.collisions,
+        "resyncs": trace.resyncs,
     }
+
+
+def _event_objs(events) -> list[dict]:
+    return [{"t": t, "kind": kind, **data} for t, kind, data in events]
+
+
+def trace_to_obj(trace: SimTrace) -> dict:
+    return {"summary": _summary_obj(trace), "events": _event_objs(trace.events)}
+
+
+#: events encoded per block by trace_chunks()
+TRACE_BLOCK_EVENTS = 2048
+
+# Without indent, json uses its C encoder. This one writes each event of a
+# list as '{"k": v,\n      "k": v}', joined by '},\n      {': the key lines
+# already carry the 6-space indent of an event inside "events".
+_EVENT_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",\n      ", ": "))
+_SCALARS = frozenset((str, int, bool, type(None)))
+
+
+def _events_text(events: list[dict]) -> str:
+    """The events as dumps() indents them inside "events", comma-joined."""
+    if {type(v) for ev in events for v in ev.values()} <= _SCALARS:
+        # JSON strings hold no raw newline, so '},\n      {' only occurs
+        # between two events
+        body = _EVENT_ENCODER.encode(events)[2:-2].replace(
+            "},\n      {", "\n    },\n    {\n      ")
+        return "{\n      " + body + "\n    }"
+    if len(events) == 1:
+        # a nested value needs its own indented lines: take the reference path
+        return json.dumps(events[0], indent=2, sort_keys=True).replace("\n", "\n    ")
+    return ",\n    ".join(_events_text([ev]) for ev in events)
+
+
+def trace_chunks(trace: SimTrace) -> Iterator[str]:
+    """The text of dumps(trace_to_obj(trace)), one block of events at a time."""
+    events = trace.events
+    if not events:
+        yield '{\n  "events": [],\n'
+    else:
+        yield '{\n  "events": [\n    '
+        for i in range(0, len(events), TRACE_BLOCK_EVENTS):
+            if i:
+                yield ",\n    "
+            yield _events_text(_event_objs(events[i:i + TRACE_BLOCK_EVENTS]))
+        yield "\n  ],\n"
+    summary = dumps(_summary_obj(trace))[:-1].replace("\n", "\n  ")
+    yield '  "summary": ' + summary + "\n}\n"
 
 
 def report_to_obj(report: CheckReport) -> dict:

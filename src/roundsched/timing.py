@@ -10,7 +10,7 @@ t_tx (half-up to the nearest microsecond).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import NamedTuple, Sequence
 
@@ -165,20 +165,7 @@ def round_length_grid(
     """Round length over a (hops, slot count) grid at one payload size."""
     rows = []
     for h in hops_values:
-        ph = NetworkParams(
-            hops=h,
-            slots_per_round=p.slots_per_round,
-            payload_bytes=payload_bytes,
-            retransmissions=p.retransmissions,
-            beacon_bytes=p.beacon_bytes,
-            cal_bytes=p.cal_bytes,
-            header_bytes=p.header_bytes,
-            bitrate_bps=p.bitrate_bps,
-            wakeup_us=p.wakeup_us,
-            start_us=p.start_us,
-            radio_delay_us=p.radio_delay_us,
-            gap_us=p.gap_us,
-        )
+        ph = replace(p, hops=h, payload_bytes=payload_bytes)
         for b in slot_values:
             rows.append((h, b, payload_bytes, p.retransmissions, t_round(payload_bytes, b, ph)))
     return rows

@@ -15,6 +15,15 @@ import pytest
 
 from roundsched import cli
 from roundsched.cli import main
+from roundsched.sim import simulate
+from roundsched.specio import (
+    dumps,
+    load_json,
+    parse_scenario,
+    parse_schedule,
+    parse_spec,
+    trace_to_obj,
+)
 from roundsched.synthesis import synthesize
 from roundsched.timing import NetworkParams, round_length_grid
 
@@ -170,6 +179,25 @@ class TestSimulate:
         assert trace["summary"]["collisions"] == 0
         kinds = {e["kind"] for e in trace["events"]}
         assert {"beacon", "request", "announce", "epoch"} <= kinds
+
+    def test_trace_bytes_match_reference_encoding(self, capsys, synthesized, tmp_path):
+        spec = parse_spec(load_json(CONTROL))
+        table = {
+            mode_id: (spec.mode_by_id(mode_id), parse_schedule(load_json(str(path))))
+            for mode_id, path in synthesized.items()
+        }
+        expected = dumps(trace_to_obj(simulate(table, parse_scenario(load_json(SCENARIO)))))
+        argv = [
+            "simulate", "--spec", CONTROL, "--scenario", SCENARIO,
+            "--schedule", f"normal={synthesized['normal']}",
+            "--schedule", f"fallback={synthesized['fallback']}",
+        ]
+        trace_path = tmp_path / "trace.json"
+        assert main(argv + ["--trace", str(trace_path)]) == 0
+        assert trace_path.read_bytes() == expected.encode()
+        capsys.readouterr()
+        assert main(argv) == 0
+        assert capsys.readouterr().out == expected
 
     def test_missing_switch_target_schedule(self, capsys, synthesized):
         rc = main([
