@@ -11,12 +11,23 @@ Variable families, in index order:
     sp_<msg>            producer handoff slips one period
     sc_<msg>__<task>    consumer handoff slips one period
     d_<app>             worst chain latency of the app, microseconds
-    y_*                 ordering choice for two tasks sharing a node
+    y_<t1>__<t2>__<k>   ordering choice for two tasks sharing a node, k-th
+                        start difference
     rt<j>               round start, ticks, rounds kept sorted
     ka<j>_<msg>         message instances released by round j's start
     kd<j>_<msg>         message deadlines passed at round j's end
     n<j>_<msg>          data slots of round j granted to the message
     r0_<msg>            one instance is carried over the origin
+
+Variables are addressed by model key only: ILPInstance.keys maps the
+family and the model ids in the name, such as ("o", task), ("sc", msg,
+task), ("y", t1, t2, k) or ("n", j, msg), to the variable's index; d is
+keyed by the application's position in the mode.  A task or message
+shared by several applications has one variable.  Names are labels made
+once, when a variable or row is registered, for LP export and error
+text: ids are sanitized to [A-Za-z0-9_], and a name already taken gets a
+_2, _3, ... suffix, so names are unique among the variables and among
+the rows.
 
 Each served instance needs a round that starts at or after its release
 and ends by its deadline, so the window width is bounded below by the
@@ -49,52 +60,49 @@ class Row:
     rhs: int
 
 
+def _unique(name: str, taken: set[str]) -> str:
+    """name, or the first of name_2, name_3, ... not yet taken; the
+    result is added to taken."""
+    label, n = name, 1
+    while label in taken:
+        n += 1
+        label = f"{name}_{n}"
+    taken.add(label)
+    return label
+
+
 @dataclass
 class ILPInstance:
     name: str
     variables: list[Variable] = field(default_factory=list)
     rows: list[Row] = field(default_factory=list)
     objective: dict[int, int] = field(default_factory=dict)
-    index: dict[str, int] = field(default_factory=dict)
+    keys: dict[tuple, int] = field(default_factory=dict)  # model key -> index
     meta: dict = field(default_factory=dict)
+    _var_names: set[str] = field(default_factory=set, repr=False)
+    _row_names: set[str] = field(default_factory=set, repr=False)
 
     def add_var(self, name: str, lb: int, ub: int, binary: bool = False) -> int:
-        assert name not in self.index, name
-        self.index[name] = len(self.variables)
+        name = _unique(name, self._var_names)
         self.variables.append(Variable(name, lb, ub, binary))
-        return self.index[name]
+        return len(self.variables) - 1
 
     def add_row(self, name: str, coeffs: dict[int, int], sense: str, rhs: int) -> None:
         assert sense in ("<=", "==")
+        name = _unique(name, self._row_names)
         self.rows.append(Row(name, {k: v for k, v in coeffs.items() if v}, sense, rhs))
-
-    def var(self, name: str) -> int:
-        return self.index[name]
 
 
 class DecodeError(ValueError):
     """An assignment that should describe a schedule does not."""
 
 
-_SAFE = re.compile(r"[^A-Za-z0-9]")
+_UNSAFE = re.compile(r"[^A-Za-z0-9]")
 
 
-def _mk_safe() -> callable:
-    taken: dict[str, str] = {}
-
-    def safe(raw: str) -> str:
-        if raw in taken:
-            return taken[raw]
-        base = _SAFE.sub("_", raw) or "id"
-        cand = base
-        n = 1
-        while cand in taken.values():
-            n += 1
-            cand = f"{base}{n}"
-        taken[raw] = cand
-        return cand
-
-    return safe
+def _safe(raw: str) -> str:
+    """raw with every character outside [A-Za-z0-9] replaced by "_"."""
+    return _UNSAFE.sub("_", raw)
 
 
 def _delta_values(p_i: int, p_j: int) -> list[int]:
@@ -137,7 +145,11 @@ def build_instance(
         "hyperperiod_us": h,
         "slots_per_round": n_slots,
     }
-    safe = _mk_safe()
+    key = inst.keys
+
+    def add(k: tuple, name: str, lb: int, ub: int, binary: bool = False) -> None:
+        if k not in key:  # shared by an earlier application
+            key[k] = inst.add_var(name, lb, ub, binary)
 
     tasks = mode.all_tasks()
     msgs = mode.all_messages()
@@ -145,25 +157,22 @@ def build_instance(
 
     # --- variables ----------------------------------------------------------
     md_lb = -(-t_r // g)  # window must be wide enough to hold one round
-    for app in mode.applications:
-        for t in app.tasks:
-            inst.add_var(f"o_{safe(t.id)}", 0, (t.period_us - t.wcet_us) // g)
-    for app in mode.applications:
-        for m in app.messages:
-            inst.add_var(f"mo_{safe(m.id)}", 0, m.period_us // g - 1)
-            if md_lb > m.period_us // g:
-                # no window of this period can contain a whole round
-                inst.add_row(f"nofit_{safe(m.id)}", {}, "<=", -1)
-            inst.add_var(
-                f"md_{safe(m.id)}", min(md_lb, m.period_us // g), m.period_us // g
-            )
+    for t in tasks.values():
+        add(("o", t.id), f"o_{_safe(t.id)}", 0, (t.period_us - t.wcet_us) // g)
+    for m in msgs.values():
+        pg = m.period_us // g
+        add(("mo", m.id), f"mo_{_safe(m.id)}", 0, pg - 1)
+        if md_lb > pg:
+            # no window of this period can contain a whole round
+            inst.add_row(f"nofit_{_safe(m.id)}", {}, "<=", -1)
+        add(("md", m.id), f"md_{_safe(m.id)}", min(md_lb, pg), pg)
     for app in mode.applications:
         for m in app.messages:
-            inst.add_var(f"sp_{safe(m.id)}", 0, 1, binary=True)
+            add(("sp", m.id), f"sp_{_safe(m.id)}", 0, 1, binary=True)
         for _src, dst, mid in app.edges:
-            inst.add_var(f"sc_{safe(mid)}__{safe(dst)}", 0, 1, binary=True)
-    for app in mode.applications:
-        inst.add_var(f"d_{safe(app.id)}", 0, app.deadline_us)
+            add(("sc", mid, dst), f"sc_{_safe(mid)}__{_safe(dst)}", 0, 1, binary=True)
+    for i, app in enumerate(mode.applications):
+        add(("d", i), f"d_{_safe(app.id)}", 0, app.deadline_us)
 
     task_list = sorted(tasks.values(), key=lambda t: t.id)
     pair_deltas: list[tuple] = []
@@ -172,89 +181,74 @@ def build_instance(
             if ti.node != tj.node:
                 continue
             for k, dv in enumerate(_delta_values(ti.period_us, tj.period_us)):
-                y = inst.add_var(
-                    f"y_{safe(ti.id)}__{safe(tj.id)}__{k}", 0, 1, binary=True
-                )
-                pair_deltas.append((ti, tj, dv, y))
+                pair = f"{_safe(ti.id)}__{_safe(tj.id)}__{k}"
+                add(("y", ti.id, tj.id, k), f"y_{pair}", 0, 1, binary=True)
+                y = key["y", ti.id, tj.id, k]
+                pair_deltas.append((ti, tj, dv, y, f"apart_{pair}"))
 
     rt_ub = (t_max_us - t_r) // g
     if n_rounds and rt_ub < 0:
         raise ValueError("round does not fit inside the horizon")
     for j in range(n_rounds):
-        inst.add_var(f"rt{j}", 0, rt_ub)
+        add(("rt", j), f"rt{j}", 0, rt_ub)
     for j in range(n_rounds):
         for mid in sorted(msgs):
             k_m = h // period_of[mid]
-            inst.add_var(f"ka{j}_{safe(mid)}", 0, k_m + 1)
-            inst.add_var(f"kd{j}_{safe(mid)}", -1, k_m + 1)
+            add(("ka", j, mid), f"ka{j}_{_safe(mid)}", 0, k_m + 1)
+            add(("kd", j, mid), f"kd{j}_{_safe(mid)}", -1, k_m + 1)
     for j in range(n_rounds):
         for mid in sorted(msgs):
-            inst.add_var(f"n{j}_{safe(mid)}", 0, n_slots)
+            add(("n", j, mid), f"n{j}_{_safe(mid)}", 0, n_slots)
     for mid in sorted(msgs):
-        inst.add_var(f"r0_{safe(mid)}", 0, 1, binary=True)
-
-    v = inst.var
+        add(("r0", mid), f"r0_{_safe(mid)}", 0, 1, binary=True)
 
     # --- objective ----------------------------------------------------------
-    for app in mode.applications:
-        inst.objective[v(f"d_{safe(app.id)}")] = 1
+    for i in range(len(mode.applications)):
+        inst.objective[key["d", i]] = 1
 
     # --- producer, consumer, chain latency ----------------------------------
-    for app in mode.applications:
+    for i, app in enumerate(mode.applications):
         p = app.period_us
         for m in app.messages:
             prod = app.task_by_id(app.producers(m.id)[0])
             inst.add_row(
-                f"prod_{safe(m.id)}",
-                {
-                    v(f"o_{safe(prod.id)}"): g,
-                    v(f"mo_{safe(m.id)}"): -g,
-                    v(f"sp_{safe(m.id)}"): -p,
-                },
+                f"prod_{_safe(m.id)}",
+                {key["o", prod.id]: g, key["mo", m.id]: -g, key["sp", m.id]: -p},
                 "<=",
                 -prod.wcet_us,
             )
         for _src, dst, mid in app.edges:
             inst.add_row(
-                f"cons_{safe(mid)}__{safe(dst)}",
+                f"cons_{_safe(mid)}__{_safe(dst)}",
                 {
-                    v(f"mo_{safe(mid)}"): g,
-                    v(f"md_{safe(mid)}"): g,
-                    v(f"o_{safe(dst)}"): -g,
-                    v(f"sc_{safe(mid)}__{safe(dst)}"): -p,
+                    key["mo", mid]: g,
+                    key["md", mid]: g,
+                    key["o", dst]: -g,
+                    key["sc", mid, dst]: -p,
                 },
                 "<=",
                 0,
             )
         for c_idx, ch in enumerate(chains(app)):
-            first = app.task_by_id(ch.first_task)
             last = app.task_by_id(ch.last_task)
-            coeffs: dict[int, int] = {v(f"d_{safe(app.id)}"): -1}
-            coeffs[v(f"o_{safe(last.id)}")] = coeffs.get(v(f"o_{safe(last.id)}"), 0) + g
-            coeffs[v(f"o_{safe(first.id)}")] = (
-                coeffs.get(v(f"o_{safe(first.id)}"), 0) - g
-            )
+            coeffs: dict[int, int] = {key["d", i]: -1}
+            for x, cf in ((key["o", last.id], g), (key["o", ch.first_task], -g)):
+                coeffs[x] = coeffs.get(x, 0) + cf
             for k, mid in enumerate(ch.message_ids):
-                cons = ch.task_ids[k + 1]
-                coeffs[v(f"sp_{safe(mid)}")] = coeffs.get(v(f"sp_{safe(mid)}"), 0) + p
-                sc = v(f"sc_{safe(mid)}__{safe(cons)}")
-                coeffs[sc] = coeffs.get(sc, 0) + p
-            inst.add_row(f"lat_{safe(app.id)}_{c_idx}", coeffs, "<=", -last.wcet_us)
+                for x in (key["sp", mid], key["sc", mid, ch.task_ids[k + 1]]):
+                    coeffs[x] = coeffs.get(x, 0) + p
+            inst.add_row(f"lat_{_safe(app.id)}_{c_idx}", coeffs, "<=", -last.wcet_us)
 
     # --- round ordering -----------------------------------------------------
     for j in range(n_rounds - 1):
         inst.add_row(
-            f"order_r{j}",
-            {v(f"rt{j}"): g, v(f"rt{j + 1}"): -g},
-            "<=",
-            -t_r,
+            f"order_r{j}", {key["rt", j]: g, key["rt", j + 1]: -g}, "<=", -t_r
         )
 
     # --- shared-node task separation ----------------------------------------
-    for ti, tj, dv, y in pair_deltas:
-        oi, oj = v(f"o_{safe(ti.id)}"), v(f"o_{safe(tj.id)}")
+    for ti, tj, dv, y, nm in pair_deltas:
+        oi, oj = key["o", ti.id], key["o", tj.id]
         m_pair = ti.period_us + tj.period_us
-        nm = f"apart_{safe(ti.id)}__{safe(tj.id)}__{dv}"
         # y = 1: instance of ti (shifted by dv) finishes before tj starts
         inst.add_row(
             nm + "_a", {oi: g, oj: -g, y: m_pair}, "<=", m_pair - ti.wcet_us - dv
@@ -264,58 +258,44 @@ def build_instance(
 
     # --- service windows vs rounds ------------------------------------------
     for j in range(n_rounds):
-        rt = v(f"rt{j}")
+        rt = key["rt", j]
         for mid in sorted(msgs):
             p = period_of[mid]
-            mo = v(f"mo_{safe(mid)}")
-            md = v(f"md_{safe(mid)}")
-            ka = v(f"ka{j}_{safe(mid)}")
-            kd = v(f"kd{j}_{safe(mid)}")
+            s = _safe(mid)
+            mo, md, r0 = key["mo", mid], key["md", mid], key["r0", mid]
+            ka, kd = key["ka", j, mid], key["kd", j, mid]
             # pin ka to the release count at the round's start
-            inst.add_row(
-                f"arr_{j}_{safe(mid)}_a", {rt: -g, mo: g, ka: p}, "<=", p
-            )
-            inst.add_row(
-                f"arr_{j}_{safe(mid)}_b", {rt: g, mo: -g, ka: -p}, "<=", -1
-            )
+            inst.add_row(f"arr_{j}_{s}_a", {rt: -g, mo: g, ka: p}, "<=", p)
+            inst.add_row(f"arr_{j}_{s}_b", {rt: g, mo: -g, ka: -p}, "<=", -1)
             # pin kd to the deadline count at the round's end
             inst.add_row(
-                f"due_{j}_{safe(mid)}_a",
-                {rt: -g, mo: g, md: g, kd: p},
-                "<=",
-                t_r + p - 1,
+                f"due_{j}_{s}_a", {rt: -g, mo: g, md: g, kd: p}, "<=", t_r + p - 1
             )
             inst.add_row(
-                f"due_{j}_{safe(mid)}_b",
-                {rt: g, mo: -g, md: -g, kd: -p},
-                "<=",
-                -t_r,
+                f"due_{j}_{s}_b", {rt: g, mo: -g, md: -g, kd: -p}, "<=", -t_r
             )
             # slots granted through round j never outrun arrivals at its start
-            coeffs = {ka: -1, v(f"r0_{safe(mid)}"): -1}
+            coeffs = {ka: -1, r0: -1}
             for k in range(j + 1):
-                coeffs[v(f"n{k}_{safe(mid)}")] = 1
-            inst.add_row(f"serve_hi_{j}_{safe(mid)}", coeffs, "<=", 0)
+                coeffs[key["n", k, mid]] = 1
+            inst.add_row(f"serve_hi_{j}_{s}", coeffs, "<=", 0)
             # every deadline passed by round j's end is already served
-            coeffs = {kd: 1, v(f"r0_{safe(mid)}"): 1}
+            coeffs = {kd: 1, r0: 1}
             for k in range(j):
-                coeffs[v(f"n{k}_{safe(mid)}")] = -1
-            inst.add_row(f"serve_lo_{j}_{safe(mid)}", coeffs, "<=", 0)
+                coeffs[key["n", k, mid]] = -1
+            inst.add_row(f"serve_lo_{j}_{s}", coeffs, "<=", 0)
 
     # --- slot capacity ------------------------------------------------------
     for j in range(n_rounds):
         inst.add_row(
-            f"cap_{j}",
-            {v(f"n{j}_{safe(mid)}"): 1 for mid in sorted(msgs)},
-            "<=",
-            n_slots,
+            f"cap_{j}", {key["n", j, mid]: 1 for mid in sorted(msgs)}, "<=", n_slots
         )
 
     # --- conservation -------------------------------------------------------
     for mid in sorted(msgs):
         inst.add_row(
-            f"total_{safe(mid)}",
-            {v(f"n{j}_{safe(mid)}"): 1 for j in range(n_rounds)},
+            f"total_{_safe(mid)}",
+            {key["n", j, mid]: 1 for j in range(n_rounds)},
             "==",
             h // period_of[mid],
         )
@@ -349,33 +329,28 @@ def extract_schedule(
     g = inst.meta["grid_us"]
     n_rounds = inst.meta["n_rounds"]
     n_slots = inst.meta["slots_per_round"]
-    safe = _mk_safe()
     tasks = mode.all_tasks()
     msgs = mode.all_messages()
-    # replay name generation in the same order as build_instance
-    for app in mode.applications:
-        for t in app.tasks:
-            safe(t.id)
-    for app in mode.applications:
-        for m in app.messages:
-            safe(m.id)
+
+    def val(*k) -> int:
+        return values[inst.variables[inst.keys[k]].name]
 
     rounds = []
     for j in range(n_rounds):
         alloc = []
         for mid in sorted(msgs):
-            alloc.extend([mid] * values[f"n{j}_{safe(mid)}"])
+            alloc.extend([mid] * val("n", j, mid))
         if len(alloc) > n_slots:
             raise DecodeError(f"round {j} oversubscribed: {alloc}")
-        rounds.append(Round(values[f"rt{j}"] * g, tuple(alloc)))
+        rounds.append(Round(val("rt", j) * g, tuple(alloc)))
 
     return ModeSchedule(
         mode_id=mode.id,
         hyperperiod_us=inst.meta["hyperperiod_us"],
         round_len_us=inst.meta["round_len_us"],
-        task_offsets={tid: values[f"o_{safe(tid)}"] * g for tid in sorted(tasks)},
-        message_offsets={mid: values[f"mo_{safe(mid)}"] * g for mid in sorted(msgs)},
-        message_deadlines={mid: values[f"md_{safe(mid)}"] * g for mid in sorted(msgs)},
+        task_offsets={tid: val("o", tid) * g for tid in sorted(tasks)},
+        message_offsets={mid: val("mo", mid) * g for mid in sorted(msgs)},
+        message_deadlines={mid: val("md", mid) * g for mid in sorted(msgs)},
         rounds=tuple(rounds),
-        leftover={mid: values[f"r0_{safe(mid)}"] for mid in sorted(msgs)},
+        leftover={mid: val("r0", mid) for mid in sorted(msgs)},
     )

@@ -66,23 +66,9 @@ class Application:
                 return t
         raise KeyError(tid)
 
-    def message_by_id(self, mid: str) -> Message:
-        for m in self.messages:
-            if m.id == mid:
-                return m
-        raise KeyError(mid)
-
     def producers(self, mid: str) -> tuple[str, ...]:
         """Task ids that emit message mid (sorted)."""
         return tuple(sorted({src for src, _, m in self.edges if m == mid}))
-
-    def consumers(self, mid: str) -> tuple[str, ...]:
-        """Task ids that receive message mid (sorted)."""
-        return tuple(sorted({dst for _, dst, m in self.edges if m == mid}))
-
-    def preceding_messages(self, tid: str) -> tuple[str, ...]:
-        """Message ids that must be delivered before task tid runs (sorted)."""
-        return tuple(sorted({m for _, dst, m in self.edges if dst == tid}))
 
 
 @dataclass(frozen=True, slots=True)

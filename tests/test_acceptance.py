@@ -9,6 +9,7 @@ import random
 import time
 from fractions import Fraction
 
+from oracle import brute_force_min_rounds
 from support import (
     af_oracle,
     control_mode,
@@ -21,7 +22,7 @@ from support import (
     wide_params,
 )
 
-from roundsched.checker import brute_force_min_rounds, check
+from roundsched.checker import check
 from roundsched.ilp import check_assignment
 from roundsched.model import Mode, hyperperiod
 from roundsched.sim import Scenario, SwitchRequest, simulate

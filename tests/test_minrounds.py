@@ -3,8 +3,9 @@
 from __future__ import annotations
 
 import pytest
+from oracle import brute_force_min_rounds
 
-from roundsched.checker import brute_force_min_rounds, check
+from roundsched.checker import check
 from roundsched.model import Mode
 from support import mk_app, small_params
 

@@ -8,6 +8,7 @@ on behaviour, not on whatever the code happened to produce.
 import time
 
 import pytest
+from oracle import brute_force_min_rounds
 from support import (
     control_mode,
     ladder_mode,
@@ -17,7 +18,7 @@ from support import (
     wide_params,
 )
 
-from roundsched.checker import brute_force_min_rounds, check
+from roundsched.checker import check
 from roundsched.model import Mode
 from roundsched.synthesis import SynthConfig, max_rounds, synthesize
 
