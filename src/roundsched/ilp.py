@@ -23,11 +23,12 @@ Variables are addressed by model key only: ILPInstance.keys maps the
 family and the model ids in the name, such as ("o", task), ("sc", msg,
 task), ("y", t1, t2, k) or ("n", j, msg), to the variable's index; d is
 keyed by the application's position in the mode.  A task or message
-shared by several applications has one variable.  Names are labels made
-once, when a variable or row is registered, for LP export and error
-text: ids are sanitized to [A-Za-z0-9_], and a name already taken gets a
-_2, _3, ... suffix, so names are unique among the variables and among
-the rows.
+shared by several applications has one variable, and a message edge
+shared by several applications one producer and one consumer row.
+Names are labels made once, when a variable or row is registered, for
+LP export and error text: ids are sanitized to [A-Za-z0-9_], and a name
+already taken gets a _2, _3, ... suffix, so names are unique among the
+variables and among the rows.
 
 Each served instance needs a round that starts at or after its release
 and ends by its deadline, so the window width is bounded below by the
@@ -207,10 +208,14 @@ def build_instance(
         inst.objective[key["d", i]] = 1
 
     # --- producer, consumer, chain latency ----------------------------------
+    handoffs: set[tuple] = set()  # (msg, producer) and (msg, consumer) rows
     for i, app in enumerate(mode.applications):
         p = app.period_us
         for m in app.messages:
             prod = app.task_by_id(app.producers(m.id)[0])
+            if ("prod", m.id, prod.id) in handoffs:  # shared by an earlier app
+                continue
+            handoffs.add(("prod", m.id, prod.id))
             inst.add_row(
                 f"prod_{_safe(m.id)}",
                 {key["o", prod.id]: g, key["mo", m.id]: -g, key["sp", m.id]: -p},
@@ -218,6 +223,9 @@ def build_instance(
                 -prod.wcet_us,
             )
         for _src, dst, mid in app.edges:
+            if ("cons", mid, dst) in handoffs:
+                continue
+            handoffs.add(("cons", mid, dst))
             inst.add_row(
                 f"cons_{_safe(mid)}__{_safe(dst)}",
                 {

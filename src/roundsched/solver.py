@@ -1,11 +1,30 @@
 """Exact solution of the co-scheduling programs with the HiGHS MILP engine.
 
 Each program is handed to scipy's milp (HiGHS branch and cut) as one
-sparse constraint matrix, every variable integer, with a zero relative
-gap.  HiGHS works in floating point, so its point is rounded to integers
-and re-verified in exact integer arithmetic (check_assignment), and the
-objective is recomputed from the rounded integers.  A rounded point that
-fails the check raises instead of being returned.
+sparse constraint matrix, every variable integer.  HiGHS works in
+floating point, so its point is rounded to integers and re-verified in
+exact integer arithmetic (check_assignment), and the objective is
+recomputed from the rounded integers.  A rounded point that fails the
+check raises instead of being returned.
+
+HiGHS runs with three options set (HIGHS_OPTIONS), measured on a 2-core
+VM:
+
+- mip_rel_gap 0: the search stops only when the latency is proven
+  optimal, not within HiGHS's default 0.01 % gap.
+- mip_pool_soft_limit 100: caps the cut pool, the main heap cost of the
+  larger programs.  On the hardest ladder program (4 pipelines sharing a
+  controller, 4 rounds) the default pool of 10000 peaks at 92.6 MB RSS and
+  solves in 9.5 s; 100 cuts peak at 85.9 MB and solve in 6.1 s.
+- mip_heuristic_run_feasibility_jump off: on the small programs whose
+  root LP bound is already the optimum, the feasibility-jump heuristic
+  spent about half of each ~20 ms solve finding an incumbent that the
+  root heuristics then replaced.  Without it 400 small modes (perfbench's
+  pool) synthesize in 5.6 s instead of 10.1 s, median 8.9 ms instead of
+  19.8 ms per mode, with the same status, round count and objective on
+  every one.
+
+scipy's milp passes the two options it does not know to HiGHS verbatim.
 """
 
 from __future__ import annotations
@@ -24,12 +43,16 @@ from scipy.sparse import csr_array
 
 from .ilp import ILPInstance, check_assignment
 
-# Soft cap on HiGHS's cut pool, the main heap cost of the larger programs.
-# On the hardest ladder program (4 pipelines sharing a controller, 4
-# rounds; perfbench's synth-ladder) on a 2-core VM, the default pool
-# (10000) peaks at 92.6 MB RSS and solves in 9.5 s; a pool of 100 cuts
-# peaks at 85.9 MB and solves in 6.1 s.
-MIP_POOL_SOFT_LIMIT = 100
+HIGHS_OPTIONS = {
+    # prove the latency optimal, not within the default 0.01 % gap
+    "mip_rel_gap": 0.0,
+    # 4-pipeline ladder, 4 rounds: 85.9 MB and 6.1 s, against 92.6 MB and
+    # 9.5 s with the default pool of 10000 cuts
+    "mip_pool_soft_limit": 100,
+    # small programs: ~10 ms per solve instead of ~20 ms, half of which the
+    # heuristic spent on an incumbent the root heuristics then replaced
+    "mip_heuristic_run_feasibility_jump": False,
+}
 
 _libc = ctypes.CDLL(None)
 _libc.fflush.argtypes = [ctypes.c_void_p]
@@ -81,12 +104,12 @@ def _milp(inst: ILPInstance, time_limit_s: float | None):
     if inst.rows:
         a = csr_array((data, (rows, cols)), shape=(len(inst.rows), n))
         constraints = LinearConstraint(a, lo, hi)
-    options = {"mip_rel_gap": 0.0, "mip_pool_soft_limit": MIP_POOL_SOFT_LIMIT}
+    options = dict(HIGHS_OPTIONS)
     if time_limit_s is not None:
         options["time_limit"] = time_limit_s
     with warnings.catch_warnings(), _stdout_to_stderr():
-        # scipy passes options it does not know (the pool cap) to HiGHS
-        # verbatim, but warns about them
+        # scipy passes options it does not know to HiGHS verbatim, but
+        # warns about them
         warnings.filterwarnings(
             "ignore", "Unrecognized options detected", RuntimeWarning
         )

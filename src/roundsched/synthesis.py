@@ -56,6 +56,12 @@ def synthesize(
     """Search for a schedule of the mode, trying round counts 0, 1, ..."""
     if config is None:
         config = SynthConfig()
+    if config.t_max_us is not None and config.t_max_us <= 0:
+        raise ValueError(f"horizon cap must be positive, got {config.t_max_us} us")
+    if config.solver_budget_ms is not None and config.solver_budget_ms < 0:
+        raise ValueError(
+            f"solver budget must not be negative, got {config.solver_budget_ms} ms"
+        )
     report = ValidationReport()
     validate_mode(mode, report)
     if not report.ok:

@@ -83,6 +83,23 @@ class TestSynth:
         assert rc == 1
         assert "timeout" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "flag, value, what",
+        [
+            ("--t-max-us", "-5", "horizon cap"),
+            ("--t-max-us", "0", "horizon cap"),
+            ("--budget-ms", "-5", "solver budget"),
+        ],
+    )
+    def test_meaningless_budget_is_an_input_error(self, capsys, flag, value, what):
+        # neither a proof of infeasibility (2) nor a timeout: no solver ran
+        rc = main(["synth", "--spec", CONTROL, "--mode", "normal", flag, value])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: {what}")
+        assert "infeasible" not in captured.err and "timeout" not in captured.err
+        assert captured.out == ""
+
     def test_timeout_writes_the_incumbent(self, capsys, tmp_path, monkeypatch):
         def out_of_time(*args):
             return dataclasses.replace(synthesize(*args), status="timeout")

@@ -17,6 +17,7 @@ from roundsched.ilp import (
 )
 from roundsched.model import Mode
 from roundsched.solver import solve
+from roundsched.synthesis import SynthConfig, synthesize
 from roundsched.timing import round_length
 
 
@@ -186,6 +187,38 @@ class TestSharedNodeRows:
         ys = [v.name for v in inst.variables if v.name.startswith("y_")]
         # differences multiple of gcd(20, 40) ms in the open range (-20, 40): 0, 20
         assert len(ys) == len(_delta_values(20_000, 40_000)) == 2
+
+
+class TestSharedMessageEdge:
+    """Two applications both list s -m-> x: the handoff rows of m are
+    written once, as its variables are."""
+
+    @staticmethod
+    def mode():
+        s, x = ("s", "n1", 1), ("x", "n2", 1)
+        one = mk_app("one", 40, [s, x], [("s", "x", "m")])
+        two = mk_app(
+            "two", 40, [s, x, ("y", "n3", 1)], [("s", "x", "m"), ("x", "y", "k")]
+        )
+        return Mode("shared", (one, two))
+
+    def test_each_handoff_row_is_written_once(self):
+        inst = build_instance(self.mode(), 1, small_params(), grid_us=1000)
+        # a row per application that lists the edge would make 23
+        assert len(inst.rows) == 21
+        rows = {(tuple(sorted(r.coeffs.items())), r.sense, r.rhs) for r in inst.rows}
+        assert len(rows) == len(inst.rows)
+        assert [r.name for r in inst.rows if r.name.endswith("_2")] == []
+        assert [r.name for r in inst.rows if r.name.startswith(("prod_", "cons_"))] == [
+            "prod_m", "cons_m__x", "prod_k", "cons_k__y"
+        ]
+
+    def test_schedule_is_unchanged(self):
+        # the duplicate rows never changed the feasible set
+        out = synthesize(self.mode(), small_params(), SynthConfig(grid_us=1000))
+        assert out.status == "feasible"
+        assert out.rounds_used == 2
+        assert out.objective_us == 53_000
 
 
 class TestGuards:

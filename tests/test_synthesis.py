@@ -112,6 +112,18 @@ class TestLimitsAndGuards:
         assert out.status == "timeout"
         assert out.schedule is None
 
+    @pytest.mark.parametrize(
+        "cfg, match",
+        [
+            (SynthConfig(grid_us=1000, t_max_us=-5), "horizon cap"),
+            (SynthConfig(grid_us=1000, t_max_us=0), "horizon cap"),
+            (SynthConfig(grid_us=1000, solver_budget_ms=-5), "solver budget"),
+        ],
+    )
+    def test_meaningless_budget_is_rejected(self, cfg, match):
+        with pytest.raises(ValueError, match=match):
+            synthesize(control_mode(), wide_params(hops=2), cfg)
+
     def test_broken_mode_is_rejected_before_solving(self):
         app = mk_app("a", 20, [("t1", "n1", 1)], [("t1", "t9", "m")])
         with pytest.raises(ValueError, match="unknown_edge_task"):
@@ -149,6 +161,23 @@ class TestBudget:
         assert out.rounds_used == 4
         assert check(mode, out.schedule, params).ok
         assert out.objective_us >= 444_000  # the proven optimum
+
+
+class TestLadderOptima:
+    """Proven optima of the shared-controller ladder: a change in HiGHS's
+    options or search path must leave them where they are."""
+
+    @pytest.mark.parametrize(
+        "k, rounds, objective_us",
+        [(1, 2, 101_000), (2, 4, 212_000), (3, 4, 333_000)],
+    )
+    def test_proven_optimum(self, k, rounds, objective_us):
+        mode, params = ladder_mode(k), wide_params(hops=2)
+        out = synthesize(mode, params, SynthConfig(grid_us=5000))
+        assert out.status == "feasible"
+        assert out.rounds_used == rounds
+        assert out.objective_us == objective_us
+        assert check(mode, out.schedule, params).ok
 
 
 class TestOracleAgreement:
