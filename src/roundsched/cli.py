@@ -23,7 +23,7 @@ from .checker import check
 from .ilp import build_instance
 from .lpformat import write_lp
 from .model import ValidationReport, validate_mode, validate_modes_disjoint
-from .sim import simulate
+from .sim import SimTrace, run
 from .specio import (
     SpecError,
     dumps,
@@ -165,8 +165,11 @@ def _cmd_simulate(args) -> int:
     if bad:
         _status("schedule audit failed; " + "; ".join(bad))
         return 3
-    trace = simulate(table, scenario)
-    _emit(trace_chunks(trace), args.trace)
+    # the output is opened only now, after the audit, and run() has
+    # checked the scenario before the first event: a bad input never
+    # leaves a partial trace
+    trace = SimTrace()
+    _emit(trace_chunks(run(table, scenario, trace), trace), args.trace)
     _status(
         f"simulated {trace.beacons_sent} rounds: {trace.beacons_missed} missed "
         f"beacons, {trace.transmissions} transmissions, "

@@ -16,12 +16,18 @@ the last obligation broadcasts the switch bit plus the next mode id, and
 the new mode's time origin is that round's end.  A node that misses the
 switch beacon is degraded, silent until any beacon of the new mode
 resynchronizes it.
+
+Events are streamed: run() yields each (t, kind, data) event as the
+round that makes it is simulated and keeps only the counters, so a run
+costs the memory of a round, not of its length.  simulate() collects
+the same events into SimTrace.events.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from typing import Iterator
 
 from .model import Mode, ModeSchedule
 
@@ -50,19 +56,19 @@ class Scenario:
     switches: tuple[SwitchRequest, ...] = ()
 
 
+Event = tuple[int, str, dict]
+
+
 @dataclass
 class SimTrace:
-    events: list[tuple[int, str, dict]] = field(default_factory=list)
+    events: list[Event] = field(default_factory=list)
     beacons_sent: int = 0
     beacons_missed: int = 0
     transmissions: int = 0
     collisions: int = 0
     resyncs: int = 0
 
-    def log(self, t: int, kind: str, **data) -> None:
-        self.events.append((t, kind, data))
-
-    def of_kind(self, kind: str) -> list[tuple[int, str, dict]]:
+    def of_kind(self, kind: str) -> list[Event]:
         return [e for e in self.events if e[1] == kind]
 
 
@@ -93,16 +99,41 @@ def simulate(
     scenario: Scenario,
 ) -> SimTrace:
     """Run the protocol for a fixed number of rounds and return the trace."""
+    trace = SimTrace()
+    trace.events.extend(run(mode_table, scenario, trace))
+    return trace
+
+
+def run(
+    mode_table: dict[str, tuple[Mode, ModeSchedule]],
+    scenario: Scenario,
+    trace: SimTrace,
+) -> Iterator[Event]:
+    """Check the inputs, then return the run's events as it makes them.
+
+    Bad inputs raise here, before any event.  The iterator adds to the
+    counters of trace as it goes (not to trace.events); they are final
+    once it is exhausted.
+    """
     if scenario.initial_mode not in mode_table:
         raise ValueError(f"unknown initial mode {scenario.initial_mode}")
+    for req in scenario.switches:
+        if req.to_mode not in mode_table:
+            raise ValueError(f"switch to unknown mode {req.to_mode}")
     for mid_, (mode, sched) in mode_table.items():
         if not sched.rounds:
             raise ValueError(f"mode {mid_} has no rounds; nothing would be sent")
         if sched.mode_id != mode.id or mode.id != mid_:
             raise ValueError(f"mode table entry {mid_} is inconsistent")
+    return _rounds(mode_table, scenario, trace)
 
+
+def _rounds(
+    mode_table: dict[str, tuple[Mode, ModeSchedule]],
+    scenario: Scenario,
+    trace: SimTrace,
+) -> Iterator[Event]:
     rng = random.Random(scenario.seed)
-    trace = SimTrace()
 
     nodes = sorted(
         {
@@ -137,9 +168,7 @@ def simulate(
         # pick up a queued request at the round boundary
         if change is None and queue and queue[0].at_us <= t:
             req = queue.pop(0)
-            trace.log(t, "request", to=req.to_mode, requested_at=req.at_us)
-            if req.to_mode not in mode_table:
-                raise ValueError(f"switch to unknown mode {req.to_mode}")
+            yield t, "request", {"to": req.to_mode, "requested_at": req.at_us}
             if req.to_mode != mode_id:
                 commit = (cycle, index)
                 commit_end = t_end
@@ -157,7 +186,7 @@ def simulate(
                     if end > commit_end:
                         commit, commit_end = (c, j), end
                 change = {"to": req.to_mode, "commit": commit}
-                trace.log(t, "announce", to=req.to_mode, commit_end=commit_end)
+                yield t, "announce", {"to": req.to_mode, "commit_end": commit_end}
 
         committing = change is not None and change["commit"] == (cycle, index)
         beacon = Beacon(
@@ -168,15 +197,15 @@ def simulate(
             next_mode_id=change["to"] if committing else None,
         )
         trace.beacons_sent += 1
-        trace.log(t, "beacon", round_id=round_id, mode=mode_id, index=index,
-                  sb=beacon.sb)
+        yield t, "beacon", {"round_id": round_id, "mode": mode_id, "index": index,
+                            "sb": beacon.sb}
 
         heard = {}
         for n in nodes:
             heard[n] = rng.random() >= scenario.beacon_loss
             if not heard[n]:
                 trace.beacons_missed += 1
-                trace.log(t, "miss", node=n, round_id=round_id)
+                yield t, "miss", {"node": n, "round_id": round_id}
 
         # reactions of nodes that heard the beacon
         for n in nodes:
@@ -184,10 +213,9 @@ def simulate(
                 continue
             if n in degraded_since or belief[n] != beacon.mode_id:
                 trace.resyncs += 1
-                trace.log(t, "resync", node=n, mode=beacon.mode_id)
+                yield t, "resync", {"node": n, "mode": beacon.mode_id}
                 if n in degraded_since:
-                    trace.log(t, "degraded", node=n,
-                              since=degraded_since.pop(n))
+                    yield t, "degraded", {"node": n, "since": degraded_since.pop(n)}
                 belief[n] = beacon.mode_id
             if beacon.sb:
                 belief[n] = beacon.next_mode_id
@@ -202,10 +230,11 @@ def simulate(
                 txers.append((p_node, m_id))
             if len({m for _, m in txers}) > 1 or len(txers) > 1:
                 trace.collisions += 1
-                trace.log(t, "collision", slot=s, parties=txers)
+                yield t, "collision", {"slot": s, "parties": txers}
             for n, m in txers:
                 trace.transmissions += 1
-                trace.log(t, "tx", node=n, msg=m, round_id=round_id, slot=s)
+                yield t, "tx", {"node": n, "msg": m, "round_id": round_id,
+                                "slot": s}
 
         round_id += 1
 
@@ -220,7 +249,7 @@ def simulate(
             cycle = 0
             index = 0
             change = None
-            trace.log(t_end, "epoch", mode=mode_id)
+            yield t_end, "epoch", {"mode": mode_id}
             continue
 
         index += 1
@@ -229,5 +258,4 @@ def simulate(
             cycle += 1
 
     for n, since in sorted(degraded_since.items()):
-        trace.log(since, "degraded", node=n, since=since, open=True)
-    return trace
+        yield since, "degraded", {"node": n, "since": since, "open": True}

@@ -6,21 +6,23 @@ Errors carry the JSON path of the offending value so they read like
 "$.modes[0].applications[1].tasks[2].wcet_us: expected int, got bool".
 
 Writers are byte-stable: keys sorted, two-space indent, one trailing
-newline. A simulation trace is not built as one string: trace_chunks()
-encodes its events in blocks of TRACE_BLOCK_EVENTS with the C JSON
-encoder and yields each block as it is made, giving the same bytes as
-dumps(trace_to_obj(trace)).
+newline. A simulation trace is streamed, never held whole:
+trace_chunks() pulls events from an iterable (such as the live
+sim.run() iterator) in blocks of TRACE_BLOCK_EVENTS, encodes each with
+the C JSON encoder and yields it, then writes the summary last; the
+bytes are those of dumps(trace_to_obj(trace)).
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Iterator
+from itertools import islice
+from typing import Iterable, Iterator
 
 from .checker import CheckReport
 from .model import Application, Message, Mode, ModeSchedule, Round, Task
-from .sim import Scenario, SimTrace, SwitchRequest
+from .sim import Event, Scenario, SimTrace, SwitchRequest
 from .timing import NetworkParams
 
 
@@ -320,17 +322,25 @@ def _events_text(events: list[dict]) -> str:
     return ",\n    ".join(_events_text([ev]) for ev in events)
 
 
-def trace_chunks(trace: SimTrace) -> Iterator[str]:
-    """The text of dumps(trace_to_obj(trace)), one block of events at a time."""
-    events = trace.events
-    if not events:
+def trace_chunks(events: Iterable[Event], trace: SimTrace) -> Iterator[str]:
+    """The text of a trace with these events and trace's counters, in blocks.
+
+    Joined, the blocks are dumps(trace_to_obj(trace)) for a trace whose
+    events are these.  Events are pulled and encoded a block at a time,
+    never all held; the counters are read after the last event, so
+    events may be the live iterator that fills them.
+    """
+    events = iter(events)
+    block = list(islice(events, TRACE_BLOCK_EVENTS))
+    if not block:
         yield '{\n  "events": [],\n'
     else:
         yield '{\n  "events": [\n    '
-        for i in range(0, len(events), TRACE_BLOCK_EVENTS):
-            if i:
+        while block:
+            yield _events_text(_event_objs(block))
+            block = list(islice(events, TRACE_BLOCK_EVENTS))
+            if block:
                 yield ",\n    "
-            yield _events_text(_event_objs(events[i:i + TRACE_BLOCK_EVENTS]))
         yield "\n  ],\n"
     summary = dumps(_summary_obj(trace))[:-1].replace("\n", "\n  ")
     yield '  "summary": ' + summary + "\n}\n"

@@ -37,7 +37,7 @@ class SynthesisOutcome:
     schedule: ModeSchedule | None  # on "timeout", the audited incumbent if any
     rounds_used: int | None
     objective_us: int | None
-    solver_calls: int
+    solver_calls: int  # round counts HiGHS was run on
     nodes_total: int
 
 
@@ -78,6 +78,9 @@ def synthesize(
             mode, n_rounds, params, grid_us=config.grid_us, t_max_us=config.t_max_us
         )
         budget_ms = None if deadline is None else (deadline - time.monotonic()) * 1000
+        if budget_ms is not None and budget_ms <= 0:
+            # spent before HiGHS ran on this count: not a solver call
+            return SynthesisOutcome("timeout", None, None, None, calls, nodes)
         sol = solve(inst, budget_ms=budget_ms)
         calls += 1
         nodes += sol.nodes

@@ -83,6 +83,14 @@ class TestSynth:
         assert rc == 1
         assert "timeout" in capsys.readouterr().err
 
+    def test_zero_budget_runs_and_dumps_nothing(self, capsys, tmp_path):
+        lp_dir = tmp_path / "lp"
+        rc = main(["synth", "--spec", CONTROL, "--mode", "normal",
+                   "--budget-ms", "0", "--lp-dir", str(lp_dir)])
+        assert rc == 1
+        assert "after 0 solver calls" in capsys.readouterr().err
+        assert list(lp_dir.iterdir()) == []
+
     @pytest.mark.parametrize(
         "flag, value, what",
         [

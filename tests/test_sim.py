@@ -10,7 +10,7 @@ from support import control_mode, mk_app, small_params, wide_params
 
 from roundsched.checker import check
 from roundsched.model import Mode, ModeSchedule, Round
-from roundsched.sim import Scenario, SwitchRequest, simulate
+from roundsched.sim import Scenario, SimTrace, SwitchRequest, run, simulate
 
 
 def fallback_mode():
@@ -246,3 +246,14 @@ class TestRejectedInputs:
         scn = Scenario("normal", 4, switches=(SwitchRequest(0, "nope"),))
         with pytest.raises(ValueError, match="unknown mode nope"):
             simulate(table, scn)
+
+    def test_unknown_switch_target_is_refused_before_any_event(self, table):
+        # requested long after the last round, so never picked up: the
+        # run is refused anyway, when run() is called, not part way in
+        scn = Scenario("normal", 4, switches=(SwitchRequest(10**12, "nope"),))
+        with pytest.raises(ValueError, match="unknown mode nope"):
+            simulate(table, scn)
+        trace = SimTrace()
+        with pytest.raises(ValueError, match="unknown mode nope"):
+            run(table, scn, trace)
+        assert trace == SimTrace()  # no event, no count

@@ -210,7 +210,9 @@ class TestWriting:
 
     def test_trace_to_obj_shape(self):
         trace = SimTrace()
-        trace.log(5, "beacon", round_id=0, mode="x", index=0, sb=0)
+        trace.events.append(
+            (5, "beacon", {"round_id": 0, "mode": "x", "index": 0, "sb": 0})
+        )
         obj = trace_to_obj(trace)
         assert obj["summary"] == {
             "beacons_sent": 0,

@@ -111,6 +111,7 @@ class TestLimitsAndGuards:
         out = synthesize(control_mode(), wide_params(hops=2), cfg)
         assert out.status == "timeout"
         assert out.schedule is None
+        assert out.solver_calls == 0  # HiGHS never ran
 
     @pytest.mark.parametrize(
         "cfg, match",

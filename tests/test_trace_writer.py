@@ -82,7 +82,7 @@ def traces(draw):
 
 def streamed(trace: SimTrace, block: int = TRACE_BLOCK_EVENTS) -> str:
     with mock.patch.object(specio, "TRACE_BLOCK_EVENTS", block):
-        return "".join(trace_chunks(trace))
+        return "".join(trace_chunks(trace.events, trace))
 
 
 def assert_streams_as_reference(trace: SimTrace, block: int = TRACE_BLOCK_EVENTS) -> None:
