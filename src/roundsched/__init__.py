@@ -7,9 +7,9 @@ The package splits into:
 - stepfuncs: counting step functions linking schedules to round service
 - timing: radio timing and energy model of flooding rounds
 - ilp: integer-program formulation of the co-scheduling problem
-- solver: deterministic branch-and-bound over such programs
+- solver: exact solution of such programs with the HiGHS MILP engine
 - synthesis: the outer loop searching for the minimal round count
-- checker: schedule verification and a brute-force round-count oracle
+- checker: independent schedule verification
 - sim: beacon-driven runtime simulation with loss and mode changes
 - specio/cli: file formats and the command-line front end
 """

@@ -146,6 +146,8 @@ def _cmd_simulate(args) -> int:
         if "=" not in entry:
             raise SpecError(f"--schedule wants MODE=FILE, got {entry!r}")
         mode_id, path = entry.split("=", 1)
+        if mode_id in table:
+            raise SpecError(f"--schedule given twice for mode {mode_id}")
         mode = _pick_mode(spec, mode_id)
         schedule = parse_schedule(load_json(path))
         if schedule.mode_id != mode_id:
@@ -200,11 +202,21 @@ def _cmd_model(args) -> int:
         if args.hops is None or args.slots is None or args.payload is None:
             raise SpecError("model needs --spec or all of --hops, --slots, --payload")
         base = NetworkParams(hops=1, slots_per_round=1, payload_bytes=1)
-    hops = _parse_range(args.hops, "--hops") if args.hops else [base.hops]
-    slots = _parse_range(args.slots, "--slots") if args.slots else [base.slots_per_round]
-    payloads = (
-        _parse_range(args.payload, "--payload") if args.payload else [base.payload_bytes]
+
+    def axis(text: str | None, flag: str, default: int, least: int) -> list[int]:
+        # parse_network's minimums, which a spec can only miss on slots
+        values = [default] if text is None else _parse_range(text, flag)
+        if min(values) < least:
+            where = f"{flag} from the spec" if text is None else flag
+            raise SpecError(f"{where} must be at least {least}, got {min(values)}")
+        return values
+
+    hops = axis(args.hops, "--hops", base.hops, 1)
+    # at 0 slots the energy saving is 0/0
+    slots = axis(
+        args.slots, "--slots", base.slots_per_round, 1 if args.table == "energy" else 0
     )
+    payloads = axis(args.payload, "--payload", base.payload_bytes, 1)
     lines = []
     if args.table == "round-length":
         lines.append(",".join(ROUND_GRID_HEADER))

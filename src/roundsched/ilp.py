@@ -141,7 +141,6 @@ def build_instance(
     inst.meta = {
         "n_rounds": n_rounds,
         "grid_us": g,
-        "t_max_us": t_max_us,
         "round_len_us": t_r,
         "hyperperiod_us": h,
         "slots_per_round": n_slots,
@@ -311,15 +310,16 @@ def build_instance(
     return inst
 
 
-def check_assignment(inst: ILPInstance, values: dict[str, int]) -> list[str]:
-    """Exact integer verification of a full assignment; returns complaints."""
+def check_assignment(inst: ILPInstance, values: list[int]) -> list[str]:
+    """Exact integer verification of a full assignment; returns complaints.
+
+    values holds one value per variable, in index order."""
     bad = []
-    for var in inst.variables:
-        x = values[var.name]
+    for var, x in zip(inst.variables, values, strict=True):
         if not var.lb <= x <= var.ub:
             bad.append(f"{var.name}={x} outside [{var.lb}, {var.ub}]")
     for row in inst.rows:
-        lhs = sum(c * values[inst.variables[i].name] for i, c in row.coeffs.items())
+        lhs = sum(c * values[i] for i, c in row.coeffs.items())
         if row.sense == "<=" and lhs > row.rhs:
             bad.append(f"{row.name}: {lhs} > {row.rhs}")
         elif row.sense == "==" and lhs != row.rhs:
@@ -329,9 +329,8 @@ def check_assignment(inst: ILPInstance, values: dict[str, int]) -> list[str]:
 
 def extract_schedule(
     inst: ILPInstance,
-    values: dict[str, int],
+    values: list[int],
     mode: Mode,
-    params: NetworkParams,
 ) -> ModeSchedule:
     """Turn a verified assignment back into a schedule."""
     g = inst.meta["grid_us"]
@@ -341,7 +340,7 @@ def extract_schedule(
     msgs = mode.all_messages()
 
     def val(*k) -> int:
-        return values[inst.variables[inst.keys[k]].name]
+        return values[inst.keys[k]]
 
     rounds = []
     for j in range(n_rounds):

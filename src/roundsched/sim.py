@@ -33,15 +33,6 @@ from .model import Mode, ModeSchedule
 
 
 @dataclass(frozen=True)
-class Beacon:
-    round_id: int
-    mode_id: str
-    round_index: int
-    sb: int
-    next_mode_id: str | None = None
-
-
-@dataclass(frozen=True)
 class SwitchRequest:
     at_us: int
     to_mode: str
@@ -70,28 +61,6 @@ class SimTrace:
 
     def of_kind(self, kind: str) -> list[Event]:
         return [e for e in self.events if e[1] == kind]
-
-
-def _producer_node(mode: Mode, mid: str) -> str:
-    for app in mode.applications:
-        for m in app.messages:
-            if m.id == mid:
-                return app.task_by_id(app.producers(mid)[0]).node
-    raise KeyError(mid)
-
-
-def _last_alloc_index(schedule: ModeSchedule, mid: str) -> int:
-    for j in range(len(schedule.rounds) - 1, -1, -1):
-        if mid in schedule.rounds[j].alloc:
-            return j
-    raise KeyError(mid)
-
-
-def _first_alloc_index(schedule: ModeSchedule, mid: str) -> int:
-    for j, r in enumerate(schedule.rounds):
-        if mid in r.alloc:
-            return j
-    raise KeyError(mid)
 
 
 def simulate(
@@ -142,12 +111,14 @@ def _rounds(
             for t in mode.all_tasks().values()
         }
     )
-    producers = {
-        mid_: {
-            m.id: _producer_node(mode, m.id) for m in mode.all_messages().values()
-        }
-        for mid_, (mode, _) in mode_table.items()
-    }
+    # (mode, message) -> the node that sends it; the first application
+    # listing a message names its producer
+    producer: dict[tuple[str, str], str] = {}
+    for mid_, (mode, _) in mode_table.items():
+        for app in mode.applications:
+            for m in app.messages:
+                if (mid_, m.id) not in producer:
+                    producer[mid_, m.id] = app.task_by_id(app.producers(m.id)[0]).node
 
     belief = {n: scenario.initial_mode for n in nodes}
     degraded_since: dict[str, int] = {}
@@ -157,48 +128,38 @@ def _rounds(
     epoch_base = 0
     cycle = 0
     index = 0
-    round_id = 0
     queue = sorted(scenario.switches, key=lambda s: (s.at_us, s.to_mode))
-    change: dict | None = None  # {"to": str, "commit": (cycle, index)}
+    to_mode: str | None = None  # pending mode change, committed in round commit
+    commit = (0, 0)
 
-    for _ in range(scenario.n_rounds):
+    for round_id in range(scenario.n_rounds):
         t = epoch_base + cycle * sched.hyperperiod_us + sched.rounds[index].t
         t_end = t + sched.round_len_us
 
         # pick up a queued request at the round boundary
-        if change is None and queue and queue[0].at_us <= t:
+        if to_mode is None and queue and queue[0].at_us <= t:
             req = queue.pop(0)
             yield t, "request", {"to": req.to_mode, "requested_at": req.at_us}
             if req.to_mode != mode_id:
+                # commit in the round serving each message's last instance:
+                # a carried one is served by its first round of the next cycle
                 commit = (cycle, index)
                 commit_end = t_end
                 for m_id in sched.message_offsets:
-                    if sched.leftover.get(m_id):
-                        c, j = cycle + 1, _first_alloc_index(sched, m_id)
-                    else:
-                        c, j = cycle, _last_alloc_index(sched, m_id)
-                    end = (
-                        epoch_base
-                        + c * sched.hyperperiod_us
-                        + sched.rounds[j].t
-                        + sched.round_len_us
-                    )
+                    js = [j for j, r in enumerate(sched.rounds) if m_id in r.alloc]
+                    carried = sched.leftover.get(m_id)
+                    c, j = (cycle + 1, js[0]) if carried else (cycle, js[-1])
+                    end = (epoch_base + c * sched.hyperperiod_us
+                           + sched.rounds[j].t + sched.round_len_us)
                     if end > commit_end:
                         commit, commit_end = (c, j), end
-                change = {"to": req.to_mode, "commit": commit}
-                yield t, "announce", {"to": req.to_mode, "commit_end": commit_end}
+                to_mode = req.to_mode
+                yield t, "announce", {"to": to_mode, "commit_end": commit_end}
 
-        committing = change is not None and change["commit"] == (cycle, index)
-        beacon = Beacon(
-            round_id=round_id,
-            mode_id=mode_id,
-            round_index=index,
-            sb=1 if committing else 0,
-            next_mode_id=change["to"] if committing else None,
-        )
+        committing = to_mode is not None and commit == (cycle, index)
         trace.beacons_sent += 1
         yield t, "beacon", {"round_id": round_id, "mode": mode_id, "index": index,
-                            "sb": beacon.sb}
+                            "sb": 1 if committing else 0}
 
         heard = {}
         for n in nodes:
@@ -211,21 +172,21 @@ def _rounds(
         for n in nodes:
             if not heard[n]:
                 continue
-            if n in degraded_since or belief[n] != beacon.mode_id:
+            if n in degraded_since or belief[n] != mode_id:
                 trace.resyncs += 1
-                yield t, "resync", {"node": n, "mode": beacon.mode_id}
+                yield t, "resync", {"node": n, "mode": mode_id}
                 if n in degraded_since:
                     yield t, "degraded", {"node": n, "since": degraded_since.pop(n)}
-                belief[n] = beacon.mode_id
-            if beacon.sb:
-                belief[n] = beacon.next_mode_id
+                belief[n] = mode_id
+            if committing:
+                belief[n] = to_mode
 
         # data slots: only nodes that heard the beacon transmit, and they
         # transmit exactly what the named round allocates
         alloc = sched.rounds[index].alloc
         for s, m_id in enumerate(alloc):
             txers = []
-            p_node = producers[mode_id][m_id]
+            p_node = producer[mode_id, m_id]
             if heard[p_node]:
                 txers.append((p_node, m_id))
             if len({m for _, m in txers}) > 1 or len(txers) > 1:
@@ -236,19 +197,16 @@ def _rounds(
                 yield t, "tx", {"node": n, "msg": m, "round_id": round_id,
                                 "slot": s}
 
-        round_id += 1
-
         if committing:
-            new_mode = change["to"]
             for n in nodes:
-                if not heard[n] and belief[n] != new_mode:
+                if not heard[n] and belief[n] != to_mode:
                     degraded_since[n] = t_end
-            mode_id = new_mode
+            mode_id = to_mode
             sched = mode_table[mode_id][1]
             epoch_base = t_end
             cycle = 0
             index = 0
-            change = None
+            to_mode = None
             yield t_end, "epoch", {"mode": mode_id}
             continue
 

@@ -62,7 +62,9 @@ _libc.fflush.restype = ctypes.c_int
 @dataclass
 class SolverSolution:
     status: str  # "optimal" | "infeasible" | "timeout"
-    values: dict[str, int] | None  # on "timeout", the incumbent if there is one
+    # one value per variable of the instance, in index order; on "timeout",
+    # the incumbent if there is one
+    values: list[int] | None
     objective: int | None
     nodes: int
 
@@ -147,10 +149,9 @@ def solve(inst: ILPInstance, *, budget_ms: float | None = None) -> SolverSolutio
         raise RuntimeError(f"milp stopped before its deadline: {res.message}")
     if res.x is None:
         return SolverSolution(status, None, None, nodes)
-    names = [v.name for v in inst.variables]
-    values = {name: int(round(x)) for name, x in zip(names, res.x)}
+    values = [int(round(x)) for x in res.x]
     bad = check_assignment(inst, values)
     if bad:
         raise RuntimeError(f"milp point fails exact verification: {bad[:3]}")
-    objective = sum(cf * values[names[i]] for i, cf in inst.objective.items())
+    objective = sum(cf * values[i] for i, cf in inst.objective.items())
     return SolverSolution(status, values, objective, nodes)

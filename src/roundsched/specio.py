@@ -185,7 +185,10 @@ def parse_spec(x) -> SystemSpec:
                 _as_list(mo["applications"], f"{mp}.applications")
             )
         )
-        modes.append(Mode(id=_as_str(mo["id"], f"{mp}.id"), applications=apps))
+        mode_id = _as_str(mo["id"], f"{mp}.id")
+        if any(prev.id == mode_id for prev in modes):
+            _fail(f"{mp}.id", f"duplicate mode id {mode_id!r}")
+        modes.append(Mode(id=mode_id, applications=apps))
     if not modes:
         _fail("$.modes", "at least one mode is required")
     return SystemSpec(network=network, grid_us=grid, modes=tuple(modes))

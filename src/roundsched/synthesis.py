@@ -88,7 +88,7 @@ def synthesize(
             continue
         if sol.values is None:
             return SynthesisOutcome("timeout", None, None, None, calls, nodes)
-        schedule = extract_schedule(inst, sol.values, mode, params)
+        schedule = extract_schedule(inst, sol.values, mode)
         audit = check(mode, schedule, params)
         if not audit.ok:
             raise RuntimeError(

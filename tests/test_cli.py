@@ -241,6 +241,16 @@ class TestSimulate:
         assert rc == 1
         assert "is a schedule for fallback, not normal" in capsys.readouterr().err
 
+    def test_schedule_given_twice_for_a_mode(self, capsys, synthesized):
+        rc = main([
+            "simulate", "--spec", CONTROL, "--scenario", SCENARIO,
+            "--schedule", f"normal={synthesized['normal']}",
+            "--schedule", f"fallback={synthesized['fallback']}",
+            "--schedule", f"normal={synthesized['normal']}",
+        ])
+        assert rc == 1
+        assert "--schedule given twice for mode normal" in capsys.readouterr().err
+
     def test_tampered_schedule_fails_audit(self, capsys, synthesized, tmp_path):
         data = json.loads(synthesized["fallback"].read_text())
         data["rounds"][0]["alloc"] = []  # message never granted a slot
@@ -323,6 +333,44 @@ class TestModel:
                    "--hops", "5:2"])
         assert rc == 1
         assert "--hops wants N or LO:HI, got '5:2'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "table, flags, message",
+        [
+            ("energy", ["--hops", "4", "--slots", "0", "--payload", "10"],
+             "--slots must be at least 1, got 0"),
+            ("round-length", ["--hops", "0", "--slots=-1", "--payload", "0"],
+             "--hops must be at least 1, got 0"),
+            ("round-length", ["--hops", "2", "--slots=-1", "--payload", "1"],
+             "--slots must be at least 0, got -1"),
+            ("round-length", ["--hops", "2", "--slots", "0", "--payload", "0:3"],
+             "--payload must be at least 1, got 0"),
+        ],
+        ids=["energy-slots", "hops", "slots", "payload"],
+    )
+    def test_values_below_the_spec_minimums_exit_1(self, capsys, table, flags, message):
+        rc = main(["model", "--table", table] + flags)
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_empty_range_is_not_a_default(self, capsys):
+        rc = main(["model", "--table", "round-length",
+                   "--hops", "", "--slots", "1", "--payload", "8"])
+        assert rc == 1
+        assert "--hops wants N or LO:HI, got ''" in capsys.readouterr().err
+
+    def test_zero_slots_from_a_spec(self, capsys, tmp_path):
+        data = json.loads(Path(CONTROL).read_text())
+        data["network"]["slots_per_round"] = 0
+        spec = tmp_path / "no_slots.json"
+        spec.write_text(json.dumps(data))
+        # a round of beacons only has a length ...
+        assert main(["model", "--table", "round-length", "--spec", str(spec)]) == 0
+        assert capsys.readouterr().out.splitlines()[1].startswith("2,0,10,2,")
+        # ... but no energy saving: it is 0/0
+        assert main(["model", "--table", "energy", "--spec", str(spec)]) == 1
+        err = capsys.readouterr().err
+        assert err == "error: --slots from the spec must be at least 1, got 0\n"
 
     def test_needs_spec_or_all_flags(self, capsys):
         rc = main(["model", "--table", "energy", "--hops", "2"])

@@ -244,7 +244,7 @@ class TestAssignmentRoundTrip:
         sol = solve(inst)
         assert sol.status == "optimal"
         assert check_assignment(inst, sol.values) == []
-        sched = extract_schedule(inst, sol.values, mode, params)
+        sched = extract_schedule(inst, sol.values, mode)
         assert sched.round_len_us == round_length(params)
         assert len(sched.rounds) == 2
         assert sched.rounds[0].t < sched.rounds[1].t
@@ -253,8 +253,8 @@ class TestAssignmentRoundTrip:
         mode = control_mode()
         inst = build_instance(mode, 2, wide_params(hops=2), grid_us=1000)
         sol = solve(inst)
-        bad = dict(sol.values)
-        bad["rt0"] = bad["rt1"]  # collapse the two rounds
+        bad = list(sol.values)
+        bad[inst.keys["rt", 0]] = bad[inst.keys["rt", 1]]  # collapse the two rounds
         complaints = check_assignment(inst, bad)
         assert any("order_r0" in c for c in complaints)
 
@@ -263,8 +263,8 @@ class TestAssignmentRoundTrip:
         params = wide_params(hops=2)
         inst = build_instance(mode, 2, params, grid_us=1000)
         sol = solve(inst)
-        bad = dict(sol.values)
-        bad["n0_m1"] = 4
-        bad["n0_m2"] = 2
+        bad = list(sol.values)
+        bad[inst.keys["n", 0, "m1"]] = 4
+        bad[inst.keys["n", 0, "m2"]] = 2
         with pytest.raises(DecodeError, match="oversubscribed"):
-            extract_schedule(inst, bad, mode, params)
+            extract_schedule(inst, bad, mode)

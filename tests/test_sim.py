@@ -216,6 +216,62 @@ class TestCarriedMessageCommit:
         (ep_t, _, _), = trace.of_kind("epoch")
         assert ep_t == 15_094
 
+    @classmethod
+    def two_round_table(cls, carried):
+        """A 50 ms message m served by both rounds of a 100 ms cycle.
+
+        Carried, m's window [40, 70) ms wraps the cycle boundary: round 0
+        (at 0 ms) serves the instance released at 90 ms of the previous
+        cycle and round 1 (at 42 ms) the one released at 40 ms.  Not
+        carried, the rounds at 6 and 56 ms serve the windows [5, 25) and
+        [55, 75) ms of the same cycle."""
+        fast = mk_app("fast", 50, [("t1", "n1", 1), ("t2", "n2", 1)],
+                      [("t1", "t2", "m")])
+        slow = mk_app("slow", 100, [("u", "n3", 1)], [])
+        mode = Mode(id="twice", applications=(fast, slow))
+        if carried:
+            offsets, mo, starts = {"t1": 39_000, "t2": 20_000}, 40_000, (0, 42_000)
+        else:
+            offsets, mo, starts = {"t1": 4_000, "t2": 25_000}, 5_000, (6_000, 56_000)
+        sched = ModeSchedule(
+            mode_id="twice",
+            hyperperiod_us=100_000,
+            round_len_us=15_094,
+            task_offsets={**offsets, "u": 20_000},
+            message_offsets={"m": mo},
+            message_deadlines={"m": 30_000 if carried else 20_000},
+            rounds=tuple(Round(t, ("m",)) for t in starts),
+            leftover={"m": 1 if carried else 0},
+        )
+        assert check(mode, sched, small_params()).ok
+        return {"twice": (mode, sched), "alt": cls.hand_table(leftover=0)["alt"]}
+
+    def switch_beacons(self, trace):
+        return [(t, d["round_id"]) for t, _, d in trace.of_kind("beacon") if d["sb"]]
+
+    def test_carried_commit_is_the_first_round_of_the_next_cycle(self):
+        table = self.two_round_table(carried=True)
+        scn = Scenario("twice", 6, switches=(SwitchRequest(0, "alt"),))
+        trace = simulate(table, scn)
+        (_, _, an), = trace.of_kind("announce")
+        # round 0 of the next cycle, not its last round (142 ms)
+        assert an["commit_end"] == 115_094
+        assert self.switch_beacons(trace) == [(100_000, 2)]
+        (ep_t, _, _), = trace.of_kind("epoch")
+        assert ep_t == 115_094
+
+    def test_uncarried_commit_is_the_last_round_of_this_cycle(self):
+        table = self.two_round_table(carried=False)
+        scn = Scenario("twice", 6, switches=(SwitchRequest(0, "alt"),))
+        trace = simulate(table, scn)
+        (an_t, _, an), = trace.of_kind("announce")
+        assert an_t == 6_000
+        # round 1 of this cycle, not the round 0 that announced it
+        assert an["commit_end"] == 71_094
+        assert self.switch_beacons(trace) == [(56_000, 1)]
+        (ep_t, _, _), = trace.of_kind("epoch")
+        assert ep_t == 71_094
+
 
 class TestRejectedInputs:
     def test_unknown_initial_mode(self, table):

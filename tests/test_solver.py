@@ -29,13 +29,13 @@ class TestBasics:
         inst.objective = {0: 1}
         sol = solve(inst)
         assert (sol.status, sol.objective) == ("optimal", 0)
-        assert sol.values == {"x": 0}
+        assert sol.values == [0]
 
     def test_branching_beats_the_rounded_relaxation(self):
         sol = solve(knapsackish())
         assert sol.status == "optimal"
         assert sol.objective == -6
-        assert sol.values == {"x": 2, "y": 0}
+        assert sol.values == [2, 0]  # x, y
 
     def test_contradictory_row_is_infeasible(self):
         inst = ILPInstance(name="dead")
@@ -61,10 +61,7 @@ class TestOracleAgreement:
         if want_status == "optimal":
             assert sol.objective == want_obj
             assert check_assignment(inst, sol.values) == []
-            got = sum(
-                cf * sol.values[inst.variables[i].name]
-                for i, cf in inst.objective.items()
-            )
+            got = sum(cf * sol.values[i] for i, cf in inst.objective.items())
             assert got == want_obj
 
 

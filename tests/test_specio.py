@@ -126,6 +126,13 @@ class TestSpecErrors:
             lambda d: d.update(modes=[]), "$.modes: at least one mode is required"
         )
 
+    def test_duplicate_mode_id(self):
+        # a second mode under a taken id could never be picked
+        def mut(d):
+            d["modes"].append(dict(d["modes"][0]))
+
+        self.check(mut, "$.modes[1].id: duplicate mode id 'only'")
+
     def test_edge_fields_are_checked(self):
         def mut(d):
             d["modes"][0]["applications"][0]["edges"][0]["src"] = 3
