@@ -6,7 +6,8 @@ so the two can disagree only if one of them is wrong.  Up to sorting,
 the audit is linear in the rounds plus each message's check instants: the
 allocations are gathered in one pass over the rounds, and each message's
 demand <= service <= arrival ordering is checked in one merged sweep of
-its instants and round ends (stepfuncs.first_order_violation).
+its instants and round ends (stepfuncs.first_order_violation), whose
+counts at the first failing instant word the curve_order violation.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from .model import (
 )
 from .stepfuncs import (
     MsgTiming,
-    check_order,
+    _ceil_div,
     deadline_instants,
     first_order_violation,
     release_instants,
@@ -45,10 +46,6 @@ VERDICT_FAMILIES = (
     "service_before_deadline",
     "curve_order",
 )
-
-
-def _ceil_div(num: int, den: int) -> int:
-    return -((-num) // den)
 
 
 @dataclass
@@ -223,19 +220,20 @@ def check(mode: Mode, schedule: ModeSchedule, params: NetworkParams) -> CheckRep
 
     # -- precedence and end-to-end deadlines ---------------------------------
     rep.evaluated.update({"precedence", "e2e_deadline"})
-    sig_p: dict[str, int] = {}
+    # a message shared by applications with different producers slips
+    # as far as its latest producer needs, as the ILP's one sp_<msg> does
+    sig_p: dict[str, int] = dict.fromkeys(msgs, 0)
     sig_c: dict[tuple[str, str], int] = {}
     for app in mode.applications:
         p = app.period_us
         for m in app.messages:
             prods = app.producers(m.id)
             if not prods:
-                sig_p[m.id] = 0
                 continue
             prod = app.task_by_id(prods[0])
             done = schedule.task_offsets[prod.id] + prod.wcet_us
             s = max(0, _ceil_div(done - schedule.message_offsets[m.id], p))
-            sig_p[m.id] = s
+            sig_p[m.id] = max(sig_p[m.id], s)
             if s > 1:
                 rep.add(
                     "precedence",
@@ -353,17 +351,18 @@ def check(mode: Mode, schedule: ModeSchedule, params: NetworkParams) -> CheckRep
         if r0 in (0, 1):
             mt = MsgTiming(mid, o, d, p)
             points = set(round_points)
-            points.update(x for x in release_instants(mt, h) if x <= h)
-            points.update(x + 1 for x in deadline_instants(mt, h) if x + 1 <= h + 1)
-            t = first_order_violation(
+            points.update(release_instants(mt, h))
+            points.update(x + 1 for x in deadline_instants(mt, h))
+            bad = first_order_violation(
                 mt, sorted(points), [r.t + t_r for r in allocs], r0
             )
-            if t is not None:
-                # the one-instant definition words the violation
+            if bad is not None:
+                t, df, sf, af = bad
                 rep.add(
                     "curve_order",
                     f"message {mid}",
-                    check_order(mt, t, rounds_sorted, r0, t_r),
+                    f"message {mid} at t={t}: demand={df} service={sf} "
+                    f"arrival={af} violates demand <= service <= arrival",
                 )
 
     return rep

@@ -36,13 +36,10 @@ from .specio import (
     trace_chunks,
 )
 from .synthesis import SynthConfig, synthesize
-from .timing import (
-    ENERGY_GRID_HEADER,
-    ROUND_GRID_HEADER,
-    NetworkParams,
-    energy_saving_grid,
-    round_length_grid,
-)
+from .timing import NetworkParams, energy_saving, t_round
+
+ROUND_GRID_HEADER = ("hops", "slots", "payload_bytes", "retransmissions", "t_round_us")
+ENERGY_GRID_HEADER = ("payload_bytes", "slots", "hops", "retransmissions", "saving")
 
 
 def _emit(chunks: Iterable[str], path: str | None) -> None:
@@ -217,19 +214,24 @@ def _cmd_model(args) -> int:
         args.slots, "--slots", base.slots_per_round, 1 if args.table == "energy" else 0
     )
     payloads = axis(args.payload, "--payload", base.payload_bytes, 1)
+    retx = base.retransmissions
     lines = []
     if args.table == "round-length":
         lines.append(",".join(ROUND_GRID_HEADER))
         for l in payloads:
-            for row in round_length_grid(base, hops, slots, l):
-                lines.append(",".join(str(x) for x in row))
+            for h in hops:
+                ph = replace(base, hops=h)
+                for b in slots:
+                    lines.append(f"{h},{b},{l},{retx},{t_round(l, b, ph)}")
     else:
         lines.append(",".join(ENERGY_GRID_HEADER))
         for h in hops:
-            for row in energy_saving_grid(replace(base, hops=h), payloads, slots):
-                lines.append(
-                    ",".join(str(x) for x in row[:-1]) + f",{float(row[-1]):.6f}"
-                )
+            ph = replace(base, hops=h)
+            for l in payloads:
+                for b in slots:
+                    lines.append(
+                        f"{l},{b},{h},{retx},{float(energy_saving(l, b, ph)):.6f}"
+                    )
     _emit(["\n".join(lines) + "\n"], args.out)
     return 0
 

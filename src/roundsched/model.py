@@ -130,9 +130,6 @@ class Round:
     t: TimeUs
     alloc: tuple[str, ...]
 
-    def count(self, mid: str) -> int:
-        return sum(1 for a in self.alloc if a == mid)
-
 
 @dataclass(slots=True)
 class ModeSchedule:
@@ -381,6 +378,24 @@ def validate_mode(mode: Mode, report: ValidationReport) -> None:
                     f"{where}, message {m.id}",
                     "differs between applications",
                 )
+    # one node sends a message, so its producers in every application
+    # must sit on that node (each application is checked on its own above)
+    prod_nodes: dict[str, set[str]] = {}
+    prod_apps: dict[str, set[str]] = {}
+    for app in mode.applications:
+        node_of = {t.id: t.node for t in app.tasks}
+        for src, _, mid in app.edges:
+            if src in node_of:
+                prod_nodes.setdefault(mid, set()).add(node_of[src])
+                prod_apps.setdefault(mid, set()).add(app.id)
+    for mid in sorted(prod_nodes):
+        if len(prod_apps[mid]) > 1 and len(prod_nodes[mid]) > 1:
+            report.add(
+                "multi_node_producers",
+                f"{where}, message {mid}",
+                f"producers across applications map to several nodes: "
+                f"{sorted(prod_nodes[mid])}",
+            )
     try:
         hyperperiod(mode)
     except ModelError as exc:

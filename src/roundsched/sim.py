@@ -94,6 +94,17 @@ def run(
             raise ValueError(f"mode {mid_} has no rounds; nothing would be sent")
         if sched.mode_id != mode.id or mode.id != mid_:
             raise ValueError(f"mode table entry {mid_} is inconsistent")
+        msgs = mode.all_messages()
+        for j, r in enumerate(sched.rounds):
+            for m_id in r.alloc:
+                if m_id not in msgs:
+                    raise ValueError(
+                        f"mode {mid_}, round {j}: message {m_id} is not in the mode"
+                    )
+        sent = {m_id for r in sched.rounds for m_id in r.alloc}
+        for m_id in sched.message_offsets:
+            if m_id not in sent:
+                raise ValueError(f"mode {mid_}: message {m_id} is allocated in no round")
     return _rounds(mode_table, scenario, trace)
 
 

@@ -10,9 +10,9 @@ t_tx (half-up to the nearest microsecond).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
 from .model import Application, chains
 
@@ -150,35 +150,3 @@ def latency_improvement_factor(p: NetworkParams, baseline_rounds: int = 2) -> fl
     """Delivery-latency ratio against a design that needs baseline_rounds
     round lengths per message (request plus response scheduling)."""
     return baseline_rounds * round_length(p) / round_length(p)
-
-
-ROUND_GRID_HEADER = ("hops", "slots", "payload_bytes", "retransmissions", "t_round_us")
-ENERGY_GRID_HEADER = ("payload_bytes", "slots", "hops", "retransmissions", "saving")
-
-
-def round_length_grid(
-    p: NetworkParams,
-    hops_values: Sequence[int],
-    slot_values: Sequence[int],
-    payload_bytes: int,
-) -> list[tuple[int, int, int, int, int]]:
-    """Round length over a (hops, slot count) grid at one payload size."""
-    rows = []
-    for h in hops_values:
-        ph = replace(p, hops=h, payload_bytes=payload_bytes)
-        for b in slot_values:
-            rows.append((h, b, payload_bytes, p.retransmissions, t_round(payload_bytes, b, ph)))
-    return rows
-
-
-def energy_saving_grid(
-    p: NetworkParams,
-    payload_values: Sequence[int],
-    slot_values: Sequence[int],
-) -> list[tuple[int, int, int, int, Fraction]]:
-    """Energy saving over a (payload, slot count) grid at fixed hops."""
-    rows = []
-    for l in payload_values:
-        for b in slot_values:
-            rows.append((l, b, p.hops, p.retransmissions, energy_saving(l, b, p)))
-    return rows

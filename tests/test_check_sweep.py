@@ -5,8 +5,10 @@ violation in one merged sweep over its check instants.  The reference
 below runs the same check() with that sweep replaced by a scan that
 evaluates the stepping oracles of support.py (af_oracle, df_oracle,
 sv_oracle) at every instant where one of the three curves can step,
-plus a 1 ms grid.  The curves are constant between those instants, so
-both must report the same first violation, worded the same way.
+plus a 1 ms grid, and returns the oracles' counts at the first failing
+instant.  The curves are constant between those instants, so both must
+report the same first violation with the same counts, worded by check()
+the same way.
 
 The corpus is seeded: valid two-round schedules over a 100 ms
 hyperperiod (one round per 50 ms), some with windows that cross the
@@ -158,19 +160,11 @@ def reference_check(mode: Mode, sched: ModeSchedule, monkeypatch) -> checker.Che
         for t in instants(mt):
             df, sv, af = curves(mt, t, carried)
             if not df <= sv <= af:
-                return t
+                return t, df, sv, af
         return None
-
-    def word(mt, t, _rounds, carried, _round_len):
-        df, sv, af = curves(mt, t, carried)
-        return (
-            f"message {mt.id} at t={t}: demand={df} service={sv} "
-            f"arrival={af} violates demand <= service <= arrival"
-        )
 
     with monkeypatch.context() as mp:
         mp.setattr(checker, "first_order_violation", scan)
-        mp.setattr(checker, "check_order", word)
         return check(mode, sched, P)
 
 

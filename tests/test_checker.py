@@ -248,3 +248,28 @@ def test_two_instances_per_hyperperiod():
     )
     rep2 = check(mode2, sched2, P)
     assert rep2.ok, str(rep2)
+
+
+def test_shared_message_slips_for_its_latest_producer_in_either_order():
+    # m is produced by t1 (done at 51 ms, after m's 10 ms release: one
+    # period of slip) in application a and by t2 (done at 1 ms: none) in
+    # b; the one release of m must wait for both, so both chains slip
+    a = mk_app("a", 100, [("t1", "n1", 1), ("u1", "n2", 1)], [("t1", "u1", "m")])
+    b = mk_app("b", 100, [("t2", "n1", 1), ("u2", "n3", 1)], [("t2", "u2", "m")])
+    sched = ModeSchedule(
+        mode_id="op",
+        hyperperiod_us=100_000,
+        round_len_us=T_R,
+        task_offsets={"t1": 50_000, "t2": 0, "u1": 60_000, "u2": 60_000},
+        message_offsets={"m": 10_000},
+        message_deadlines={"m": 30_000},
+        rounds=(Round(10_000, ("m",)),),
+        leftover={"m": 0},
+    )
+    ab = check(Mode("op", (a, b)), sched, P)
+    ba = check(Mode("op", (b, a)), sched, P)
+    assert ab.failed() == ba.failed() == {"e2e_deadline"}
+    assert sorted(map(str, ab.violations)) == sorted(map(str, ba.violations)) == [
+        "e2e_deadline at chain t1>u1: latency 111000 us exceeds deadline 100000 us",
+        "e2e_deadline at chain t2>u2: latency 161000 us exceeds deadline 100000 us",
+    ]

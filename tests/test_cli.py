@@ -25,7 +25,7 @@ from roundsched.specio import (
     trace_to_obj,
 )
 from roundsched.synthesis import synthesize
-from roundsched.timing import NetworkParams, round_length_grid
+from roundsched.timing import NetworkParams, t_round
 
 SPEC_DIR = Path(__file__).resolve().parent.parent / "specs"
 CONTROL = str(SPEC_DIR / "control_loop.json")
@@ -314,8 +314,8 @@ class TestModel:
         assert rc == 0
         lines = capsys.readouterr().out.splitlines()
         base = NetworkParams(hops=1, slots_per_round=1, payload_bytes=1)
-        want = [",".join(str(x) for x in row)
-                for row in round_length_grid(base, [1, 2], [1], 8)]
+        want = [f"{h},1,8,2,{t_round(8, 1, dataclasses.replace(base, hops=h))}"
+                for h in (1, 2)]
         assert lines[1:] == want
         assert len(lines) == 3
 
@@ -400,6 +400,27 @@ class TestBadInputs:
         rc = main(["synth", "--spec", str(spec), "--mode", "normal"])
         assert rc == 1
         assert "unknown_edge_task" in capsys.readouterr().err
+
+    def test_shared_message_sent_from_two_nodes(self, capsys, tmp_path):
+        data = json.loads(Path(CONTROL).read_text())
+        data["modes"][1]["applications"].append({
+            "id": "echo",
+            "period_us": 100000,
+            "tasks": [
+                {"id": "e1", "node": "n_sense_b", "wcet_us": 1000},
+                {"id": "e2", "node": "n_act_b", "wcet_us": 1000},
+            ],
+            "edges": [{"src": "e1", "dst": "e2", "msg": "wm"}],
+        })
+        spec = tmp_path / "two_senders.json"
+        spec.write_text(json.dumps(data))
+        rc = main(["synth", "--spec", str(spec), "--mode", "fallback"])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert "mode fallback: multi_node_producers at mode fallback, message wm" in (
+            captured.err
+        )
+        assert captured.out == ""
 
     def test_malformed_schedule_mapping(self, capsys, synthesized):
         rc = main([

@@ -129,6 +129,18 @@ class TestValidation:
         report = mode_report(Mode("m", (a1, a2)))
         assert "shared_task_mismatch" in report.codes()
 
+    def test_shared_message_producers_on_different_nodes(self):
+        a = mk_app("a", 10, [("t1", "n1", 1), ("u1", "n3", 1)], [("t1", "u1", "m")])
+        b = mk_app("b", 10, [("t2", "n2", 1), ("u2", "n4", 1)], [("t2", "u2", "m")])
+        assert app_report(a).ok and app_report(b).ok
+        report = mode_report(Mode("shared", (a, b)))
+        assert [(v.code, v.where) for v in report.violations] == [
+            ("multi_node_producers", "mode shared, message m")
+        ]
+        # different producers on one node are one sender
+        b_n1 = mk_app("b", 10, [("t2", "n1", 1), ("u2", "n4", 1)], [("t2", "u2", "m")])
+        assert mode_report(Mode("shared", (a, b_n1))).ok
+
     def test_app_in_two_modes_rejected(self):
         a = mk_app("a", 10, [("t", "n", 1)], [])
         report = ValidationReport()

@@ -5,6 +5,8 @@ control schedules of the `table` fixture (rounds at 1 ms and 45 ms of a
 100 ms cycle, 42 644 us rounds) before the simulator existed.
 """
 
+import dataclasses
+
 import pytest
 from support import control_mode, mk_app, small_params, wide_params
 
@@ -313,3 +315,30 @@ class TestRejectedInputs:
         with pytest.raises(ValueError, match="unknown mode nope"):
             run(table, scn, trace)
         assert trace == SimTrace()  # no event, no count
+
+    @staticmethod
+    def with_rounds(table, mode_id, rounds):
+        mode, sched = table[mode_id]
+        return {**table, mode_id: (mode, dataclasses.replace(sched, rounds=rounds))}
+
+    def test_round_allocating_a_message_outside_the_mode(self, table):
+        bad = self.with_rounds(
+            table, "normal",
+            (Round(1000, ("m1", "m2")), Round(45_000, ("m3", "ghost"))),
+        )
+        trace = SimTrace()
+        with pytest.raises(ValueError,
+                           match="mode normal, round 1: message ghost is not in the mode"):
+            run(bad, Scenario("normal", 4), trace)
+        assert trace == SimTrace()
+
+    def test_message_allocated_in_no_round(self, table):
+        # m3 keeps its window but loses its slot: the commit search of a
+        # switch would have no round to end the old mode in
+        bad = self.with_rounds(table, "normal", (Round(1000, ("m1", "m2")),))
+        scn = Scenario("normal", 4, switches=(SwitchRequest(0, "fallback"),))
+        trace = SimTrace()
+        with pytest.raises(ValueError,
+                           match="mode normal: message m3 is allocated in no round"):
+            run(bad, scn, trace)
+        assert trace == SimTrace()

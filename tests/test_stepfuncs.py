@@ -1,7 +1,8 @@
 """Counting step functions: arrivals, deadline demand, round-based service.
 
 The event-stepping oracles in support.py count instants one at a time;
-the closed forms under test must agree with them everywhere.
+the closed forms and the merged service sweep under test must agree with
+them everywhere.
 """
 
 from __future__ import annotations
@@ -14,13 +15,10 @@ from roundsched.model import Round
 from roundsched.stepfuncs import (
     MsgTiming,
     arrival,
-    check_order,
     deadline_instants,
     demand,
     first_order_violation,
-    leftover,
     release_instants,
-    service,
     service_sweep,
 )
 from support import af_oracle, df_oracle, sv_oracle
@@ -69,7 +67,8 @@ def test_demand_negative_before_wrapped_deadline():
     [(8, 5, 10, 1), (2, 4, 10, 0), (0, 10, 10, 0), (5, 6, 10, 1)],
 )
 def test_leftover_indicator(o_ms, d_ms, p_ms, expect):
-    assert leftover(timings(o_ms, d_ms, p_ms)) == expect
+    # a window crossing the origin leaves one unit owed just after it
+    assert -demand(timings(o_ms, d_ms, p_ms), 1) == expect
 
 
 class TestService:
@@ -78,30 +77,28 @@ class TestService:
     def rounds(self, starts_ms, mid="m"):
         return tuple(Round(int(s * MS), (mid,)) for s in starts_ms)
 
+    def check(self, rs, carried, want):
+        """service_sweep at want's instants gives want's counts, as sv_oracle does."""
+        deliveries = [r.t + self.ROUND_LEN for r in rs for a in r.alloc if a == "m"]
+        got = list(service_sweep(sorted(want), deliveries, carried))
+        assert got == sorted(want.items())
+        assert all(
+            sv_oracle("m", t, rs, carried, self.ROUND_LEN) == sf for t, sf in got
+        )
+
     def test_counts_only_finished_rounds(self):
-        rs = self.rounds([0, 3, 8])
-        m = timings(0, 10, 10)
         # round ending at 2ms counts strictly after 2ms
-        assert service(m, 2 * MS, rs, 0, self.ROUND_LEN) == 0
-        assert service(m, 2 * MS + 1, rs, 0, self.ROUND_LEN) == 1
-        assert service(m, 5 * MS + 1, rs, 0, self.ROUND_LEN) == 2
-        assert service(m, 10 * MS + 1, rs, 0, self.ROUND_LEN) == 3
+        self.check(self.rounds([0, 3, 8]), 0,
+                   {2 * MS: 0, 2 * MS + 1: 1, 5 * MS + 1: 2, 10 * MS + 1: 3})
 
     def test_carried_unit_shifts_curve_down(self):
-        rs = self.rounds([0, 3])
-        m = timings(8, 5, 10)
-        assert service(m, 0, rs, 1, self.ROUND_LEN) == -1
-        assert service(m, 2 * MS + 1, rs, 1, self.ROUND_LEN) == 0
+        self.check(self.rounds([0, 3]), 1, {0: -1, 2 * MS + 1: 0})
 
     def test_rounds_not_carrying_message_ignored(self):
-        rs = (Round(0, ("x",)), Round(3 * MS, ("m", "x")))
-        m = timings(0, 10, 10)
-        assert service(m, 10 * MS, rs, 0, self.ROUND_LEN) == 1
+        self.check((Round(0, ("x",)), Round(3 * MS, ("m", "x"))), 0, {10 * MS: 1})
 
     def test_double_slot_round_counts_twice(self):
-        rs = (Round(0, ("m", "m")),)
-        m = timings(0, 10, 10)
-        assert service(m, 3 * MS, rs, 0, self.ROUND_LEN) == 2
+        self.check((Round(0, ("m", "m")),), 0, {3 * MS: 2})
 
 
 def test_release_and_deadline_instants():
@@ -110,25 +107,28 @@ def test_release_and_deadline_instants():
     assert deadline_instants(m, 30 * MS) == [3 * MS, 13 * MS, 23 * MS]
 
 
+def order_violation(m, t, rs, round_len):
+    deliveries = [r.t + round_len for r in rs for a in r.alloc if a == m.id]
+    return first_order_violation(m, [t], deliveries, 0)
+
+
 def test_check_order_flags_service_overrun():
     m = timings(0, 10, 10)
     rs = (Round(0, ("m",)), Round(3 * MS, ("m",)))
     # two rounds served but only one arrival by 6ms
-    msg = check_order(m, 6 * MS, rs, 0, 2 * MS)
-    assert msg is not None and "arrival" in msg
+    assert order_violation(m, 6 * MS, rs, 2 * MS) == (6 * MS, 0, 2, 1)
 
 
 def test_check_order_flags_missed_demand():
     m = timings(0, 4, 10)
-    msg = check_order(m, 5 * MS, (), 0, 2 * MS)
-    assert msg is not None and "demand" in msg
+    assert order_violation(m, 5 * MS, (), 2 * MS) == (5 * MS, 1, 0, 1)
 
 
 def test_check_order_clean():
     m = timings(0, 4, 10)
     rs = (Round(1 * MS, ("m",)),)
     for t_ms in range(0, 11):
-        assert check_order(m, t_ms * MS, rs, 0, 2 * MS) is None
+        assert order_violation(m, t_ms * MS, rs, 2 * MS) is None
 
 
 # --- oracle agreement and curve laws ---------------------------------------
@@ -181,7 +181,7 @@ def test_leftover_iff_demand_negative_just_after_origin(m):
     # counts as owed, but no round is required for it; probe one tick later
     o, d, p = m
     mt = MsgTiming("m", o, d, p)
-    assert leftover(mt) == (1 if demand(mt, 1) < 0 else 0)
+    assert (o + d > p) == (demand(mt, 1) < 0)
 
 
 @given(
@@ -191,14 +191,13 @@ def test_leftover_iff_demand_negative_just_after_origin(m):
 )
 @settings(max_examples=300, deadline=None)
 def test_service_matches_direct_count(m, starts, carried):
-    o, d, p = m
-    mt = MsgTiming("m", o, d, p)
     rs = tuple(Round(s, ("m",)) for s in starts)
-    for t in range(0, 41, 3):
-        assert service(mt, t, rs, carried, 4) == sv_oracle("m", t, rs, carried, 4)
+    instants = range(0, 41, 3)
+    swept = service_sweep(instants, [s + 4 for s in starts], carried)
+    assert list(swept) == [(t, sv_oracle("m", t, rs, carried, 4)) for t in instants]
 
 
-# --- the merged sweep against the one-instant definitions -----------------
+# --- the merged sweep against the stepping oracles -------------------------
 
 rounds_strategy = st.lists(
     st.tuples(
@@ -216,12 +215,16 @@ rounds_strategy = st.lists(
     st.lists(st.integers(0, 60), unique=True).map(sorted),
 )
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
-def test_sweep_matches_service_and_check_order_at_every_instant(m, rs, carried, instants):
+def test_sweep_matches_oracles_at_every_instant(m, rs, carried, instants):
     o, d, p = m
     mt = MsgTiming("m", o, d, p)
     deliveries = [r.t + 4 for r in rs for a in r.alloc if a == "m"]
+    curves = [
+        (t, df_oracle(o, d, p, t), sv_oracle("m", t, rs, carried, 4), af_oracle(o, p, t))
+        for t in instants
+    ]
     swept = list(service_sweep(instants, deliveries, carried))
-    assert swept == [(t, service(mt, t, rs, carried, 4)) for t in instants]
-    failing = [t for t in instants if check_order(mt, t, rs, carried, 4) is not None]
+    assert swept == [(t, sv) for t, _, sv, _ in curves]
+    failing = [c for c in curves if not c[1] <= c[2] <= c[3]]
     want = failing[0] if failing else None
     assert first_order_violation(mt, instants, deliveries, carried) == want

@@ -131,6 +131,15 @@ class TestLimitsAndGuards:
             synthesize(Mode(id="bad", applications=(app,)), small_params(), GRID)
 
 
+    def test_shared_message_sent_from_two_nodes_is_rejected(self):
+        # each application alone is well formed; together one message
+        # would need two senders
+        a = mk_app("a", 40, [("t1", "n1", 1), ("u1", "n3", 1)], [("t1", "u1", "m")])
+        b = mk_app("b", 40, [("t2", "n2", 1), ("u2", "n4", 1)], [("t2", "u2", "m")])
+        with pytest.raises(ValueError, match="multi_node_producers"):
+            synthesize(Mode(id="shared", applications=(a, b)), small_params(), GRID)
+
+
 class TestBudget:
     """The budget is one deadline for the whole search over round counts,
     and running out of it still yields the audited incumbent."""

@@ -7,6 +7,7 @@ oracle in support.py which recomputes everything from scratch.
 
 from __future__ import annotations
 
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -15,11 +16,9 @@ from roundsched.timing import (
     NetworkParams,
     baseline_round_time,
     energy_saving,
-    energy_saving_grid,
     latency_improvement_factor,
     min_app_latency,
     round_length,
-    round_length_grid,
     t_round,
     t_slot,
     t_tx,
@@ -110,16 +109,21 @@ class TestEnergy:
             assert 0 < s < 1
 
     def test_grid_shape_and_header(self):
-        rows = energy_saving_grid(P4, payload_values=(5, 10), slot_values=(1, 2, 5))
-        assert len(rows) == 6
-        assert all(len(r) == 5 for r in rows)
+        # the model table's saving column: an exact fraction in [0, 1) at
+        # every grid point, 0 exactly at one slot
+        for l in (5, 10):
+            for b in (1, 2, 5):
+                s = energy_saving(l, b, P4)
+                assert isinstance(s, Fraction) and 0 <= s < 1
+                assert (s == 0) == (b == 1)
 
 
 def test_round_grid_monotone_in_hops_and_slots():
-    rows = round_length_grid(
-        P4, hops_values=(1, 2, 4, 8), slot_values=(1, 2, 5, 10), payload_bytes=10
-    )
-    by_key = {(h, b): t for (h, b, l, n, t) in rows}
+    by_key = {
+        (h, b): t_round(10, b, replace(P4, hops=h))
+        for h in (1, 2, 4, 8)
+        for b in (1, 2, 5, 10)
+    }
     for b in (1, 2, 5, 10):
         col = [by_key[(h, b)] for h in (1, 2, 4, 8)]
         assert col == sorted(col) and len(set(col)) == 4
