@@ -220,26 +220,24 @@ def check(mode: Mode, schedule: ModeSchedule, params: NetworkParams) -> CheckRep
 
     # -- precedence and end-to-end deadlines ---------------------------------
     rep.evaluated.update({"precedence", "e2e_deadline"})
-    # a message shared by applications with different producers slips
-    # as far as its latest producer needs, as the ILP's one sp_<msg> does
+    # a message with several producers slips as far as its latest
+    # producer needs, as the ILP's one sp_<msg> does
+    producers = mode.producers()
     sig_p: dict[str, int] = dict.fromkeys(msgs, 0)
     sig_c: dict[tuple[str, str], int] = {}
     for app in mode.applications:
         p = app.period_us
         for m in app.messages:
-            prods = app.producers(m.id)
-            if not prods:
-                continue
-            prod = app.task_by_id(prods[0])
-            done = schedule.task_offsets[prod.id] + prod.wcet_us
-            s = max(0, _ceil_div(done - schedule.message_offsets[m.id], p))
-            sig_p[m.id] = max(sig_p[m.id], s)
-            if s > 1:
-                rep.add(
-                    "precedence",
-                    f"message {m.id}",
-                    f"release slips {s} periods past producer {prod.id}",
-                )
+            for prod in producers[m.id]:
+                done = schedule.task_offsets[prod.id] + prod.wcet_us
+                s = max(0, _ceil_div(done - schedule.message_offsets[m.id], p))
+                sig_p[m.id] = max(sig_p[m.id], s)
+                if s > 1:
+                    rep.add(
+                        "precedence",
+                        f"message {m.id}",
+                        f"release slips {s} periods past producer {prod.id}",
+                    )
         for src, dst, mid in app.edges:
             bound = schedule.message_offsets[mid] + schedule.message_deadlines[mid]
             s = max(0, _ceil_div(bound - schedule.task_offsets[dst], p))

@@ -98,7 +98,7 @@ def _cmd_synth(args) -> int:
             inst = build_instance(
                 mode, r, spec.network, grid_us=config.grid_us, t_max_us=config.t_max_us
             )
-            write_lp(inst, os.path.join(args.lp_dir, f"{mode.id}_r{r}.lp"))
+            write_lp(inst, os.path.join(args.lp_dir, inst.name + ".lp"))
     if out.schedule is not None:
         _emit([dumps(schedule_to_obj(out.schedule))], args.out)
     if out.status == "feasible":

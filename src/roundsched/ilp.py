@@ -23,8 +23,9 @@ Variables are addressed by model key only: ILPInstance.keys maps the
 family and the model ids in the name, such as ("o", task), ("sc", msg,
 task), ("y", t1, t2, k) or ("n", j, msg), to the variable's index; d is
 keyed by the application's position in the mode.  A task or message
-shared by several applications has one variable, and a message edge
-shared by several applications one producer and one consumer row.
+shared by several applications has one variable.  Each (message,
+producer) and (message, consumer) pair has one row however many
+applications list it, so a message waits for every producer.
 Names are labels made once, when a variable or row is registered, for
 LP export and error text: ids are sanitized to [A-Za-z0-9_], and a name
 already taken gets a _2, _3, ... suffix, so names are unique among the
@@ -137,7 +138,7 @@ def build_instance(
             raise ValueError(f"period of {app.id} not a multiple of grid {grid_us}")
     g = grid_us
 
-    inst = ILPInstance(name=f"{mode.id}_r{n_rounds}")
+    inst = ILPInstance(name=f"{_safe(mode.id)}_r{n_rounds}")
     inst.meta = {
         "n_rounds": n_rounds,
         "grid_us": g,
@@ -207,20 +208,22 @@ def build_instance(
         inst.objective[key["d", i]] = 1
 
     # --- producer, consumer, chain latency ----------------------------------
+    # a message is released once every one of its producers has finished
+    producers = mode.producers()
     handoffs: set[tuple] = set()  # (msg, producer) and (msg, consumer) rows
     for i, app in enumerate(mode.applications):
         p = app.period_us
         for m in app.messages:
-            prod = app.task_by_id(app.producers(m.id)[0])
-            if ("prod", m.id, prod.id) in handoffs:  # shared by an earlier app
-                continue
-            handoffs.add(("prod", m.id, prod.id))
-            inst.add_row(
-                f"prod_{_safe(m.id)}",
-                {key["o", prod.id]: g, key["mo", m.id]: -g, key["sp", m.id]: -p},
-                "<=",
-                -prod.wcet_us,
-            )
+            for prod in producers[m.id]:
+                if ("prod", m.id, prod.id) in handoffs:  # listed by an earlier app
+                    continue
+                handoffs.add(("prod", m.id, prod.id))
+                inst.add_row(
+                    f"prod_{_safe(m.id)}",
+                    {key["o", prod.id]: g, key["mo", m.id]: -g, key["sp", m.id]: -p},
+                    "<=",
+                    -prod.wcet_us,
+                )
         for _src, dst, mid in app.edges:
             if ("cons", mid, dst) in handoffs:
                 continue

@@ -50,25 +50,28 @@ class Application:
 
     edges are (producer task id, consumer task id, message id) triples. A
     message appearing on several edges from the same producer is a multicast.
-    Tasks and messages inherit the application's period.
+    Tasks inherit the application's period.  The messages are the ones the
+    edges name, sorted by id, each with the application's period.  A message
+    with several producers (on one node, see validate_mode) is released only
+    once every one of them has finished.
     """
 
     id: str
     period_us: int
     deadline_us: int
     tasks: tuple[Task, ...]
-    messages: tuple[Message, ...]
     edges: tuple[tuple[str, str, str], ...]
+
+    @property
+    def messages(self) -> tuple[Message, ...]:
+        ids = sorted({mid for _, _, mid in self.edges})
+        return tuple(Message(mid, self.period_us) for mid in ids)
 
     def task_by_id(self, tid: str) -> Task:
         for t in self.tasks:
             if t.id == tid:
                 return t
         raise KeyError(tid)
-
-    def producers(self, mid: str) -> tuple[str, ...]:
-        """Task ids that emit message mid (sorted)."""
-        return tuple(sorted({src for src, _, m in self.edges if m == mid}))
 
 
 @dataclass(frozen=True, slots=True)
@@ -116,6 +119,18 @@ class Mode:
                 out[m.id] = m
         return out
 
+    def producers(self) -> dict[str, tuple[Task, ...]]:
+        """Message id -> the tasks producing it in any of the applications,
+        sorted by task id.  An edge from a task its application does not
+        list is skipped (validate_application reports it)."""
+        out: dict[str, dict[str, Task]] = {}
+        for app in self.applications:
+            tasks = {t.id: t for t in app.tasks}
+            for src, _, mid in app.edges:
+                if src in tasks:
+                    out.setdefault(mid, {})[src] = tasks[src]
+        return {mid: tuple(ts[k] for k in sorted(ts)) for mid, ts in sorted(out.items())}
+
 
 @dataclass(frozen=True, slots=True)
 class Round:
@@ -152,8 +167,8 @@ class ModeSchedule:
 def hyperperiod(mode: Mode) -> int:
     """Least common multiple of the member application periods.
 
-    >>> a = Application("a", 10_000, 10_000, (), (), ())
-    >>> b = Application("b", 15_000, 15_000, (), (), ())
+    >>> a = Application("a", 10_000, 10_000, (), ())
+    >>> b = Application("b", 15_000, 15_000, (), ())
     >>> hyperperiod(Mode("m", (a, b)))
     30000
 
@@ -182,8 +197,7 @@ def chains(app: Application) -> tuple[Chain, ...]:
     chain. Raises ModelError if the graph has a cycle.
 
     >>> t1 = Task("t1", "n1", 1000, 10_000); t2 = Task("t2", "n2", 1000, 10_000)
-    >>> m = Message("m1", 10_000)
-    >>> app = Application("a", 10_000, 10_000, (t1, t2), (m,), (("t1", "t2", "m1"),))
+    >>> app = Application("a", 10_000, 10_000, (t1, t2), (("t1", "t2", "m1"),))
     >>> [c.items for c in chains(app)]
     [('t1', 'm1', 't2')]
     """
@@ -303,52 +317,17 @@ def validate_application(app: Application, report: ValidationReport) -> None:
                 f"task period {t.period_us} us != {app.period_us} us",
             )
 
-    seen_msgs: set[str] = set()
-    for m in app.messages:
-        mw = f"{where}, message {m.id}"
-        if m.id in seen_msgs:
-            report.add("duplicate_message", mw, "listed twice")
-        seen_msgs.add(m.id)
-        if m.period_us != app.period_us:
-            report.add(
-                "message_period_mismatch",
-                mw,
-                f"message period {m.period_us} us != {app.period_us} us",
-            )
-
-    for src, dst, mid in app.edges:
+    for src, dst, _ in app.edges:
         ew = f"{where}, edge {src}->{dst}"
         if src not in seen_tasks:
             report.add("unknown_edge_task", ew, f"producer {src!r} not in app")
         if dst not in seen_tasks:
             report.add("unknown_edge_task", ew, f"consumer {dst!r} not in app")
-        if mid not in seen_msgs:
-            report.add("unknown_edge_message", ew, f"message {mid!r} not in app")
 
     try:
         _check_acyclic(app)
     except ModelError:
         report.add("graph_cycle", where, "task graph has a cycle")
-        return
-
-    for m in app.messages:
-        mw = f"{where}, message {m.id}"
-        prods = app.producers(m.id)
-        if not prods:
-            report.add("message_no_producer", mw, "no producing task")
-            continue
-        nodes = set()
-        for tid in prods:
-            try:
-                nodes.add(app.task_by_id(tid).node)
-            except KeyError:
-                pass
-        if len(nodes) > 1:
-            report.add(
-                "multi_node_producers",
-                mw,
-                f"producers map to several nodes: {sorted(nodes)}",
-            )
 
 
 def validate_mode(mode: Mode, report: ValidationReport) -> None:
@@ -356,7 +335,13 @@ def validate_mode(mode: Mode, report: ValidationReport) -> None:
     if not mode.applications:
         report.add("empty_mode", where, "no applications")
         return
+    seen_apps: set[str] = set()
     for app in mode.applications:
+        if app.id in seen_apps:
+            report.add(
+                "duplicate_application", f"{where}, application {app.id}", "listed twice"
+            )
+        seen_apps.add(app.id)
         validate_application(app, report)
     # shared tasks/messages must agree on their attributes
     tasks_seen: dict[str, Task] = {}
@@ -378,23 +363,14 @@ def validate_mode(mode: Mode, report: ValidationReport) -> None:
                     f"{where}, message {m.id}",
                     "differs between applications",
                 )
-    # one node sends a message, so its producers in every application
-    # must sit on that node (each application is checked on its own above)
-    prod_nodes: dict[str, set[str]] = {}
-    prod_apps: dict[str, set[str]] = {}
-    for app in mode.applications:
-        node_of = {t.id: t.node for t in app.tasks}
-        for src, _, mid in app.edges:
-            if src in node_of:
-                prod_nodes.setdefault(mid, set()).add(node_of[src])
-                prod_apps.setdefault(mid, set()).add(app.id)
-    for mid in sorted(prod_nodes):
-        if len(prod_apps[mid]) > 1 and len(prod_nodes[mid]) > 1:
+    # one node sends a message, so all its producers must sit on that node
+    for mid, prods in mode.producers().items():
+        nodes = sorted({t.node for t in prods})
+        if len(nodes) > 1:
             report.add(
                 "multi_node_producers",
                 f"{where}, message {mid}",
-                f"producers across applications map to several nodes: "
-                f"{sorted(prod_nodes[mid])}",
+                f"producers map to several nodes: {nodes}",
             )
     try:
         hyperperiod(mode)

@@ -122,14 +122,8 @@ def _rounds(
             for t in mode.all_tasks().values()
         }
     )
-    # (mode, message) -> the node that sends it; the first application
-    # listing a message names its producer
-    producer: dict[tuple[str, str], str] = {}
-    for mid_, (mode, _) in mode_table.items():
-        for app in mode.applications:
-            for m in app.messages:
-                if (mid_, m.id) not in producer:
-                    producer[mid_, m.id] = app.task_by_id(app.producers(m.id)[0]).node
+    # a message's producers all sit on the node that sends it
+    producers = {mid_: mode.producers() for mid_, (mode, _) in mode_table.items()}
 
     belief = {n: scenario.initial_mode for n in nodes}
     degraded_since: dict[str, int] = {}
@@ -197,7 +191,7 @@ def _rounds(
         alloc = sched.rounds[index].alloc
         for s, m_id in enumerate(alloc):
             txers = []
-            p_node = producer[mode_id, m_id]
+            p_node = producers[mode_id][m_id][0].node
             if heard[p_node]:
                 txers.append((p_node, m_id))
             if len({m for _, m in txers}) > 1 or len(txers) > 1:

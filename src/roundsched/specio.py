@@ -21,7 +21,7 @@ from itertools import islice
 from typing import Iterable, Iterator
 
 from .checker import CheckReport
-from .model import Application, Message, Mode, ModeSchedule, Round, Task
+from .model import Application, Mode, ModeSchedule, Round, Task
 from .sim import Event, Scenario, SimTrace, SwitchRequest
 from .timing import NetworkParams
 
@@ -160,13 +160,11 @@ def _parse_app(x, path: str) -> Application:
                 _as_str(eo["msg"], f"{ep}.msg"),
             )
         )
-    msg_ids = sorted({m for _, _, m in edges})
     return Application(
         id=_as_str(obj["id"], f"{path}.id"),
         period_us=period,
         deadline_us=deadline,
         tasks=tasks,
-        messages=tuple(Message(m, period) for m in msg_ids),
         edges=tuple(edges),
     )
 

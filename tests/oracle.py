@@ -197,14 +197,21 @@ def brute_force_min_rounds(
     total_instances = sum(h // m.period_us for m in msgs)
     global_lb = _ceil_div(total_instances, cap) if msgs else 0
 
-    producers: dict[str, Task] = {}
+    # a message is released once every one of its producers has finished
+    producers: dict[str, set[Task]] = {}
     consumers: dict[str, list[str]] = {}
     app_of_msg: dict[str, Application] = {}
     for app in mode.applications:
+        for src, _dst, mid in app.edges:
+            producers.setdefault(mid, set()).add(app.task_by_id(src))
         for m in app.messages:
-            producers[m.id] = app.task_by_id(app.producers(m.id)[0])
             consumers[m.id] = sorted({dst for _s, dst, mid in app.edges if mid == m.id})
             app_of_msg[m.id] = app
+
+    def produced(offsets: dict[str, int], m_id: str) -> int:
+        """When the last producer of m_id finishes."""
+        return max(offsets[t.id] + t.wcet_us for t in producers[m_id])
+
     chain_cache = {app.id: chains(app) for app in mode.applications}
 
     task_order: list[Task] = []
@@ -251,8 +258,7 @@ def brute_force_min_rounds(
     def msg_candidates(offsets: dict[str, int], m_id: str) -> list[tuple[int, int]]:
         """(frame offset, candidate deadline) pairs, widest first."""
         p = app_of_msg[m_id].period_us
-        prod = producers[m_id]
-        done = offsets[prod.id] + prod.wcet_us
+        done = produced(offsets, m_id)
         o_frame = done % p
         caps = [offsets[c] + p - o_frame for c in consumers[m_id]]
         hard = min(min(caps), p)
@@ -275,8 +281,7 @@ def brute_force_min_rounds(
                 shifts = 0
                 for k, mid in enumerate(ch.message_ids):
                     o_frame, v = choice[mid]
-                    prod = producers[mid]
-                    done = offsets[prod.id] + prod.wcet_us
+                    done = produced(offsets, mid)
                     shifts += done // p  # 1 only when completion lands on the period edge
                     cons = ch.task_ids[k + 1]
                     shifts += max(0, _ceil_div(o_frame + v - offsets[cons], p))

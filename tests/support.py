@@ -10,7 +10,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from roundsched.model import Application, Message, Mode, Task
+from roundsched.model import Application, Mode, Task
 from roundsched.timing import NetworkParams
 
 MS = 1000
@@ -26,13 +26,11 @@ def mk_app(
     """tasks entries are (id, node, wcet_ms); edges are (src, dst, msg)."""
     p = period_ms * MS
     d = (deadline_ms if deadline_ms is not None else period_ms) * MS
-    msg_ids = sorted({m for _, _, m in edges})
     return Application(
         id=app_id,
         period_us=p,
         deadline_us=d,
         tasks=tuple(Task(tid, node, w * MS, p) for tid, node, w in tasks),
-        messages=tuple(Message(m, p) for m in msg_ids),
         edges=tuple(edges),
     )
 

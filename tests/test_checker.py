@@ -273,3 +273,28 @@ def test_shared_message_slips_for_its_latest_producer_in_either_order():
         "e2e_deadline at chain t1>u1: latency 111000 us exceeds deadline 100000 us",
         "e2e_deadline at chain t2>u2: latency 161000 us exceeds deadline 100000 us",
     ]
+
+
+def test_message_waits_for_every_producer_in_one_application():
+    # t2 runs 30 ms on n1 and also produces m, so m, released at 1 ms,
+    # slips a period past t2's end: chain t2>u cannot take 16 ms
+    app = mk_app(
+        "a", 100, [("t1", "n1", 1), ("t2", "n1", 30), ("u", "n2", 1)],
+        [("t1", "u", "m"), ("t2", "u", "m")],
+    )
+    sched = ModeSchedule(
+        mode_id="op",
+        hyperperiod_us=100_000,
+        round_len_us=T_R,
+        task_offsets={"t1": 0, "t2": 1000, "u": 16_094},
+        message_offsets={"m": 1000},
+        message_deadlines={"m": 15_094},
+        rounds=(Round(1000, ("m",)),),
+        leftover={"m": 0},
+    )
+    rep = check(Mode("op", (app,)), sched, P)
+    assert rep.failed() == {"e2e_deadline"}
+    assert [str(v) for v in rep.violations] == [
+        "e2e_deadline at chain t1>u: latency 117094 us exceeds deadline 100000 us",
+        "e2e_deadline at chain t2>u: latency 116094 us exceeds deadline 100000 us",
+    ]

@@ -156,6 +156,31 @@ class TestSynth:
         text = (lp_dir / "fallback_r1.lp").read_text()
         assert text.startswith("\\ fallback_r1\nMinimize\n")
 
+    @pytest.mark.parametrize("mode_id, stem", [
+        ("n\u00f6rmal\nEnd", "n_rmal_End"),  # not ASCII, and a line break
+        ("../escaped", "___escaped"),  # a path outside --lp-dir
+    ])
+    def test_lp_dump_names_files_from_the_sanitized_mode_id(
+        self, capsys, tmp_path, mode_id, stem
+    ):
+        data = json.loads(Path(CONTROL).read_text())
+        data["modes"][1]["id"] = mode_id
+        spec = tmp_path / "renamed.json"
+        spec.write_text(json.dumps(data))
+        lp_dir = tmp_path / "lps"
+        out = tmp_path / "f.json"
+        rc = main(["synth", "--spec", str(spec), "--mode", mode_id,
+                   "--out", str(out), "--lp-dir", str(lp_dir)])
+        assert rc == 0, capsys.readouterr().err
+        assert json.loads(out.read_text())["mode_id"] == mode_id
+        assert sorted(p.name for p in lp_dir.iterdir()) == [
+            f"{stem}_r0.lp",
+            f"{stem}_r1.lp",
+        ]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["f.json", "lps", "renamed.json"]
+        text = (lp_dir / f"{stem}_r1.lp").read_text(encoding="ascii")
+        assert text.startswith(f"\\ {stem}_r1\nMinimize\n")
+
 
 class TestCheck:
     def test_good_schedule_passes(self, capsys, synthesized):
@@ -400,6 +425,20 @@ class TestBadInputs:
         rc = main(["synth", "--spec", str(spec), "--mode", "normal"])
         assert rc == 1
         assert "unknown_edge_task" in capsys.readouterr().err
+
+    def test_application_listed_twice_in_a_mode(self, capsys, tmp_path):
+        data = json.loads(Path(CONTROL).read_text())
+        apps = data["modes"][0]["applications"]
+        apps.append(apps[0])
+        spec = tmp_path / "twice.json"
+        spec.write_text(json.dumps(data))
+        rc = main(["synth", "--spec", str(spec), "--mode", "normal"])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert "mode normal: duplicate_application at mode normal, application ctrl" in (
+            captured.err
+        )
+        assert captured.out == ""
 
     def test_shared_message_sent_from_two_nodes(self, capsys, tmp_path):
         data = json.loads(Path(CONTROL).read_text())

@@ -136,7 +136,6 @@ def respelt(mode: Mode, names: list[str]) -> Mode:
                 a,
                 id=to[a.id],
                 tasks=tuple(replace(t, id=to[t.id]) for t in a.tasks),
-                messages=tuple(replace(m, id=to[m.id]) for m in a.messages),
                 edges=tuple((to[s], to[d], to[m]) for s, d, m in a.edges),
             )
             for a in mode.applications

@@ -221,6 +221,23 @@ class TestSharedMessageEdge:
         assert out.objective_us == 53_000
 
 
+class TestMultiProducerMessage:
+    """t1 (1 ms) and t2 (30 ms) on one node both produce m for u: each
+    producer gets its own row, so m waits for the slower one."""
+
+    def test_one_producer_row_per_producer(self):
+        app = mk_app(
+            "a", 100, [("t1", "n1", 1), ("t2", "n1", 30), ("u", "n2", 1)],
+            [("t1", "u", "m"), ("t2", "u", "m")],
+        )
+        inst = build_instance(Mode("op", (app,)), 1, small_params(), grid_us=1000)
+        prod = [r for r in inst.rows if r.name.startswith("prod_m")]
+        assert [(r.name, named_coeffs(inst, r), r.rhs) for r in prod] == [
+            ("prod_m", {"o_t1": 1000, "mo_m": -1000, "sp_m": -100_000}, -1000),
+            ("prod_m_2", {"o_t2": 1000, "mo_m": -1000, "sp_m": -100_000}, -30_000),
+        ]
+
+
 class TestGuards:
     def test_grid_must_divide_periods(self):
         with pytest.raises(ValueError, match="grid"):

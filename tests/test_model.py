@@ -12,7 +12,6 @@ from roundsched.model import (
     Application,
     Message,
     Mode,
-    Task,
     ValidationReport,
     chains,
     hyperperiod,
@@ -92,26 +91,6 @@ class TestValidation:
         )
         assert "graph_cycle" in app_report(app).codes()
 
-    def test_message_with_two_producers_on_different_nodes(self):
-        app = mk_app(
-            "a",
-            10,
-            [("t1", "n1", 1), ("t2", "n2", 1), ("t3", "n3", 1)],
-            [("t1", "t3", "m"), ("t2", "t3", "m")],
-        )
-        assert "multi_node_producers" in app_report(app).codes()
-
-    def test_message_without_producer(self):
-        app = Application(
-            id="a",
-            period_us=10 * MS,
-            deadline_us=10 * MS,
-            tasks=(Task("t", "n", MS, 10 * MS),),
-            messages=(Message("m", 10 * MS),),
-            edges=(),
-        )
-        assert "message_no_producer" in app_report(app).codes()
-
     def test_task_period_mismatch(self):
         app = control_app()
         bad = dataclasses.replace(
@@ -129,6 +108,20 @@ class TestValidation:
         report = mode_report(Mode("m", (a1, a2)))
         assert "shared_task_mismatch" in report.codes()
 
+    def test_message_with_two_producers_on_different_nodes(self):
+        app = mk_app(
+            "a",
+            10,
+            [("t1", "n1", 1), ("t2", "n2", 1), ("t3", "n3", 1)],
+            [("t1", "t3", "m"), ("t2", "t3", "m")],
+        )
+        assert app_report(app).ok
+        report = mode_report(Mode("op", (app,)))
+        assert [str(v) for v in report.violations] == [
+            "multi_node_producers at mode op, message m: "
+            "producers map to several nodes: ['n1', 'n2']"
+        ]
+
     def test_shared_message_producers_on_different_nodes(self):
         a = mk_app("a", 10, [("t1", "n1", 1), ("u1", "n3", 1)], [("t1", "u1", "m")])
         b = mk_app("b", 10, [("t2", "n2", 1), ("u2", "n4", 1)], [("t2", "u2", "m")])
@@ -140,6 +133,14 @@ class TestValidation:
         # different producers on one node are one sender
         b_n1 = mk_app("b", 10, [("t2", "n1", 1), ("u2", "n4", 1)], [("t2", "u2", "m")])
         assert mode_report(Mode("shared", (a, b_n1))).ok
+
+    def test_application_listed_twice_in_one_mode(self):
+        a = mk_app("a", 10, [("t", "n", 1)], [])
+        b = mk_app("b", 10, [("u", "n", 1)], [])
+        report = mode_report(Mode("m", (a, b, a)))
+        assert [(v.code, v.where) for v in report.violations] == [
+            ("duplicate_application", "mode m, application a")
+        ]
 
     def test_app_in_two_modes_rejected(self):
         a = mk_app("a", 10, [("t", "n", 1)], [])
@@ -219,3 +220,30 @@ def test_mode_accessors():
     assert list(mode.all_tasks()) == ["t1", "t2", "t3", "t5", "t6"]
     assert list(mode.all_messages()) == ["m1", "m2", "m3"]
     assert hyperperiod(mode) == 100 * MS
+
+
+def test_messages_are_derived_from_edges():
+    app = mk_app(
+        "a",
+        10,
+        [("t1", "n1", 1), ("t2", "n2", 1), ("t3", "n3", 1)],
+        [("t2", "t3", "mb"), ("t1", "t3", "ma"), ("t1", "t2", "ma")],
+    )
+    assert app.messages == (Message("ma", 10 * MS), Message("mb", 10 * MS))
+    assert dataclasses.replace(app, period_us=20 * MS).messages[0].period_us == 20 * MS
+
+
+def test_mode_producers_merge_applications():
+    a = mk_app("a", 10, [("t2", "n1", 1), ("u", "n2", 1)], [("t2", "u", "m")])
+    b = mk_app(
+        "b",
+        10,
+        [("t1", "n1", 1), ("v", "n3", 1), ("w", "n4", 1)],
+        [("t1", "v", "m"), ("v", "w", "x")],
+    )
+    prods = Mode("op", (a, b)).producers()
+    assert {mid: [t.id for t in ts] for mid, ts in prods.items()} == {
+        "m": ["t1", "t2"],
+        "x": ["v"],
+    }
+    assert prods["m"] == (b.task_by_id("t1"), a.task_by_id("t2"))

@@ -275,6 +275,26 @@ class TestCarriedMessageCommit:
         assert ep_t == 71_094
 
 
+def test_message_is_sent_from_the_node_of_its_producers():
+    # m is produced by t2 in a and by t1 in b, both on n1
+    a = mk_app("a", 100, [("t2", "n1", 1), ("u", "n2", 1)], [("t2", "u", "m")])
+    b = mk_app("b", 100, [("t1", "n1", 1), ("v", "n3", 1)], [("t1", "v", "m")])
+    mode = Mode(id="op", applications=(a, b))
+    sched = ModeSchedule(
+        mode_id="op",
+        hyperperiod_us=100_000,
+        round_len_us=15_094,
+        task_offsets={"t1": 0, "t2": 1000, "u": 20_000, "v": 20_000},
+        message_offsets={"m": 2000},
+        message_deadlines={"m": 18_000},
+        rounds=(Round(2000, ("m",)),),
+        leftover={"m": 0},
+    )
+    assert check(mode, sched, small_params()).ok
+    trace = simulate({"op": (mode, sched)}, Scenario("op", 3))
+    assert [e[2]["node"] for e in trace.of_kind("tx")] == ["n1"] * 3
+
+
 class TestRejectedInputs:
     def test_unknown_initial_mode(self, table):
         with pytest.raises(ValueError, match="unknown initial mode"):

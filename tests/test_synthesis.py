@@ -52,6 +52,24 @@ def wrap_mode():
 
 
 class TestKnownCases:
+    def test_message_waits_for_its_slowest_producer(self):
+        # t1 (1 ms) and t2 (30 ms) on n1 both produce m for u
+        app = mk_app(
+            "a", 100, [("t1", "n1", 1), ("t2", "n1", 30), ("u", "n2", 1)],
+            [("t1", "u", "m"), ("t2", "u", "m")],
+        )
+        mode = Mode(id="op", applications=(app,))
+        out = synthesize(mode, small_params(), GRID)
+        assert out.status == "feasible"
+        assert out.objective_us >= 31_000  # t2 alone runs 30 ms, u 1 ms
+        s = out.schedule
+        t_r = s.round_len_us
+        for tid, wcet in (("t1", 1000), ("t2", 30_000)):
+            # modulo the period, u starts a producer run and a round
+            # after the producer starts
+            assert (s.task_offsets["u"] - s.task_offsets[tid]) % 100_000 >= wcet + t_r
+        assert check(mode, s, small_params()).ok
+
     def test_two_task_pipeline_fits_one_round(self):
         out = synthesize(pipeline_mode(), small_params(), GRID)
         assert out.status == "feasible"
