@@ -221,13 +221,18 @@ def check(mode: Mode, schedule: ModeSchedule, params: NetworkParams) -> CheckRep
     # -- precedence and end-to-end deadlines ---------------------------------
     rep.evaluated.update({"precedence", "e2e_deadline"})
     # a message with several producers slips as far as its latest
-    # producer needs, as the ILP's one sp_<msg> does
+    # producer needs, as the ILP's one sp_<msg> does; a message or an edge
+    # that several applications list is checked, and reported, once
     producers = mode.producers()
-    sig_p: dict[str, int] = dict.fromkeys(msgs, 0)
+    sig_p: dict[str, int] = {}
     sig_c: dict[tuple[str, str], int] = {}
+    edges_seen: set[tuple[str, str, str]] = set()
     for app in mode.applications:
         p = app.period_us
         for m in app.messages:
+            if m.id in sig_p:
+                continue
+            sig_p[m.id] = 0
             for prod in producers[m.id]:
                 done = schedule.task_offsets[prod.id] + prod.wcet_us
                 s = max(0, _ceil_div(done - schedule.message_offsets[m.id], p))
@@ -238,7 +243,11 @@ def check(mode: Mode, schedule: ModeSchedule, params: NetworkParams) -> CheckRep
                         f"message {m.id}",
                         f"release slips {s} periods past producer {prod.id}",
                     )
-        for src, dst, mid in app.edges:
+        for edge in app.edges:
+            if edge in edges_seen:
+                continue
+            edges_seen.add(edge)
+            src, dst, mid = edge
             bound = schedule.message_offsets[mid] + schedule.message_deadlines[mid]
             s = max(0, _ceil_div(bound - schedule.task_offsets[dst], p))
             sig_c[(mid, dst)] = s

@@ -35,7 +35,7 @@ from .specio import (
     schedule_to_obj,
     trace_chunks,
 )
-from .synthesis import SynthConfig, synthesize
+from .synthesis import SynthConfig, max_rounds, synthesize
 from .timing import NetworkParams, energy_saving, t_round
 
 ROUND_GRID_HEADER = ("hops", "slots", "payload_bytes", "retransmissions", "t_round_us")
@@ -94,21 +94,29 @@ def _cmd_synth(args) -> int:
     out = synthesize(mode, spec.network, config)
     if args.lp_dir is not None:
         os.makedirs(args.lp_dir, exist_ok=True)
-        for r in range(out.solver_calls):
+        for r in range(out.min_rounds, out.min_rounds + out.solver_calls):
             inst = build_instance(
                 mode, r, spec.network, grid_us=config.grid_us, t_max_us=config.t_max_us
             )
             write_lp(inst, os.path.join(args.lp_dir, inst.name + ".lp"))
     if out.schedule is not None:
         _emit([dumps(schedule_to_obj(out.schedule))], args.out)
+    searched = (
+        f"{out.solver_calls} solver call{'' if out.solver_calls == 1 else 's'} "
+        f"from the {out.min_rounds}-round lower bound"
+    )
     if out.status == "feasible":
         _status(
             f"feasible: {out.rounds_used} rounds, objective {out.objective_us} us, "
-            f"{out.solver_calls} solver calls"
+            f"{searched}"
         )
         return 0
     if out.status == "infeasible":
-        _status(f"infeasible: exhausted round counts after {out.solver_calls} solver calls")
+        r_max = max_rounds(mode, spec.network, config)
+        if out.min_rounds > r_max:
+            _status(f"infeasible: needs at least {out.min_rounds} rounds, at most {r_max} fit")
+        else:
+            _status(f"infeasible: exhausted round counts after {searched}")
         return 2
     best = ""
     if out.schedule is not None:
@@ -116,7 +124,7 @@ def _cmd_synth(args) -> int:
             f"best schedule has {out.rounds_used} rounds, objective "
             f"{out.objective_us} us, not proven optimal; "
         )
-    _status(f"timeout: {best}solver budget exhausted after {out.solver_calls} solver calls")
+    _status(f"timeout: {best}solver budget exhausted after {searched}")
     return 1
 
 
@@ -247,7 +255,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--spec", required=True, help="system spec JSON")
     p.add_argument("--mode", help="mode id (defaults to the only mode)")
     p.add_argument("--out", help="write the schedule JSON here instead of stdout")
-    p.add_argument("--lp-dir", help="dump one LP file per attempted round count")
+    p.add_argument("--lp-dir", help="dump one LP file per round count HiGHS was run on")
     p.add_argument(
         "--budget-ms",
         type=int,

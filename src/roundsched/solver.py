@@ -66,6 +66,9 @@ class SolverSolution:
     # the incumbent if there is one
     values: list[int] | None
     objective: int | None
+    # branch-and-bound nodes as scipy reports them: its mip_node_count is
+    # None on an infeasible result, which counts 0 here however many nodes
+    # HiGHS explored (its log shows 80 for the 2-pipeline ladder at 3 rounds)
     nodes: int
 
 

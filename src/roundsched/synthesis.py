@@ -1,15 +1,17 @@
 """Round-count search wrapped around the integer program.
 
-Round counts are tried in increasing order starting from zero; the first
-count whose program has an integer solution wins, so the schedule uses
-as few communication rounds as possible and, for that count, minimizes
-the summed worst-case chain latency of the applications.
+Round counts are tried in increasing order starting from min_rounds, a
+lower bound that no schedule of the mode can beat; the first count whose
+program has an integer solution wins, so the schedule uses as few
+communication rounds as possible and, for that count, minimizes the
+summed worst-case chain latency of the applications.  Counts below the
+bound are never built or solved.
 
 The solver budget is one deadline for the whole search, not a budget
 per round count.  When it runs out while the solver holds a schedule for
 the current count, that schedule is audited and returned with status
-"timeout": it uses as few rounds as possible (every smaller count was
-refuted), but its latency is not proven optimal.
+"timeout": it uses as few rounds as possible (every smaller count is
+below the bound or was refuted), but its latency is not proven optimal.
 """
 
 from __future__ import annotations
@@ -19,7 +21,14 @@ from dataclasses import dataclass
 
 from .checker import check
 from .ilp import build_instance, extract_schedule
-from .model import Mode, ModeSchedule, ValidationReport, hyperperiod, validate_mode
+from .model import (
+    Mode,
+    ModeSchedule,
+    ValidationReport,
+    chains,
+    hyperperiod,
+    validate_mode,
+)
 from .solver import solve
 from .timing import NetworkParams, round_length
 
@@ -37,7 +46,8 @@ class SynthesisOutcome:
     schedule: ModeSchedule | None  # on "timeout", the audited incumbent if any
     rounds_used: int | None
     objective_us: int | None
-    solver_calls: int  # round counts HiGHS was run on
+    min_rounds: int  # the search started here; smaller counts were not solved
+    solver_calls: int  # round counts HiGHS was run on, from min_rounds up
     nodes_total: int
 
 
@@ -48,12 +58,52 @@ def max_rounds(mode: Mode, params: NetworkParams, config: SynthConfig) -> int:
     return horizon // round_length(params)
 
 
+def min_rounds(mode: Mode, params: NetworkParams) -> int:
+    """Fewest rounds any schedule of the mode can have.
+
+    The larger of two lower bounds, over the H-long hyperperiod:
+
+    - capacity: every message instance is carried once, in one data slot,
+      and a round has slots_per_round of them, so the rounds number at
+      least ceil(sum over messages of H / p_m, over slots_per_round);
+    - chains: a round serves a message instance only if it fits inside
+      that instance's window.  Along a chain, one message's window closes
+      before its consumer starts, and the next message's window opens
+      only after that consumer ends, so the windows of one chain instance
+      are disjoint and need a round each.  The instance spans at most the
+      application's deadline, which is at most its period, so the spans
+      of successive instances do not overlap either.  A chain with k
+      distinct messages thus needs k * H / p_app rounds.
+
+    With messages but no data slots no count suffices: the bound is then
+    one round more than the hyperperiod holds.
+
+    >>> from roundsched.model import Application, Task
+    >>> t1 = Task("t1", "n1", 1000, 10_000); t2 = Task("t2", "n2", 1000, 10_000)
+    >>> app = Application("a", 10_000, 10_000, (t1, t2), (("t1", "t2", "m1"),))
+    >>> min_rounds(Mode("m", (app,)), NetworkParams(1, 5, 10))
+    1
+    """
+    h = hyperperiod(mode)
+    instances = sum(h // m.period_us for m in mode.all_messages().values())
+    if not instances:
+        return 0
+    if params.slots_per_round == 0:
+        return h // round_length(params) + 1
+    bound = -(-instances // params.slots_per_round)
+    for app in mode.applications:
+        for ch in chains(app):
+            bound = max(bound, len(set(ch.message_ids)) * (h // app.period_us))
+    return bound
+
+
 def synthesize(
     mode: Mode,
     params: NetworkParams,
     config: SynthConfig | None = None,
 ) -> SynthesisOutcome:
-    """Search for a schedule of the mode, trying round counts 0, 1, ..."""
+    """Search for a schedule of the mode, trying round counts from
+    min_rounds up to max_rounds."""
     if config is None:
         config = SynthConfig()
     if config.t_max_us is not None and config.t_max_us <= 0:
@@ -67,27 +117,28 @@ def synthesize(
     if not report.ok:
         raise ValueError(f"mode {mode.id} is not well formed: {sorted(report.codes())}")
 
+    r_min = min_rounds(mode, params)
     r_max = max_rounds(mode, params, config)
     deadline = None
     if config.solver_budget_ms is not None:
         deadline = time.monotonic() + config.solver_budget_ms / 1000
     calls = 0
     nodes = 0
-    for n_rounds in range(r_max + 1):
+    for n_rounds in range(r_min, r_max + 1):
         inst = build_instance(
             mode, n_rounds, params, grid_us=config.grid_us, t_max_us=config.t_max_us
         )
         budget_ms = None if deadline is None else (deadline - time.monotonic()) * 1000
         if budget_ms is not None and budget_ms <= 0:
             # spent before HiGHS ran on this count: not a solver call
-            return SynthesisOutcome("timeout", None, None, None, calls, nodes)
+            return SynthesisOutcome("timeout", None, None, None, r_min, calls, nodes)
         sol = solve(inst, budget_ms=budget_ms)
         calls += 1
         nodes += sol.nodes
         if sol.status == "infeasible":
             continue
         if sol.values is None:
-            return SynthesisOutcome("timeout", None, None, None, calls, nodes)
+            return SynthesisOutcome("timeout", None, None, None, r_min, calls, nodes)
         schedule = extract_schedule(inst, sol.values, mode)
         audit = check(mode, schedule, params)
         if not audit.ok:
@@ -96,5 +147,5 @@ def synthesize(
                 f"{sorted(audit.failed())}"
             )
         status = "feasible" if sol.status == "optimal" else "timeout"
-        return SynthesisOutcome(status, schedule, n_rounds, sol.objective, calls, nodes)
-    return SynthesisOutcome("infeasible", None, None, None, calls, nodes)
+        return SynthesisOutcome(status, schedule, n_rounds, sol.objective, r_min, calls, nodes)
+    return SynthesisOutcome("infeasible", None, None, None, r_min, calls, nodes)

@@ -60,13 +60,17 @@ def control_mode(period_ms: int = 100) -> Mode:
     return Mode("normal", (control_app(period_ms),))
 
 
-def ladder_mode(k: int) -> Mode:
+def ladder_mode(k: int, deadline_ms: int | None = None) -> Mode:
     """k sensor -> controller -> actuator loops sharing one controller node,
-    periods alternating 200/400 ms, 1 ms tasks.
+    periods alternating 200/400 ms, 1 ms tasks, deadlines equal to the
+    periods unless deadline_ms is given.
 
     Synthesized on a 5 ms grid over wide_params(hops=2), k = 4 needs four
     rounds, and HiGHS finds an optimal schedule for them (444 ms summed
-    latency) seconds before it can prove it optimal.
+    latency) seconds before it can prove it optimal.  With k = 5 and
+    115 ms deadlines, four rounds (the lower bound) are infeasible, and
+    five are optimal at 545 ms, proven only after about 15 s on a 2-core
+    x86 VM.
     """
     apps = []
     for i in range(k):
@@ -77,6 +81,7 @@ def ladder_mode(k: int) -> Mode:
                 p,
                 [(f"s{i}", f"n_s{i}", 1), (f"c{i}", "n_ctrl", 1), (f"a{i}", f"n_a{i}", 1)],
                 [(f"s{i}", f"c{i}", f"ms{i}"), (f"c{i}", f"a{i}", f"mc{i}")],
+                deadline_ms=deadline_ms,
             )
         )
     return Mode(f"ladder{k}", tuple(apps))

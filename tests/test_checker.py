@@ -298,3 +298,45 @@ def test_message_waits_for_every_producer_in_one_application():
         "e2e_deadline at chain t1>u: latency 117094 us exceeds deadline 100000 us",
         "e2e_deadline at chain t2>u: latency 116094 us exceeds deadline 100000 us",
     ]
+
+
+def test_shared_message_precedence_is_reported_once():
+    # a and b share t1 -m->, with t1 moved out of its domain so that m's
+    # release slips two periods past it: one violation, one line
+    a = mk_app("a", 100, [("t1", "n1", 1), ("u1", "n2", 1)], [("t1", "u1", "m")])
+    b = mk_app("b", 100, [("t1", "n1", 1), ("u2", "n3", 1)], [("t1", "u2", "m")])
+    sched = ModeSchedule(
+        mode_id="op",
+        hyperperiod_us=100_000,
+        round_len_us=T_R,
+        task_offsets={"t1": 150_000, "u1": 60_000, "u2": 60_000},
+        message_offsets={"m": 10_000},
+        message_deadlines={"m": 30_000},
+        rounds=(Round(10_000, ("m",)),),
+        leftover={"m": 0},
+    )
+    rep = check(Mode("op", (a, b)), sched, P)
+    assert [str(v) for v in rep.violations if v.code == "precedence"] == [
+        "precedence at message m: release slips 2 periods past producer t1",
+    ]
+
+
+def test_edge_listed_by_two_applications_is_reported_once():
+    # both applications list t1 -m-> u, and u's out-of-domain offset lies
+    # 190 ms before m's deadline: the consumer slips two periods
+    a = mk_app("a", 100, [("t1", "n1", 1), ("u", "n2", 1)], [("t1", "u", "m")])
+    b = mk_app("b", 100, [("t1", "n1", 1), ("u", "n2", 1)], [("t1", "u", "m")])
+    sched = ModeSchedule(
+        mode_id="op",
+        hyperperiod_us=100_000,
+        round_len_us=T_R,
+        task_offsets={"t1": 0, "u": -150_000},
+        message_offsets={"m": 10_000},
+        message_deadlines={"m": 30_000},
+        rounds=(Round(10_000, ("m",)),),
+        leftover={"m": 0},
+    )
+    rep = check(Mode("op", (a, b)), sched, P)
+    assert [str(v) for v in rep.violations if v.code == "precedence"] == [
+        "precedence at edge t1->u: consumer start slips 2 periods past message m deadline",
+    ]

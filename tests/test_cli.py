@@ -55,7 +55,10 @@ class TestSynth:
                    "--out", str(out)])
         assert rc == 0
         err = capsys.readouterr().err
-        assert "feasible: 2 rounds, objective 89000 us, 3 solver calls" in err
+        assert (
+            "feasible: 2 rounds, objective 89000 us, 1 solver call from the "
+            "2-round lower bound" in err
+        )
         sched = json.loads(out.read_text())
         assert sched["mode_id"] == "normal"
         assert len(sched["rounds"]) == 2
@@ -75,7 +78,22 @@ class TestSynth:
         spec.write_text(json.dumps(data))
         rc = main(["synth", "--spec", str(spec), "--mode", "normal"])
         assert rc == 2
-        assert "infeasible" in capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            "infeasible: needs at least 2 rounds, at most 1 fit\n"
+        )
+
+    def test_zero_slots_are_infeasible(self, capsys, tmp_path):
+        # the spec format accepts 0 data slots; no count of rounds can
+        # carry a message then
+        data = json.loads(Path(CONTROL).read_text())
+        data["network"]["slots_per_round"] = 0
+        spec = tmp_path / "mute.json"
+        spec.write_text(json.dumps(data))
+        rc = main(["synth", "--spec", str(spec), "--mode", "normal"])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            "infeasible: needs at least 17 rounds, at most 16 fit\n"
+        )
 
     def test_zero_budget_exits_1(self, capsys):
         rc = main(["synth", "--spec", CONTROL, "--mode", "normal",
@@ -149,12 +167,35 @@ class TestSynth:
         rc = main(["synth", "--spec", CONTROL, "--mode", "fallback",
                    "--out", str(tmp_path / "f.json"), "--lp-dir", str(lp_dir)])
         assert rc == 0
-        assert sorted(p.name for p in lp_dir.iterdir()) == [
-            "fallback_r0.lp",
-            "fallback_r1.lp",
-        ]
+        assert sorted(p.name for p in lp_dir.iterdir()) == ["fallback_r1.lp"]
         text = (lp_dir / "fallback_r1.lp").read_text()
         assert text.startswith("\\ fallback_r1\nMinimize\n")
+
+    def test_lp_dump_starts_at_the_lower_bound(self, capsys, tmp_path):
+        # a 3-task pipeline whose two messages need two rounds; HiGHS
+        # refutes counts 2 and 3, the only ones that fit
+        spec = tmp_path / "pipe.json"
+        spec.write_text(json.dumps({
+            "network": {"hops": 1, "slots_per_round": 2, "payload_bytes": 8,
+                        "retransmissions": 1},
+            "grid_us": 1000,
+            "modes": [{"id": "pipe", "applications": [{
+                "id": "a", "period_us": 50_000, "deadline_us": 40_000,
+                "tasks": [{"id": "t1", "node": "n1", "wcet_us": 3000},
+                          {"id": "t2", "node": "n0", "wcet_us": 4000},
+                          {"id": "t3", "node": "n0", "wcet_us": 2000}],
+                "edges": [{"src": "t1", "dst": "t2", "msg": "m1"},
+                          {"src": "t2", "dst": "t3", "msg": "m2"}],
+            }]}],
+        }))
+        lp_dir = tmp_path / "lps"
+        rc = main(["synth", "--spec", str(spec), "--lp-dir", str(lp_dir)])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            "infeasible: exhausted round counts after 2 solver calls from the "
+            "2-round lower bound\n"
+        )
+        assert sorted(p.name for p in lp_dir.iterdir()) == ["pipe_r2.lp", "pipe_r3.lp"]
 
     @pytest.mark.parametrize("mode_id, stem", [
         ("n\u00f6rmal\nEnd", "n_rmal_End"),  # not ASCII, and a line break
@@ -173,10 +214,7 @@ class TestSynth:
                    "--out", str(out), "--lp-dir", str(lp_dir)])
         assert rc == 0, capsys.readouterr().err
         assert json.loads(out.read_text())["mode_id"] == mode_id
-        assert sorted(p.name for p in lp_dir.iterdir()) == [
-            f"{stem}_r0.lp",
-            f"{stem}_r1.lp",
-        ]
+        assert sorted(p.name for p in lp_dir.iterdir()) == [f"{stem}_r1.lp"]
         assert sorted(p.name for p in tmp_path.iterdir()) == ["f.json", "lps", "renamed.json"]
         text = (lp_dir / f"{stem}_r1.lp").read_text(encoding="ascii")
         assert text.startswith(f"\\ {stem}_r1\nMinimize\n")

@@ -1,4 +1,7 @@
-"""Exhaustive round-count oracle: known-optimal cases and its size guards."""
+"""Exhaustive round-count oracle: known-optimal cases and its size guards.
+
+On every case the oracle can place, synthesis's lower bound min_rounds
+equals the count the oracle finds."""
 
 from __future__ import annotations
 
@@ -7,6 +10,7 @@ from oracle import brute_force_min_rounds
 
 from roundsched.checker import check
 from roundsched.model import Mode
+from roundsched.synthesis import min_rounds
 from support import mk_app, small_params
 
 GRID = 1000
@@ -15,7 +19,7 @@ GRID = 1000
 def test_no_messages_needs_no_rounds():
     mode = Mode("m", (mk_app("a", 20, [("t", "n", 1)], []),))
     r, witness = brute_force_min_rounds(mode, small_params(), GRID)
-    assert r == 0
+    assert r == 0 == min_rounds(mode, small_params())
     assert witness.rounds == ()
     assert check(mode, witness, small_params()).ok
 
@@ -27,7 +31,7 @@ def test_pipeline_single_round():
     )
     p = small_params()
     r, witness = brute_force_min_rounds(mode, p, GRID)
-    assert r == 1
+    assert r == 1 == min_rounds(mode, p)
     rep = check(mode, witness, p)
     assert rep.ok, str(rep)
 
@@ -41,7 +45,7 @@ def test_message_waits_for_its_slowest_producer():
     mode = Mode("m", (app,))
     p = small_params()
     r, witness = brute_force_min_rounds(mode, p, GRID)
-    assert r == 1
+    assert r == 1 == min_rounds(mode, p)
     assert witness.message_offsets["m"] >= witness.task_offsets["t2"] + 30_000
     assert check(mode, witness, p).ok
 
@@ -56,12 +60,12 @@ def test_two_messages_share_a_round_when_slots_allow():
     mode = Mode("m", (app,))
     p2 = small_params(slots=2)
     r2, w2 = brute_force_min_rounds(mode, p2, GRID)
-    assert r2 == 1
+    assert r2 == 1 == min_rounds(mode, p2)
     assert check(mode, w2, p2).ok
 
     p1 = small_params(slots=1)
     r1, w1 = brute_force_min_rounds(mode, p1, GRID)
-    assert r1 == 2
+    assert r1 == 2 == min_rounds(mode, p1)
     assert check(mode, w1, p1).ok
 
 
@@ -76,7 +80,7 @@ def test_wrapping_instance_carries_leftover():
     mode = Mode("m", (blocker, pipe))
     p = small_params()
     r, witness = brute_force_min_rounds(mode, p, GRID)
-    assert r == 1
+    assert r == 1 == min_rounds(mode, p)
     assert witness.leftover["m"] == 1
     assert witness.rounds[0].t == 0
     rep = check(mode, witness, p)

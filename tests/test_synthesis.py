@@ -5,7 +5,9 @@ confirmed by the exhaustive search oracle, so these are regression pins
 on behaviour, not on whatever the code happened to produce.
 """
 
+import dataclasses
 import time
+from pathlib import Path
 
 import pytest
 from oracle import brute_force_min_rounds
@@ -19,10 +21,15 @@ from support import (
 )
 
 from roundsched.checker import check
+from roundsched.ilp import build_instance
 from roundsched.model import Mode
-from roundsched.synthesis import SynthConfig, max_rounds, synthesize
+from roundsched.solver import solve
+from roundsched.specio import load_json, parse_spec
+from roundsched.synthesis import SynthConfig, max_rounds, min_rounds, synthesize
 
 GRID = SynthConfig(grid_us=1000)
+LADDER_GRID = SynthConfig(grid_us=5000)
+SPEC = Path(__file__).resolve().parent.parent / "specs" / "control_loop.json"
 
 
 def pipeline_mode(period_ms=40):
@@ -84,7 +91,8 @@ class TestKnownCases:
         assert out.status == "feasible"
         assert out.rounds_used == 2
         assert out.objective_us == 89_000
-        assert out.solver_calls == 3
+        assert out.min_rounds == 2  # chain t1 > m1 > t3 > m3 > t5
+        assert out.solver_calls == 1
         # several optima tie at 89 ms; which one is returned is up to the
         # solver, so only the audit is asserted, not the slot allocation
         assert check(mode, out.schedule, params).ok
@@ -108,13 +116,14 @@ class TestKnownCases:
         out = synthesize(control_mode(), wide_params(hops=4), GRID)
         assert out.status == "infeasible"
         assert out.schedule is None
-        assert out.solver_calls == 2  # round counts 0 and 1 both rejected
+        # two rounds are needed and only one fits: HiGHS never runs
+        assert (out.min_rounds, out.solver_calls) == (2, 0)
 
     def test_horizon_cap_limits_the_search(self):
         cfg = SynthConfig(grid_us=1000, t_max_us=50_000)
         out = synthesize(control_mode(), wide_params(hops=2), cfg)
         assert out.status == "infeasible"
-        assert out.solver_calls == 2
+        assert (out.min_rounds, out.solver_calls) == (2, 0)
 
 
 class TestLimitsAndGuards:
@@ -160,17 +169,21 @@ class TestLimitsAndGuards:
 
 class TestBudget:
     """The budget is one deadline for the whole search over round counts,
-    and running out of it still yields the audited incumbent."""
+    and running out of it still yields the audited incumbent.
 
-    BUDGET_MS = 3000
+    Five loops with 115 ms deadlines: HiGHS refutes the lower bound of
+    four rounds, then finds the 545 ms optimum at five rounds about 1 s
+    into that count but cannot prove it before the deadline."""
+
+    BUDGET_MS = 5000
     # time allowed past the deadline for HiGHS to notice it and for the
-    # audit of the incumbent; refuting counts 0..3 alone takes about 0.5 s,
+    # audit of the incumbent; refuting four rounds alone takes about 2.7 s,
     # so a budget restarted per round count would overrun it
     SLACK_S = 0.25
 
     @pytest.fixture(scope="class")
     def run(self):
-        mode, params = ladder_mode(4), wide_params(hops=2)
+        mode, params = ladder_mode(5, deadline_ms=115), wide_params(hops=2)
         cfg = SynthConfig(grid_us=5000, solver_budget_ms=self.BUDGET_MS)
         t0 = time.monotonic()
         out = synthesize(mode, params, cfg)
@@ -179,16 +192,16 @@ class TestBudget:
     def test_one_deadline_covers_every_round_count(self, run):
         _mode, _params, out, wall = run
         assert out.status == "timeout"
-        assert out.solver_calls >= 2
+        assert (out.min_rounds, out.solver_calls) == (4, 2)
         budget_s = self.BUDGET_MS / 1000
         assert budget_s <= wall <= budget_s + self.SLACK_S
 
     def test_timeout_returns_the_audited_incumbent(self, run):
         mode, params, out, _wall = run
-        assert out.solver_calls == 5  # counts 0..3 refuted, 4 ran out
-        assert out.rounds_used == 4
+        assert out.solver_calls == 2  # count 4 refuted, 5 ran out
+        assert out.rounds_used == 5
         assert check(mode, out.schedule, params).ok
-        assert out.objective_us >= 444_000  # the proven optimum
+        assert out.objective_us >= 545_000  # the proven optimum
 
 
 class TestLadderOptima:
@@ -204,6 +217,7 @@ class TestLadderOptima:
         out = synthesize(mode, params, SynthConfig(grid_us=5000))
         assert out.status == "feasible"
         assert out.rounds_used == rounds
+        assert (out.min_rounds, out.solver_calls) == (rounds, 1)
         assert out.objective_us == objective_us
         assert check(mode, out.schedule, params).ok
 
@@ -217,6 +231,57 @@ class TestOracleAgreement:
         if want_r is None:
             assert out.status == "infeasible"
         else:
+            assert min_rounds(mode, params) <= want_r
             assert out.status == "feasible"
             assert out.rounds_used == want_r
             assert check(mode, out.schedule, params).ok
+
+
+class TestLowerBound:
+    """min_rounds is where the search starts, so every count below it must
+    be one HiGHS refutes (soundness), and on these workloads it is the
+    count the search ends at (tightness)."""
+
+    def test_every_count_below_the_bound_is_infeasible(self):
+        spec = parse_spec(load_json(str(SPEC)))
+        cases = [(m, spec.network, SynthConfig(grid_us=spec.grid_us)) for m in spec.modes]
+        cases += [(ladder_mode(k), wide_params(hops=2), LADDER_GRID) for k in (1, 2, 3, 4)]
+        cases += [(*random_small_case(seed), GRID) for seed in range(40)]
+        skipped = 0
+        for mode, params, cfg in cases:
+            top = min(min_rounds(mode, params), max_rounds(mode, params, cfg) + 1)
+            for r in range(top):
+                inst = build_instance(mode, r, params, grid_us=cfg.grid_us)
+                assert solve(inst).status == "infeasible", (mode.id, r)
+                skipped += 1
+        assert skipped == 72  # counts the search no longer builds or solves
+
+    @pytest.mark.parametrize(
+        "mode, grid_us, rounds",
+        [(ladder_mode(k), 5000, 2 if k == 1 else 4) for k in (1, 2, 3, 4)]
+        + [(control_mode(), 1000, 2)],
+        ids=["ladder1", "ladder2", "ladder3", "ladder4", "control"],
+    )
+    def test_bound_is_the_least_feasible_count(self, mode, grid_us, rounds):
+        # the bound is feasible, and the count below it is refuted by the
+        # soundness test above; the objective is dropped because proving
+        # ladder4's latency optimal takes seconds
+        params = wide_params(hops=2)
+        assert min_rounds(mode, params) == rounds
+        inst = build_instance(mode, rounds, params, grid_us=grid_us)
+        inst.objective.clear()
+        assert solve(inst).status == "optimal"
+
+    def test_no_messages_need_no_rounds(self):
+        mode = Mode("m", (mk_app("a", 20, [("t", "n", 1)], []),))
+        assert min_rounds(mode, small_params()) == 0
+        assert min_rounds(mode, small_params(slots=0)) == 0
+        out = synthesize(mode, small_params(slots=0), GRID)
+        assert (out.status, out.rounds_used, out.solver_calls) == ("feasible", 0, 1)
+
+    def test_zero_slots_are_infeasible_without_a_solver_call(self):
+        mode = ladder_mode(2)
+        params = dataclasses.replace(wide_params(hops=2), slots_per_round=0)
+        assert min_rounds(mode, params) > max_rounds(mode, params, LADDER_GRID)
+        out = synthesize(mode, params, LADDER_GRID)
+        assert (out.status, out.schedule, out.solver_calls) == ("infeasible", None, 0)
