@@ -107,8 +107,7 @@ def check(mode: Mode, schedule: ModeSchedule, params: NetworkParams) -> CheckRep
     t_r = round_length(params)
     h = hyperperiod(mode)
     tasks = mode.all_tasks()
-    msgs = mode.all_messages()
-    period_of = {m.id: m.period_us for m in msgs.values()}
+    period_of = mode.message_periods()
 
     # -- domains -------------------------------------------------------------
     rep.evaluated.add("domains")
@@ -129,9 +128,9 @@ def check(mode: Mode, schedule: ModeSchedule, params: NetworkParams) -> CheckRep
         )
     for name, have, want in (
         ("task_offsets", set(schedule.task_offsets), set(tasks)),
-        ("message_offsets", set(schedule.message_offsets), set(msgs)),
-        ("message_deadlines", set(schedule.message_deadlines), set(msgs)),
-        ("leftover", set(schedule.leftover), set(msgs)),
+        ("message_offsets", set(schedule.message_offsets), set(period_of)),
+        ("message_deadlines", set(schedule.message_deadlines), set(period_of)),
+        ("leftover", set(schedule.leftover), set(period_of)),
     ):
         if have != want:
             structural = True
@@ -140,7 +139,7 @@ def check(mode: Mode, schedule: ModeSchedule, params: NetworkParams) -> CheckRep
             rep.add("domains", name, f"missing={missing} unexpected={extra}")
     for r_idx, r in enumerate(schedule.rounds):
         for mid in r.alloc:
-            if mid not in msgs:
+            if mid not in period_of:
                 rep.add("domains", f"round {r_idx}", f"unknown message {mid!r}")
     if structural:
         return rep
@@ -153,15 +152,13 @@ def check(mode: Mode, schedule: ModeSchedule, params: NetworkParams) -> CheckRep
                 f"task {tid}",
                 f"offset {o} outside [0, {t.period_us - t.wcet_us}]",
             )
-    for mid, m in msgs.items():
+    for mid, p in period_of.items():
         o = schedule.message_offsets[mid]
         d = schedule.message_deadlines[mid]
-        if not 0 <= o < m.period_us:
-            rep.add("domains", f"message {mid}", f"offset {o} outside [0, {m.period_us})")
-        if not 0 < d <= m.period_us:
-            rep.add(
-                "domains", f"message {mid}", f"deadline {d} outside (0, {m.period_us}]"
-            )
+        if not 0 <= o < p:
+            rep.add("domains", f"message {mid}", f"offset {o} outside [0, {p})")
+        if not 0 < d <= p:
+            rep.add("domains", f"message {mid}", f"deadline {d} outside (0, {p}]")
 
     # -- rounds --------------------------------------------------------------
     rep.evaluated.update({"round_gap", "round_overlap", "slot_capacity"})
@@ -229,18 +226,18 @@ def check(mode: Mode, schedule: ModeSchedule, params: NetworkParams) -> CheckRep
     edges_seen: set[tuple[str, str, str]] = set()
     for app in mode.applications:
         p = app.period_us
-        for m in app.messages:
-            if m.id in sig_p:
+        for mid in app.message_ids:
+            if mid in sig_p:
                 continue
-            sig_p[m.id] = 0
-            for prod in producers[m.id]:
+            sig_p[mid] = 0
+            for prod in producers[mid]:
                 done = schedule.task_offsets[prod.id] + prod.wcet_us
-                s = max(0, _ceil_div(done - schedule.message_offsets[m.id], p))
-                sig_p[m.id] = max(sig_p[m.id], s)
+                s = max(0, _ceil_div(done - schedule.message_offsets[mid], p))
+                sig_p[mid] = max(sig_p[mid], s)
                 if s > 1:
                     rep.add(
                         "precedence",
-                        f"message {m.id}",
+                        f"message {mid}",
                         f"release slips {s} periods past producer {prod.id}",
                     )
         for edge in app.edges:
@@ -292,14 +289,14 @@ def check(mode: Mode, schedule: ModeSchedule, params: NetworkParams) -> CheckRep
     rounds_sorted = tuple(sorted(schedule.rounds, key=lambda r: r.t))
     # one entry per allocated slot, in round order; unknown ids were
     # reported under domains
-    allocs_of: dict[str, list[Round]] = {mid: [] for mid in msgs}
+    allocs_of: dict[str, list[Round]] = {mid: [] for mid in period_of}
     for r in rounds_sorted:
         for slot in r.alloc:
             if slot in allocs_of:
                 allocs_of[slot].append(r)
     round_points = {0, h}
     round_points.update(min(h + 1, r.t + t_r + 1) for r in rounds_sorted)
-    for mid in sorted(msgs):
+    for mid in sorted(period_of):
         p = period_of[mid]
         o = schedule.message_offsets[mid]
         d = schedule.message_deadlines[mid]

@@ -153,23 +153,23 @@ def build_instance(
             key[k] = inst.add_var(name, lb, ub, binary)
 
     tasks = mode.all_tasks()
-    msgs = mode.all_messages()
-    period_of = {m.id: m.period_us for m in msgs.values()}
+    period_of = mode.message_periods()
+    mids = sorted(period_of)
 
     # --- variables ----------------------------------------------------------
     md_lb = -(-t_r // g)  # window must be wide enough to hold one round
     for t in tasks.values():
         add(("o", t.id), f"o_{_safe(t.id)}", 0, (t.period_us - t.wcet_us) // g)
-    for m in msgs.values():
-        pg = m.period_us // g
-        add(("mo", m.id), f"mo_{_safe(m.id)}", 0, pg - 1)
+    for mid, p in period_of.items():
+        pg = p // g
+        add(("mo", mid), f"mo_{_safe(mid)}", 0, pg - 1)
         if md_lb > pg:
             # no window of this period can contain a whole round
-            inst.add_row(f"nofit_{_safe(m.id)}", {}, "<=", -1)
-        add(("md", m.id), f"md_{_safe(m.id)}", min(md_lb, pg), pg)
+            inst.add_row(f"nofit_{_safe(mid)}", {}, "<=", -1)
+        add(("md", mid), f"md_{_safe(mid)}", min(md_lb, pg), pg)
     for app in mode.applications:
-        for m in app.messages:
-            add(("sp", m.id), f"sp_{_safe(m.id)}", 0, 1, binary=True)
+        for mid in app.message_ids:
+            add(("sp", mid), f"sp_{_safe(mid)}", 0, 1, binary=True)
         for _src, dst, mid in app.edges:
             add(("sc", mid, dst), f"sc_{_safe(mid)}__{_safe(dst)}", 0, 1, binary=True)
     for i, app in enumerate(mode.applications):
@@ -193,14 +193,14 @@ def build_instance(
     for j in range(n_rounds):
         add(("rt", j), f"rt{j}", 0, rt_ub)
     for j in range(n_rounds):
-        for mid in sorted(msgs):
+        for mid in mids:
             k_m = h // period_of[mid]
             add(("ka", j, mid), f"ka{j}_{_safe(mid)}", 0, k_m + 1)
             add(("kd", j, mid), f"kd{j}_{_safe(mid)}", -1, k_m + 1)
     for j in range(n_rounds):
-        for mid in sorted(msgs):
+        for mid in mids:
             add(("n", j, mid), f"n{j}_{_safe(mid)}", 0, n_slots)
-    for mid in sorted(msgs):
+    for mid in mids:
         add(("r0", mid), f"r0_{_safe(mid)}", 0, 1, binary=True)
 
     # --- objective ----------------------------------------------------------
@@ -213,14 +213,14 @@ def build_instance(
     handoffs: set[tuple] = set()  # (msg, producer) and (msg, consumer) rows
     for i, app in enumerate(mode.applications):
         p = app.period_us
-        for m in app.messages:
-            for prod in producers[m.id]:
-                if ("prod", m.id, prod.id) in handoffs:  # listed by an earlier app
+        for mid in app.message_ids:
+            for prod in producers[mid]:
+                if ("prod", mid, prod.id) in handoffs:  # listed by an earlier app
                     continue
-                handoffs.add(("prod", m.id, prod.id))
+                handoffs.add(("prod", mid, prod.id))
                 inst.add_row(
-                    f"prod_{_safe(m.id)}",
-                    {key["o", prod.id]: g, key["mo", m.id]: -g, key["sp", m.id]: -p},
+                    f"prod_{_safe(mid)}",
+                    {key["o", prod.id]: g, key["mo", mid]: -g, key["sp", mid]: -p},
                     "<=",
                     -prod.wcet_us,
                 )
@@ -269,7 +269,7 @@ def build_instance(
     # --- service windows vs rounds ------------------------------------------
     for j in range(n_rounds):
         rt = key["rt", j]
-        for mid in sorted(msgs):
+        for mid in mids:
             p = period_of[mid]
             s = _safe(mid)
             mo, md, r0 = key["mo", mid], key["md", mid], key["r0", mid]
@@ -298,11 +298,11 @@ def build_instance(
     # --- slot capacity ------------------------------------------------------
     for j in range(n_rounds):
         inst.add_row(
-            f"cap_{j}", {key["n", j, mid]: 1 for mid in sorted(msgs)}, "<=", n_slots
+            f"cap_{j}", {key["n", j, mid]: 1 for mid in mids}, "<=", n_slots
         )
 
     # --- conservation -------------------------------------------------------
-    for mid in sorted(msgs):
+    for mid in mids:
         inst.add_row(
             f"total_{_safe(mid)}",
             {key["n", j, mid]: 1 for j in range(n_rounds)},
@@ -340,7 +340,7 @@ def extract_schedule(
     n_rounds = inst.meta["n_rounds"]
     n_slots = inst.meta["slots_per_round"]
     tasks = mode.all_tasks()
-    msgs = mode.all_messages()
+    mids = sorted(mode.message_periods())
 
     def val(*k) -> int:
         return values[inst.keys[k]]
@@ -348,7 +348,7 @@ def extract_schedule(
     rounds = []
     for j in range(n_rounds):
         alloc = []
-        for mid in sorted(msgs):
+        for mid in mids:
             alloc.extend([mid] * val("n", j, mid))
         if len(alloc) > n_slots:
             raise DecodeError(f"round {j} oversubscribed: {alloc}")
@@ -359,8 +359,8 @@ def extract_schedule(
         hyperperiod_us=inst.meta["hyperperiod_us"],
         round_len_us=inst.meta["round_len_us"],
         task_offsets={tid: val("o", tid) * g for tid in sorted(tasks)},
-        message_offsets={mid: val("mo", mid) * g for mid in sorted(msgs)},
-        message_deadlines={mid: val("md", mid) * g for mid in sorted(msgs)},
+        message_offsets={mid: val("mo", mid) * g for mid in mids},
+        message_deadlines={mid: val("md", mid) * g for mid in mids},
         rounds=tuple(rounds),
-        leftover={mid: val("r0", mid) for mid in sorted(msgs)},
+        leftover={mid: val("r0", mid) for mid in mids},
     )

@@ -7,6 +7,7 @@ round allocations) lives in ModeSchedule, not on the model objects.
 
 from __future__ import annotations
 
+import graphlib
 import math
 from dataclasses import dataclass, field
 from typing import Iterable
@@ -37,23 +38,15 @@ class Task:
 
 
 @dataclass(frozen=True, slots=True)
-class Message:
-    """A periodic message exchanged between tasks over the wireless bus."""
-
-    id: str
-    period_us: int
-
-
-@dataclass(frozen=True, slots=True)
 class Application:
     """A distributed application: a DAG of tasks with message-labelled edges.
 
     edges are (producer task id, consumer task id, message id) triples. A
     message appearing on several edges from the same producer is a multicast.
-    Tasks inherit the application's period.  The messages are the ones the
-    edges name, sorted by id, each with the application's period.  A message
-    with several producers (on one node, see validate_mode) is released only
-    once every one of them has finished.
+    Tasks and messages inherit the application's period.  message_ids are
+    the ids the edges name, sorted; Mode.message_periods pairs each with its
+    period.  A message with several producers (on one node, see
+    validate_mode) is released only once every one of them has finished.
     """
 
     id: str
@@ -63,9 +56,8 @@ class Application:
     edges: tuple[tuple[str, str, str], ...]
 
     @property
-    def messages(self) -> tuple[Message, ...]:
-        ids = sorted({mid for _, _, mid in self.edges})
-        return tuple(Message(mid, self.period_us) for mid in ids)
+    def message_ids(self) -> tuple[str, ...]:
+        return tuple(sorted({mid for _, _, mid in self.edges}))
 
     def task_by_id(self, tid: str) -> Task:
         for t in self.tasks:
@@ -78,7 +70,6 @@ class Application:
 class Chain:
     """One maximal source-to-sink path, alternating task and message ids."""
 
-    app_id: str
     items: tuple[str, ...]
 
     @property
@@ -112,12 +103,12 @@ class Mode:
                 out[t.id] = t
         return out
 
-    def all_messages(self) -> dict[str, Message]:
-        out: dict[str, Message] = {}
-        for app in self.applications:
-            for m in app.messages:
-                out[m.id] = m
-        return out
+    def message_periods(self) -> dict[str, int]:
+        """Message id -> period, in the order the applications first list
+        each message."""
+        return {
+            mid: app.period_us for app in self.applications for mid in app.message_ids
+        }
 
     def producers(self) -> dict[str, tuple[Task, ...]]:
         """Message id -> the tasks producing it in any of the applications,
@@ -207,52 +198,28 @@ def chains(app: Application) -> tuple[Chain, ...]:
     for src, dst, mid in app.edges:
         out_edges[src].append((mid, dst))
         has_in.add(dst)
-    for lst in out_edges.values():
-        lst.sort()
 
     result: list[tuple[str, ...]] = []
-
-    def walk(prefix: list[str], tid: str) -> None:
-        succ = out_edges.get(tid, ())
+    stack = [(t.id,) for t in app.tasks if t.id not in has_in]
+    while stack:
+        path = stack.pop()
+        succ = out_edges.get(path[-1], ())
         if not succ:
-            result.append(tuple(prefix))
-            return
-        for mid, dst in succ:
-            prefix.extend((mid, dst))
-            walk(prefix, dst)
-            del prefix[-2:]
-
-    for t in sorted(app.tasks, key=lambda t: t.id):
-        if t.id not in has_in:
-            walk([t.id], t.id)
+            result.append(path)
+        stack.extend(path + edge for edge in succ)
     result.sort()
-    return tuple(Chain(app.id, items) for items in result)
+    return tuple(Chain(items) for items in result)
 
 
 def _check_acyclic(app: Application) -> None:
-    adj: dict[str, list[str]] = {t.id: [] for t in app.tasks}
+    preds: dict[str, list[str]] = {t.id: [] for t in app.tasks}
     for src, dst, _ in app.edges:
-        if src in adj and dst in adj:
-            adj[src].append(dst)
-    WHITE, GREY, BLACK = 0, 1, 2
-    color = {tid: WHITE for tid in adj}
-    stack: list[tuple[str, Iterable[str]]] = []
-    for start in adj:
-        if color[start] != WHITE:
-            continue
-        color[start] = GREY
-        stack.append((start, iter(adj[start])))
-        while stack:
-            node, it = stack[-1]
-            nxt = next(it, None)
-            if nxt is None:
-                color[node] = BLACK
-                stack.pop()
-            elif color[nxt] == GREY:
-                raise ModelError(f"application {app.id!r} graph has a cycle")
-            elif color[nxt] == WHITE:
-                color[nxt] = GREY
-                stack.append((nxt, iter(adj[nxt])))
+        if src in preds and dst in preds:
+            preds[dst].append(src)
+    try:
+        graphlib.TopologicalSorter(preds).prepare()
+    except graphlib.CycleError:
+        raise ModelError(f"application {app.id!r} graph has a cycle") from None
 
 
 @dataclass(frozen=True, slots=True)
@@ -345,7 +312,7 @@ def validate_mode(mode: Mode, report: ValidationReport) -> None:
         validate_application(app, report)
     # shared tasks/messages must agree on their attributes
     tasks_seen: dict[str, Task] = {}
-    msgs_seen: dict[str, Message] = {}
+    periods_seen: dict[str, int] = {}
     for app in mode.applications:
         for t in app.tasks:
             prev = tasks_seen.setdefault(t.id, t)
@@ -355,12 +322,11 @@ def validate_mode(mode: Mode, report: ValidationReport) -> None:
                     f"{where}, task {t.id}",
                     "differs between applications",
                 )
-        for m in app.messages:
-            prev_m = msgs_seen.setdefault(m.id, m)
-            if prev_m != m:
+        for mid in app.message_ids:
+            if periods_seen.setdefault(mid, app.period_us) != app.period_us:
                 report.add(
                     "shared_message_mismatch",
-                    f"{where}, message {m.id}",
+                    f"{where}, message {mid}",
                     "differs between applications",
                 )
     # one node sends a message, so all its producers must sit on that node
@@ -372,10 +338,12 @@ def validate_mode(mode: Mode, report: ValidationReport) -> None:
                 f"{where}, message {mid}",
                 f"producers map to several nodes: {nodes}",
             )
-    try:
-        hyperperiod(mode)
-    except ModelError as exc:
-        report.add("hyperperiod_overflow", where, str(exc))
+    # a non-positive period is bad_period, reported per application
+    if all(app.period_us > 0 for app in mode.applications):
+        try:
+            hyperperiod(mode)
+        except ModelError as exc:
+            report.add("hyperperiod_overflow", where, str(exc))
 
 
 def validate_modes_disjoint(modes: Iterable[Mode], report: ValidationReport) -> None:

@@ -94,7 +94,7 @@ def run(
             raise ValueError(f"mode {mid_} has no rounds; nothing would be sent")
         if sched.mode_id != mode.id or mode.id != mid_:
             raise ValueError(f"mode table entry {mid_} is inconsistent")
-        msgs = mode.all_messages()
+        msgs = mode.message_periods()
         for j, r in enumerate(sched.rounds):
             for m_id in r.alloc:
                 if m_id not in msgs:

@@ -85,7 +85,7 @@ def min_rounds(mode: Mode, params: NetworkParams) -> int:
     1
     """
     h = hyperperiod(mode)
-    instances = sum(h // m.period_us for m in mode.all_messages().values())
+    instances = sum(h // p for p in mode.message_periods().values())
     if not instances:
         return 0
     if params.slots_per_round == 0:

@@ -174,7 +174,7 @@ def brute_force_min_rounds(
     t_r = round_length(params)
     cap = params.slots_per_round
     tasks = list(mode.all_tasks().values())
-    msgs = list(mode.all_messages().values())
+    msgs = mode.message_periods()
     if h % grid_us:
         raise ValueError("hyperperiod must be a multiple of the grid")
     if h // grid_us > max_grid_points:
@@ -194,7 +194,7 @@ def brute_force_min_rounds(
     def floor_g(x: int) -> int:
         return (x // grid_us) * grid_us
 
-    total_instances = sum(h // m.period_us for m in msgs)
+    total_instances = sum(h // p for p in msgs.values())
     global_lb = _ceil_div(total_instances, cap) if msgs else 0
 
     # a message is released once every one of its producers has finished
@@ -204,9 +204,9 @@ def brute_force_min_rounds(
     for app in mode.applications:
         for src, _dst, mid in app.edges:
             producers.setdefault(mid, set()).add(app.task_by_id(src))
-        for m in app.messages:
-            consumers[m.id] = sorted({dst for _s, dst, mid in app.edges if mid == m.id})
-            app_of_msg[m.id] = app
+        for m_id in app.message_ids:
+            consumers[m_id] = sorted({dst for _s, dst, mid in app.edges if mid == m_id})
+            app_of_msg[m_id] = app
 
     def produced(offsets: dict[str, int], m_id: str) -> int:
         """When the last producer of m_id finishes."""
@@ -314,11 +314,11 @@ def brute_force_min_rounds(
         return out
 
     def try_leaf(offsets: dict[str, int]) -> None:
-        cand_lists = [msg_candidates(offsets, m.id) for m in msgs]
+        cand_lists = [msg_candidates(offsets, m_id) for m_id in msgs]
         if any(not c for c in cand_lists):
             return
         for combo in product(*cand_lists):
-            choice = {m.id: cv for m, cv in zip(msgs, combo)}
+            choice = dict(zip(msgs, combo))
             if not e2e_ok(offsets, choice):
                 continue
             wrapping = [

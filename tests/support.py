@@ -87,6 +87,19 @@ def ladder_mode(k: int, deadline_ms: int | None = None) -> Mode:
     return Mode(f"ladder{k}", tuple(apps))
 
 
+def pipeline_app(n_tasks: int, period_ms: int = 1000) -> Application:
+    """One chain t0000 -m0000-> t0001 -> ... of n_tasks 1 ms tasks, each on
+    a node of its own: deeper than Python's default recursion limit once
+    n_tasks passes about 1000."""
+    tids = [f"t{i:04d}" for i in range(n_tasks)]
+    return mk_app(
+        "pipe",
+        period_ms,
+        [(tid, f"n_{tid}", 1) for tid in tids],
+        [(tids[i], tids[i + 1], f"m{i:04d}") for i in range(n_tasks - 1)],
+    )
+
+
 def wide_params(hops: int = 4) -> NetworkParams:
     """The reference deployment: 5 data slots of 10-byte payloads."""
     return NetworkParams(hops=hops, slots_per_round=5, payload_bytes=10)

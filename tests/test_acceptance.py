@@ -213,7 +213,7 @@ def test_acceptance_6_counting_functions():
         s = out.schedule
         for mid in s.message_offsets:
             o, d = s.message_offsets[mid], s.message_deadlines[mid]
-            p = mode.all_messages()[mid].period_us
+            p = mode.message_periods()[mid]
             for t in range(0, s.hyperperiod_us + 1, step):
                 df = df_oracle(o, d, p, t)
                 sv = sv_oracle(mid, t, s.rounds, s.leftover[mid], s.round_len_us)

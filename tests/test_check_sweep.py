@@ -93,7 +93,7 @@ def mutate(rng: random.Random, mode: Mode, sched: ModeSchedule) -> ModeSchedule:
     offsets = dict(sched.message_offsets)
     leftover = dict(sched.leftover)
     mids = sorted(offsets)
-    periods = {m.id: m.period_us for m in mode.all_messages().values()}
+    periods = mode.message_periods()
     for _ in range(rng.randint(1, 2)):
         kind = rng.choice(["shift", "align", "drop", "add", "leftover", "cross"])
         j = rng.randrange(len(rounds))
@@ -175,7 +175,7 @@ def test_corpus_covers_passes_failures_and_wrapped_windows():
     assert sum(r.ok for r in reports) >= 10
     assert sum(1 in s.leftover.values() for _, s in CORPUS) >= 20
     assert sum(
-        s.message_offsets[m] + s.message_deadlines[m] > mode.all_messages()[m].period_us
+        s.message_offsets[m] + s.message_deadlines[m] > mode.message_periods()[m]
         for mode, s in CORPUS
         for m in s.message_offsets
     ) >= 20

@@ -26,6 +26,7 @@ from roundsched.specio import (
 )
 from roundsched.synthesis import synthesize
 from roundsched.timing import NetworkParams, t_round
+from support import pipeline_app
 
 SPEC_DIR = Path(__file__).resolve().parent.parent / "specs"
 CONTROL = str(SPEC_DIR / "control_loop.json")
@@ -93,6 +94,23 @@ class TestSynth:
         assert rc == 2
         assert capsys.readouterr().err == (
             "infeasible: needs at least 17 rounds, at most 16 fit\n"
+        )
+
+    def test_1100_task_pipeline_gets_a_status_line(self, capsys, tmp_path):
+        app = pipeline_app(1100)
+        data = json.loads(Path(CONTROL).read_text())
+        data["modes"] = [{"id": "long", "applications": [{
+            "id": app.id,
+            "period_us": app.period_us,
+            "tasks": [{"id": t.id, "node": t.node, "wcet_us": t.wcet_us} for t in app.tasks],
+            "edges": [{"src": s, "dst": d, "msg": m} for s, d, m in app.edges],
+        }]}]
+        spec = tmp_path / "pipe.json"
+        spec.write_text(json.dumps(data))
+        rc = main(["synth", "--spec", str(spec)])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            "infeasible: needs at least 1099 rounds, at most 23 fit\n"
         )
 
     def test_zero_budget_exits_1(self, capsys):

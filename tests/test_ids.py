@@ -126,7 +126,7 @@ def respelt(mode: Mode, names: list[str]) -> Mode:
     ids = sorted(
         {a.id for a in mode.applications}
         | {t.id for a in mode.applications for t in a.tasks}
-        | {m.id for a in mode.applications for m in a.messages}
+        | set(mode.message_periods())
     )
     to = dict(zip(ids, names))
     return Mode(

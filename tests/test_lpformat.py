@@ -7,15 +7,21 @@ package solves the instance from memory, so a wrong coefficient in the
 text shows up as a disagreement.
 """
 
+import hashlib
+from pathlib import Path
+
 import pytest
 from lptools import milp_solve, parse_lp
-from support import control_mode, random_small_case, wide_params
+from support import control_mode, mk_app, random_small_case, wide_params
 
 from roundsched.ilp import build_instance
 from roundsched.lpformat import render_lp, write_lp
-from roundsched.model import hyperperiod
+from roundsched.model import Mode, ValidationReport, hyperperiod, validate_mode
 from roundsched.solver import solve
+from roundsched.specio import load_json, parse_spec
 from roundsched.timing import round_length
+
+SPEC = Path(__file__).resolve().parent.parent / "specs" / "control_loop.json"
 
 
 def control_instance(n_rounds=2):
@@ -106,3 +112,48 @@ class TestCrossSolver:
         assert mine.status == status
         if status == "optimal":
             assert mine.objective == obj
+
+
+def shared_mode() -> Mode:
+    """Two applications that share task s and message m; the second lists
+    a message (k) of its own after m, so hoisting every sp_<msg> ahead of
+    the sc_<msg>__<dst> variables would reorder the program."""
+    s = ("s", "n_s", 1)
+    one = mk_app("one", 100, [s, ("x", "n_x", 1)], [("s", "x", "m")])
+    two = mk_app(
+        "two", 100, [s, ("y", "n_y", 1), ("z", "n_z", 1)], [("s", "y", "m"), ("y", "z", "k")]
+    )
+    return Mode("shared", (one, two))
+
+
+# sha256 of render_lp(build_instance(...)), recorded before the model's
+# messages became plain ids.  A deliberate change of the formulation
+# (another row, bound or variable order) must record new digests here.
+PINNED_LP = {
+    ("normal", 0): "db0d74cd92aaf72a89dcaf54bb9911549192016186baeef0503e7012953174bf",
+    ("normal", 1): "89db11e834ab1879048adb1536336d5cde0d5f9df18864ca79f96602fc39bb0b",
+    ("normal", 2): "1d4b1e479140342da5c6620706a6abab8a82b2dbaf2dc22fe1efeedbde662a22",
+    ("normal", 3): "58d21677ae039bbebce7f4d45f195fe42b48d28d7949336ba39b9eb881fa61bf",
+    ("fallback", 0): "7faa463ead873990ac63a637dba45f8c3f6b024bc47c62ca2e8ed99d8c844d11",
+    ("fallback", 1): "db4c0f46b88857eb0f0c3898850da2841b694fd5d085fbf432a46fcafb8f56ba",
+    ("fallback", 2): "ab9649e9e66f2f36762695295455fefa5a1b0e9ca6fc2d6863e3ac6ad11fdad4",
+    ("fallback", 3): "bde52539861650a088fef4c563e12df5e169d67f03f67d9445f8f083085a12ed",
+    ("shared", 0): "7bdf81ab82b0c2ac62cc7d63e2d0d65cdb4094596f57bb9719bf695e83cd1d39",
+    ("shared", 1): "6b88191a1418141561509ebc6cf6ff3b270ad4b6606ee8493afb97172a9d8491",
+    ("shared", 2): "8b36193277378c2acbd80fd7807eb967a65fad7bf733fba74db7a55f40f677c9",
+    ("shared", 3): "eded91bc29f0b8ac32536508276dd955df644112e420cb6166e5ae01472ae423",
+}
+
+
+@pytest.mark.parametrize("mode_id, n_rounds", sorted(PINNED_LP))
+def test_exported_bytes_are_pinned(mode_id, n_rounds):
+    if mode_id == "shared":
+        mode, params, grid = shared_mode(), wide_params(hops=2), 1000
+        report = ValidationReport()
+        validate_mode(mode, report)
+        assert report.ok, str(report)
+    else:
+        spec = parse_spec(load_json(str(SPEC)))
+        mode, params, grid = spec.mode_by_id(mode_id), spec.network, spec.grid_us
+    text = render_lp(build_instance(mode, n_rounds, params, grid_us=grid))
+    assert hashlib.sha256(text.encode()).hexdigest() == PINNED_LP[mode_id, n_rounds]

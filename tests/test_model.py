@@ -10,8 +10,9 @@ from hypothesis import strategies as st
 
 from roundsched.model import (
     Application,
-    Message,
     Mode,
+    ModelError,
+    Task,
     ValidationReport,
     chains,
     hyperperiod,
@@ -19,7 +20,16 @@ from roundsched.model import (
     validate_mode,
     validate_modes_disjoint,
 )
-from support import MS, control_app, control_mode, mk_app, path_count_oracle
+from roundsched.synthesis import min_rounds
+from support import (
+    MS,
+    control_app,
+    control_mode,
+    mk_app,
+    path_count_oracle,
+    pipeline_app,
+    small_params,
+)
 
 
 def app_report(app: Application) -> ValidationReport:
@@ -90,6 +100,33 @@ class TestValidation:
             [("t1", "t2", "m1"), ("t2", "t1", "m2")],
         )
         assert "graph_cycle" in app_report(app).codes()
+
+    def test_self_loop_is_a_cycle(self):
+        app = mk_app("a", 10, [("t1", "n1", 1)], [("t1", "t1", "m")])
+        assert "graph_cycle" in app_report(app).codes()
+
+    def test_non_positive_period_is_reported_once(self):
+        app = Application("a", 0, 0, (Task("t", "n", 1, 0),), ())
+        report = mode_report(Mode("m", (app,)))
+        assert [v.code for v in report.violations] == ["bad_period", "bad_deadline"]
+
+    def test_hyperperiod_beyond_the_cap_overflows(self):
+        # two primes near 1000 s: their lcm is just past the cap
+        apps = tuple(
+            Application(f"a{p}", p, p, (Task(f"t{p}", "n", 1, p),), ())
+            for p in (1_000_003, 1_000_033)
+        )
+        report = mode_report(Mode("m", apps))
+        assert report.codes() == {"hyperperiod_overflow"}
+
+    def test_shared_message_needs_one_period(self):
+        a = mk_app("a", 10, [("t1", "n1", 1), ("u1", "n2", 1)], [("t1", "u1", "m")])
+        b = mk_app("b", 20, [("t2", "n1", 1), ("u2", "n3", 1)], [("t2", "u2", "m")])
+        report = mode_report(Mode("m", (a, b)))
+        assert [(v.code, v.where) for v in report.violations] == [
+            ("shared_message_mismatch", "mode m, message m")
+        ]
+        assert mode_report(Mode("m", (a, dataclasses.replace(a, id="b")))).ok
 
     def test_task_period_mismatch(self):
         app = control_app()
@@ -207,18 +244,41 @@ class TestChains:
         )
         assert len(chains(app)) == path_count_oracle(n, edges)
 
+    def test_cycle_raises_model_error(self):
+        app = mk_app(
+            "a",
+            10,
+            [("t0", "n0", 1), ("t1", "n1", 1), ("t2", "n2", 1)],
+            [("t0", "t1", "m0"), ("t1", "t2", "m1"), ("t2", "t1", "m2")],
+        )
+        with pytest.raises(ModelError, match="application 'a' graph has a cycle"):
+            chains(app)
+
+    def test_long_pipeline(self):
+        # 1100 tasks: a chain walk that recurses once per hop overflows
+        # Python's default stack here
+        app = pipeline_app(1100)
+        mode = Mode("m", (app,))
+        assert mode_report(mode).ok
+        (chain,) = chains(app)
+        assert len(chain.items) == 2199
+        assert chain.task_ids == tuple(t.id for t in app.tasks)
+        assert chain.message_ids == app.message_ids
+        # 1099 hops of one chain instance, one round each
+        assert min_rounds(mode, small_params()) == 1099
+
     def test_chains_cover_every_task_and_message(self):
         app = control_app()
         seen_t = {t for c in chains(app) for t in c.task_ids}
         seen_m = {m for c in chains(app) for m in c.message_ids}
         assert seen_t == {t.id for t in app.tasks}
-        assert seen_m == {m.id for m in app.messages}
+        assert seen_m == set(app.message_ids)
 
 
 def test_mode_accessors():
     mode = control_mode()
     assert list(mode.all_tasks()) == ["t1", "t2", "t3", "t5", "t6"]
-    assert list(mode.all_messages()) == ["m1", "m2", "m3"]
+    assert list(mode.message_periods()) == ["m1", "m2", "m3"]
     assert hyperperiod(mode) == 100 * MS
 
 
@@ -229,8 +289,10 @@ def test_messages_are_derived_from_edges():
         [("t1", "n1", 1), ("t2", "n2", 1), ("t3", "n3", 1)],
         [("t2", "t3", "mb"), ("t1", "t3", "ma"), ("t1", "t2", "ma")],
     )
-    assert app.messages == (Message("ma", 10 * MS), Message("mb", 10 * MS))
-    assert dataclasses.replace(app, period_us=20 * MS).messages[0].period_us == 20 * MS
+    assert app.message_ids == ("ma", "mb")
+    assert Mode("m", (app,)).message_periods() == {"ma": 10 * MS, "mb": 10 * MS}
+    slower = dataclasses.replace(app, period_us=20 * MS)
+    assert Mode("m", (slower,)).message_periods()["ma"] == 20 * MS
 
 
 def test_mode_producers_merge_applications():

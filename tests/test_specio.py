@@ -68,7 +68,7 @@ class TestBundledSpec:
         assert [m.id for m in spec.modes] == ["normal", "fallback"]
         normal = spec.mode_by_id("normal")
         assert sorted(normal.all_tasks()) == ["t1", "t2", "t3", "t5", "t6"]
-        assert sorted(normal.all_messages()) == ["m1", "m2", "m3"]
+        assert sorted(normal.message_periods()) == ["m1", "m2", "m3"]
         with pytest.raises(KeyError):
             spec.mode_by_id("nope")
 
