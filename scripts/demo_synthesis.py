@@ -77,10 +77,10 @@ def main():
     print(f"simulated {trace.beacons_sent} rounds at {args.loss:.0%} beacon loss: "
           f"{trace.beacons_missed} missed beacons, {trace.transmissions} "
           f"transmissions, {trace.collisions} collisions, {trace.resyncs} resyncs")
-    for t, kind, data in trace.events:
-        if kind in ("request", "announce", "epoch"):
-            extra = ", ".join(f"{k}={v}" for k, v in data.items())
-            print(f"  {t:>9} us  {kind:<9} {extra}")
+    for e in trace.events:
+        if e["kind"] in ("request", "announce", "epoch"):
+            extra = ", ".join(f"{k}={v}" for k, v in e.items() if k not in ("t", "kind"))
+            print(f"  {e['t']:>9} us  {e['kind']:<9} {extra}")
     return 0
 
 

@@ -185,7 +185,8 @@ def chains(app: Application) -> tuple[Chain, ...]:
 
     Each chain alternates task and message ids, starting and ending with a
     task. A task with neither incoming nor outgoing edges forms a one-item
-    chain. Raises ModelError if the graph has a cycle.
+    chain. Raises ModelError if the graph has a cycle or an edge names a
+    task the application does not list.
 
     >>> t1 = Task("t1", "n1", 1000, 10_000); t2 = Task("t2", "n2", 1000, 10_000)
     >>> app = Application("a", 10_000, 10_000, (t1, t2), (("t1", "t2", "m1"),))
@@ -196,6 +197,10 @@ def chains(app: Application) -> tuple[Chain, ...]:
     out_edges: dict[str, list[tuple[str, str]]] = {t.id: [] for t in app.tasks}
     has_in: set[str] = set()
     for src, dst, mid in app.edges:
+        for end in (src, dst):
+            if end not in out_edges:
+                raise ModelError(
+                    f"application {app.id!r}: edge {mid!r} names unknown task {end!r}")
         out_edges[src].append((mid, dst))
         has_in.add(dst)
 

@@ -17,10 +17,13 @@ the new mode's time origin is that round's end.  A node that misses the
 switch beacon is degraded, silent until any beacon of the new mode
 resynchronizes it.
 
-Events are streamed: run() yields each (t, kind, data) event as the
-round that makes it is simulated and keeps only the counters, so a run
-costs the memory of a round, not of its length.  simulate() collects
-the same events into SimTrace.events.
+An event is the flat dict the trace file holds: its time "t", its
+"kind" and the kind's fields, every value a str, int or bool.  The
+trace writer encodes events without looking at their values and relies
+on this.  Events are streamed: run() yields each event as the round
+that makes it is simulated and keeps only the counters, so a run costs
+the memory of a round, not of its length.  simulate() collects the same
+events into SimTrace.events.
 """
 
 from __future__ import annotations
@@ -47,7 +50,8 @@ class Scenario:
     switches: tuple[SwitchRequest, ...] = ()
 
 
-Event = tuple[int, str, dict]
+#: {"t": int, "kind": str, <field>: str | int | bool, ...}
+Event = dict[str, str | int | bool]
 
 
 @dataclass
@@ -60,14 +64,27 @@ class SimTrace:
     resyncs: int = 0
 
     def of_kind(self, kind: str) -> list[Event]:
-        return [e for e in self.events if e[1] == kind]
+        return [e for e in self.events if e["kind"] == kind]
 
 
 def simulate(
     mode_table: dict[str, tuple[Mode, ModeSchedule]],
     scenario: Scenario,
 ) -> SimTrace:
-    """Run the protocol for a fixed number of rounds and return the trace."""
+    """Run the protocol for a fixed number of rounds and return the trace.
+
+    Each event is a flat dict; a round opens with its beacon:
+
+    >>> from roundsched.model import Application, Mode, ModeSchedule, Round, Task
+    >>> app = Application("loop", 100_000, 100_000,
+    ...     (Task("s", "n1", 1000, 100_000), Task("c", "n2", 1000, 100_000)),
+    ...     (("s", "c", "m"),))
+    >>> sched = ModeSchedule("op", 100_000, 15_094, {"s": 0, "c": 40_000},
+    ...     {"m": 1000}, {"m": 30_000}, (Round(2000, ("m",)),), {"m": 0})
+    >>> trace = simulate({"op": (Mode("op", (app,)), sched)}, Scenario("op", 1))
+    >>> trace.events[0]
+    {'t': 2000, 'kind': 'beacon', 'round_id': 0, 'mode': 'op', 'index': 0, 'sb': 0}
+    """
     trace = SimTrace()
     trace.events.extend(run(mode_table, scenario, trace))
     return trace
@@ -144,7 +161,8 @@ def _rounds(
         # pick up a queued request at the round boundary
         if to_mode is None and queue and queue[0].at_us <= t:
             req = queue.pop(0)
-            yield t, "request", {"to": req.to_mode, "requested_at": req.at_us}
+            yield {"t": t, "kind": "request", "to": req.to_mode,
+                   "requested_at": req.at_us}
             if req.to_mode != mode_id:
                 # commit in the round serving each message's last instance:
                 # a carried one is served by its first round of the next cycle
@@ -159,19 +177,19 @@ def _rounds(
                     if end > commit_end:
                         commit, commit_end = (c, j), end
                 to_mode = req.to_mode
-                yield t, "announce", {"to": to_mode, "commit_end": commit_end}
+                yield {"t": t, "kind": "announce", "to": to_mode, "commit_end": commit_end}
 
         committing = to_mode is not None and commit == (cycle, index)
         trace.beacons_sent += 1
-        yield t, "beacon", {"round_id": round_id, "mode": mode_id, "index": index,
-                            "sb": 1 if committing else 0}
+        yield {"t": t, "kind": "beacon", "round_id": round_id, "mode": mode_id,
+               "index": index, "sb": 1 if committing else 0}
 
         heard = {}
         for n in nodes:
             heard[n] = rng.random() >= scenario.beacon_loss
             if not heard[n]:
                 trace.beacons_missed += 1
-                yield t, "miss", {"node": n, "round_id": round_id}
+                yield {"t": t, "kind": "miss", "node": n, "round_id": round_id}
 
         # reactions of nodes that heard the beacon
         for n in nodes:
@@ -179,9 +197,10 @@ def _rounds(
                 continue
             if n in degraded_since or belief[n] != mode_id:
                 trace.resyncs += 1
-                yield t, "resync", {"node": n, "mode": mode_id}
+                yield {"t": t, "kind": "resync", "node": n, "mode": mode_id}
                 if n in degraded_since:
-                    yield t, "degraded", {"node": n, "since": degraded_since.pop(n)}
+                    yield {"t": t, "kind": "degraded", "node": n,
+                           "since": degraded_since.pop(n)}
                 belief[n] = mode_id
             if committing:
                 belief[n] = to_mode
@@ -194,13 +213,15 @@ def _rounds(
             p_node = producers[mode_id][m_id][0].node
             if heard[p_node]:
                 txers.append((p_node, m_id))
-            if len({m for _, m in txers}) > 1 or len(txers) > 1:
+            if len(txers) > 1:
+                # the senders are named by the tx events that follow
                 trace.collisions += 1
-                yield t, "collision", {"slot": s, "parties": txers}
+                yield {"t": t, "kind": "collision", "round_id": round_id,
+                       "slot": s, "senders": len(txers)}
             for n, m in txers:
                 trace.transmissions += 1
-                yield t, "tx", {"node": n, "msg": m, "round_id": round_id,
-                                "slot": s}
+                yield {"t": t, "kind": "tx", "node": n, "msg": m,
+                       "round_id": round_id, "slot": s}
 
         if committing:
             for n in nodes:
@@ -212,7 +233,7 @@ def _rounds(
             cycle = 0
             index = 0
             to_mode = None
-            yield t_end, "epoch", {"mode": mode_id}
+            yield {"t": t_end, "kind": "epoch", "mode": mode_id}
             continue
 
         index += 1
@@ -221,4 +242,4 @@ def _rounds(
             cycle += 1
 
     for n, since in sorted(degraded_since.items()):
-        yield since, "degraded", {"node": n, "since": since, "open": True}
+        yield {"t": since, "kind": "degraded", "node": n, "since": since, "open": True}

@@ -10,7 +10,8 @@ newline. A simulation trace is streamed, never held whole:
 trace_chunks() pulls events from an iterable (such as the live
 sim.run() iterator) in blocks of TRACE_BLOCK_EVENTS, encodes each with
 the C JSON encoder and yields it, then writes the summary last; the
-bytes are those of dumps(trace_to_obj(trace)).
+bytes are those of dumps(trace_to_obj(trace)).  An event is written as
+it is: a flat dict of "t", "kind" and the kind's fields.
 """
 
 from __future__ import annotations
@@ -291,36 +292,27 @@ def _summary_obj(trace: SimTrace) -> dict:
     }
 
 
-def _event_objs(events) -> list[dict]:
-    return [{"t": t, "kind": kind, **data} for t, kind, data in events]
-
-
 def trace_to_obj(trace: SimTrace) -> dict:
-    return {"summary": _summary_obj(trace), "events": _event_objs(trace.events)}
+    return {"summary": _summary_obj(trace), "events": trace.events}
 
 
 #: events encoded per block by trace_chunks()
 TRACE_BLOCK_EVENTS = 2048
 
-# Without indent, json uses its C encoder. This one writes each event of a
-# list as '{"k": v,\n      "k": v}', joined by '},\n      {': the key lines
-# already carry the 6-space indent of an event inside "events".
+# Without indent, json uses its C encoder. Events are flat (see sim), so
+# this one writes each event of a list as '{"k": v,\n      "k": v}',
+# joined by '},\n      {': the key lines already carry the 6-space indent
+# of an event inside "events".
 _EVENT_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",\n      ", ": "))
-_SCALARS = frozenset((str, int, bool, type(None)))
 
 
-def _events_text(events: list[dict]) -> str:
+def _events_text(events: list[Event]) -> str:
     """The events as dumps() indents them inside "events", comma-joined."""
-    if {type(v) for ev in events for v in ev.values()} <= _SCALARS:
-        # JSON strings hold no raw newline, so '},\n      {' only occurs
-        # between two events
-        body = _EVENT_ENCODER.encode(events)[2:-2].replace(
-            "},\n      {", "\n    },\n    {\n      ")
-        return "{\n      " + body + "\n    }"
-    if len(events) == 1:
-        # a nested value needs its own indented lines: take the reference path
-        return json.dumps(events[0], indent=2, sort_keys=True).replace("\n", "\n    ")
-    return ",\n    ".join(_events_text([ev]) for ev in events)
+    # JSON strings hold no raw newline, so '},\n      {' only occurs
+    # between two events
+    body = _EVENT_ENCODER.encode(events)[2:-2].replace(
+        "},\n      {", "\n    },\n    {\n      ")
+    return "{\n      " + body + "\n    }"
 
 
 def trace_chunks(events: Iterable[Event], trace: SimTrace) -> Iterator[str]:
@@ -338,7 +330,7 @@ def trace_chunks(events: Iterable[Event], trace: SimTrace) -> Iterator[str]:
     else:
         yield '{\n  "events": [\n    '
         while block:
-            yield _events_text(_event_objs(block))
+            yield _events_text(block)
             block = list(islice(events, TRACE_BLOCK_EVENTS))
             if block:
                 yield ",\n    "

@@ -258,24 +258,24 @@ def test_acceptance_7_protocol_safety():
 
     announces = trace.of_kind("announce")
     epochs = trace.of_kind("epoch")
-    switch_beacons = [e for e in trace.of_kind("beacon") if e[2]["sb"]]
+    switch_beacons = [e for e in trace.of_kind("beacon") if e["sb"]]
     phases = (
         len(announces) == len(epochs) == len(switch_beacons) == 2
-        and [a[2]["commit_end"] for a in announces] == [e[0] for e in epochs]
+        and [a["commit_end"] for a in announces] == [e["t"] for e in epochs]
         and all(
-            sb_t < ep_t and ep_t - sb_t == 42_644
-            for (sb_t, _, _), (ep_t, _, _) in zip(switch_beacons, epochs)
+            sb["t"] < ep["t"] and ep["t"] - sb["t"] == 42_644
+            for sb, ep in zip(switch_beacons, epochs)
         )
     )
-    for (ep_t, _, ep), (an_t, _, an) in zip(epochs, announces):
+    for ep, an in zip(epochs, announces):
         first_new = next(
-            e for e in trace.of_kind("beacon") if e[0] > ep_t
+            e for e in trace.of_kind("beacon") if e["t"] > ep["t"]
         )
-        phases = phases and first_new[2]["mode"] == ep["mode"] == an["to"]
+        phases = phases and first_new["mode"] == ep["mode"] == an["to"]
 
     recovered = all(
-        any(rt == t and rd["node"] == d["node"] for rt, _, rd in trace.of_kind("resync"))
-        for t, _, d in trace.of_kind("degraded")
+        any(r["t"] == d["t"] and r["node"] == d["node"] for r in trace.of_kind("resync"))
+        for d in trace.of_kind("degraded")
         if "open" not in d
     )
     dt = time.monotonic() - t0

@@ -21,6 +21,7 @@ from roundsched.model import (
     validate_modes_disjoint,
 )
 from roundsched.synthesis import min_rounds
+from roundsched.timing import min_app_latency
 from support import (
     MS,
     control_app,
@@ -253,6 +254,22 @@ class TestChains:
         )
         with pytest.raises(ModelError, match="application 'a' graph has a cycle"):
             chains(app)
+
+    @staticmethod
+    def assert_unknown_task_refused(edge):
+        app = mk_app("a", 10, [("t", "n", 1)], [edge])
+        msg = "application 'a': edge 'm' names unknown task 'ghost'"
+        with pytest.raises(ModelError, match=msg):
+            chains(app)
+        with pytest.raises(ModelError, match=msg):
+            min_app_latency(app, 1000)
+
+    def test_edge_from_an_unknown_task_raises_model_error(self):
+        self.assert_unknown_task_refused(("ghost", "t", "m"))
+
+    def test_edge_to_an_unknown_task_raises_model_error(self):
+        # once returned the chain ('t', 'm', 'ghost')
+        self.assert_unknown_task_refused(("t", "ghost", "m"))
 
     def test_long_pipeline(self):
         # 1100 tasks: a chain walk that recurses once per hop overflows

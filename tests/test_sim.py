@@ -58,7 +58,7 @@ def table():
 
 
 def beacon_times(trace):
-    return [(t, d["round_id"], d["mode"]) for t, _, d in trace.of_kind("beacon")]
+    return [(e["t"], e["round_id"], e["mode"]) for e in trace.of_kind("beacon")]
 
 
 class TestQuietNetwork:
@@ -112,12 +112,12 @@ class TestLossExtremes:
         assert trace.beacons_missed > 0
         assert trace.resyncs > 0
         # every closed degraded span ends at the resync that repaired it
-        closed = [e for e in trace.of_kind("degraded") if "open" not in e[2]]
-        for t, _, data in closed:
-            assert data["since"] <= t
+        closed = [e for e in trace.of_kind("degraded") if "open" not in e]
+        for d in closed:
+            assert d["since"] <= d["t"]
             assert any(
-                rt == t and rd["node"] == data["node"]
-                for rt, _, rd in trace.of_kind("resync")
+                r["t"] == d["t"] and r["node"] == d["node"]
+                for r in trace.of_kind("resync")
             )
 
 
@@ -128,20 +128,21 @@ class TestModeChange:
         )
         trace = simulate(table, scn)
 
-        (rq_t, _, rq), = trace.of_kind("request")
-        assert rq == {"to": "fallback", "requested_at": 250_000}
-        assert rq_t == 301_000  # next round boundary after the request
+        (rq,) = trace.of_kind("request")
+        # picked up at the next round boundary after the request
+        assert rq == {"t": 301_000, "kind": "request", "to": "fallback",
+                      "requested_at": 250_000}
 
-        (an_t, _, an), = trace.of_kind("announce")
-        assert an_t == 301_000
+        (an,) = trace.of_kind("announce")
+        assert an["t"] == 301_000
         # last obligation of the cycle is the second round, ending 345 + 42.644 ms
         assert an["commit_end"] == 387_644
 
-        switch_beacons = [e for e in trace.of_kind("beacon") if e[2]["sb"]]
-        assert [(t, d["round_id"]) for t, _, d in switch_beacons] == [(345_000, 7)]
+        switch_beacons = [e for e in trace.of_kind("beacon") if e["sb"]]
+        assert [(e["t"], e["round_id"]) for e in switch_beacons] == [(345_000, 7)]
 
-        (ep_t, _, ep), = trace.of_kind("epoch")
-        assert (ep_t, ep["mode"]) == (387_644, "fallback")
+        (ep,) = trace.of_kind("epoch")
+        assert (ep["t"], ep["mode"]) == (387_644, "fallback")
 
         after = [b for b in beacon_times(trace) if b[0] > 387_644]
         assert after[0] == (388_644, 8, "fallback")
@@ -164,11 +165,11 @@ class TestModeChange:
             switches=(SwitchRequest(250_000, "fallback"),),
         )
         trace = simulate(table, scn)
-        (ep_t, _, _), = trace.of_kind("epoch")
+        (ep,) = trace.of_kind("epoch")
         degraded = trace.of_kind("degraded")
         assert degraded, "expected someone to miss the switch beacon"
-        for _, _, data in degraded:
-            assert data["since"] == ep_t
+        for d in degraded:
+            assert d["since"] == ep["t"]
 
 
 class TestCarriedMessageCommit:
@@ -204,19 +205,19 @@ class TestCarriedMessageCommit:
         table = self.hand_table(leftover=1)
         scn = Scenario("wrapped", 4, switches=(SwitchRequest(0, "alt"),))
         trace = simulate(table, scn)
-        (_, _, an), = trace.of_kind("announce")
+        (an,) = trace.of_kind("announce")
         assert an["commit_end"] == 115_094  # round 0 of the NEXT cycle
-        (ep_t, _, _), = trace.of_kind("epoch")
-        assert ep_t == 115_094
+        (ep,) = trace.of_kind("epoch")
+        assert ep["t"] == 115_094
 
     def test_without_leftover_commit_stays_in_cycle(self):
         table = self.hand_table(leftover=0)
         scn = Scenario("wrapped", 4, switches=(SwitchRequest(0, "alt"),))
         trace = simulate(table, scn)
-        (_, _, an), = trace.of_kind("announce")
+        (an,) = trace.of_kind("announce")
         assert an["commit_end"] == 15_094
-        (ep_t, _, _), = trace.of_kind("epoch")
-        assert ep_t == 15_094
+        (ep,) = trace.of_kind("epoch")
+        assert ep["t"] == 15_094
 
     @classmethod
     def two_round_table(cls, carried):
@@ -249,30 +250,30 @@ class TestCarriedMessageCommit:
         return {"twice": (mode, sched), "alt": cls.hand_table(leftover=0)["alt"]}
 
     def switch_beacons(self, trace):
-        return [(t, d["round_id"]) for t, _, d in trace.of_kind("beacon") if d["sb"]]
+        return [(e["t"], e["round_id"]) for e in trace.of_kind("beacon") if e["sb"]]
 
     def test_carried_commit_is_the_first_round_of_the_next_cycle(self):
         table = self.two_round_table(carried=True)
         scn = Scenario("twice", 6, switches=(SwitchRequest(0, "alt"),))
         trace = simulate(table, scn)
-        (_, _, an), = trace.of_kind("announce")
+        (an,) = trace.of_kind("announce")
         # round 0 of the next cycle, not its last round (142 ms)
         assert an["commit_end"] == 115_094
         assert self.switch_beacons(trace) == [(100_000, 2)]
-        (ep_t, _, _), = trace.of_kind("epoch")
-        assert ep_t == 115_094
+        (ep,) = trace.of_kind("epoch")
+        assert ep["t"] == 115_094
 
     def test_uncarried_commit_is_the_last_round_of_this_cycle(self):
         table = self.two_round_table(carried=False)
         scn = Scenario("twice", 6, switches=(SwitchRequest(0, "alt"),))
         trace = simulate(table, scn)
-        (an_t, _, an), = trace.of_kind("announce")
-        assert an_t == 6_000
+        (an,) = trace.of_kind("announce")
+        assert an["t"] == 6_000
         # round 1 of this cycle, not the round 0 that announced it
         assert an["commit_end"] == 71_094
         assert self.switch_beacons(trace) == [(56_000, 1)]
-        (ep_t, _, _), = trace.of_kind("epoch")
-        assert ep_t == 71_094
+        (ep,) = trace.of_kind("epoch")
+        assert ep["t"] == 71_094
 
 
 def test_message_is_sent_from_the_node_of_its_producers():
@@ -292,7 +293,7 @@ def test_message_is_sent_from_the_node_of_its_producers():
     )
     assert check(mode, sched, small_params()).ok
     trace = simulate({"op": (mode, sched)}, Scenario("op", 3))
-    assert [e[2]["node"] for e in trace.of_kind("tx")] == ["n1"] * 3
+    assert [e["node"] for e in trace.of_kind("tx")] == ["n1"] * 3
 
 
 class TestRejectedInputs:

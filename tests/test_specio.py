@@ -217,9 +217,8 @@ class TestWriting:
 
     def test_trace_to_obj_shape(self):
         trace = SimTrace()
-        trace.events.append(
-            (5, "beacon", {"round_id": 0, "mode": "x", "index": 0, "sb": 0})
-        )
+        event = {"t": 5, "kind": "beacon", "round_id": 0, "mode": "x", "index": 0, "sb": 0}
+        trace.events.append(event)
         obj = trace_to_obj(trace)
         assert obj["summary"] == {
             "beacons_sent": 0,
@@ -228,9 +227,7 @@ class TestWriting:
             "collisions": 0,
             "resyncs": 0,
         }
-        assert obj["events"] == [
-            {"t": 5, "kind": "beacon", "round_id": 0, "mode": "x", "index": 0, "sb": 0}
-        ]
+        assert obj["events"] == [event]
 
 
 class TestLoadJson:

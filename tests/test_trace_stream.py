@@ -84,6 +84,25 @@ def test_long_lossy_run_with_mode_changes(table):
     assert len(reference.events) > 3 * TRACE_BLOCK_EVENTS
 
 
+def test_every_event_is_flat(table):
+    # the writer lays events out without looking at their values, which
+    # holds only for a flat dict of scalars
+    switches = (SwitchRequest(250_000, "fallback"), SwitchRequest(90_000_000, "normal"))
+    full = simulate(table, Scenario("normal", 4000, 0.2, 11, switches))
+    # cut at the second switch beacon: a node that missed it is still
+    # degraded when the run ends
+    last_sb = [e for e in full.of_kind("beacon") if e["sb"]][-1]
+    cut = simulate(table, Scenario("normal", last_sb["round_id"] + 1, 0.2, 11, switches))
+    events = full.events + cut.events
+    for e in events:
+        assert type(e) is dict, e
+        assert type(e["t"]) is int and type(e["kind"]) is str, e
+        assert all(type(v) in (str, int, bool) for v in e.values()), e
+    assert {e["kind"] for e in events} == {
+        "request", "announce", "beacon", "miss", "resync", "degraded", "tx", "epoch"}
+    assert {"open" in e for e in events if e["kind"] == "degraded"} == {False, True}
+
+
 def peak_bytes_writing(table, scenario) -> int:
     """Peak traced allocation while a trace is written to a discarding sink."""
     tracemalloc.start()

@@ -35,26 +35,21 @@ strings = st.lists(st.one_of(st.text(max_size=4), st.sampled_from(TRICKY)),
                    max_size=4).map("".join)
 ints = st.one_of(st.integers(-(2**70), 2**70), st.sampled_from((0, -1, 2**63, -(2**64))))
 scalars = st.one_of(strings, ints, st.booleans(), st.none())
-# values the C encoder would lay out on one line: these must take the
-# reference path
-nested = st.one_of(
-    st.lists(scalars, max_size=3),
-    st.lists(st.tuples(strings, strings), max_size=3).map(tuple),
-    st.dictionaries(strings, scalars, max_size=2),
-    st.floats(),
-)
 keys = st.one_of(strings, st.sampled_from(("t", "kind", "node", "msg", "round_id")))
 
-flat_events = st.tuples(ints, strings, st.dictionaries(keys, scalars, max_size=4))
-collisions = st.tuples(
-    ints,
-    st.just("collision"),
-    st.fixed_dictionaries({
-        "slot": st.integers(0, 20),
-        "parties": st.lists(st.tuples(strings, strings), max_size=3),
-    }),
+# an event is flat: "t", "kind" and scalar fields, which may be drawn
+# with the keys "t" and "kind" and then replace them
+flat_events = st.builds(
+    lambda t, kind, fields: {"t": t, "kind": kind, **fields},
+    ints, strings, st.dictionaries(keys, scalars, max_size=4),
 )
-other_nested = st.tuples(ints, strings, st.dictionaries(keys, nested, min_size=1, max_size=2))
+collisions = st.fixed_dictionaries({
+    "t": ints,
+    "kind": st.just("collision"),
+    "round_id": st.integers(0, 2**40),
+    "slot": st.integers(0, 20),
+    "senders": st.integers(2, 5),
+})
 
 
 @st.composite
@@ -66,7 +61,7 @@ def traces(draw):
     """
     block = draw(st.sampled_from((1, 2, 3, TRACE_BLOCK_EVENTS)))
     pool = draw(st.lists(
-        st.one_of(flat_events, flat_events, collisions, other_nested),
+        st.one_of(flat_events, flat_events, collisions),
         min_size=1, max_size=6,
     ))
     n = draw(st.one_of(
@@ -113,8 +108,8 @@ def test_empty_trace():
 
 
 def test_collision_at_every_position_of_a_block():
-    flat = (5, "tx", {"node": "a", "msg": "m", "round_id": 0, "slot": 1})
-    hit = (5, "collision", {"slot": 1, "parties": [("a", "m"), ("b", "m")]})
+    flat = {"t": 5, "kind": "tx", "node": "a", "msg": "m", "round_id": 0, "slot": 1}
+    hit = {"t": 5, "kind": "collision", "round_id": 0, "slot": 1, "senders": 2}
     for pos in range(4):
         trace = SimTrace(events=[flat] * 4)
         trace.events[pos] = hit
