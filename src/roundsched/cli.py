@@ -124,7 +124,8 @@ def _cmd_synth(args) -> int:
             f"best schedule has {out.rounds_used} rounds, objective "
             f"{out.objective_us} us, not proven optimal; "
         )
-    _status(f"timeout: {best}solver budget exhausted after {searched}")
+    bound = "" if out.dual_bound_us is None else f", dual bound {out.dual_bound_us} us"
+    _status(f"timeout: {best}solver budget exhausted after {searched}{bound}")
     return 1
 
 

@@ -34,6 +34,14 @@ variables and among the rows.
 Each served instance needs a round that starts at or after its release
 and ends by its deadline, so the window width is bounded below by the
 round length; that bound is baked into md's domain.
+
+Rows sym_<i>_<j> break the symmetry of interchangeable applications: for
+application i and the first later application j that model.swap_map can
+swap with it, d_i <= d_j.  A swap maps the mode, and so the program, onto
+itself; the swaps generate every permutation of each class of such
+applications, so any schedule can be renamed to sort each class's
+latencies in mode order, and the optimum does not move.  A mode without
+such a pair gets no sym rows.
 """
 
 from __future__ import annotations
@@ -42,7 +50,7 @@ import math
 import re
 from dataclasses import dataclass, field
 
-from .model import Mode, ModeSchedule, Round, chains, hyperperiod
+from .model import Mode, ModeSchedule, Round, chains, hyperperiod, swap_map
 from .timing import NetworkParams, round_length
 
 
@@ -248,6 +256,14 @@ def build_instance(
                 for x in (key["sp", mid], key["sc", mid, ch.task_ids[k + 1]]):
                     coeffs[x] = coeffs.get(x, 0) + p
             inst.add_row(f"lat_{_safe(app.id)}_{c_idx}", coeffs, "<=", -last.wcet_us)
+
+    # --- interchangeable applications (see the module docstring) -----------
+    n_apps = len(mode.applications)
+    for i in range(n_apps):
+        for j in range(i + 1, n_apps):
+            if swap_map(mode, i, j) is not None:
+                inst.add_row(f"sym_{i}_{j}", {key["d", i]: 1, key["d", j]: -1}, "<=", 0)
+                break
 
     # --- round ordering -----------------------------------------------------
     for j in range(n_rounds - 1):

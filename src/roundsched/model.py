@@ -123,6 +123,56 @@ class Mode:
         return {mid: tuple(ts[k] for k in sorted(ts)) for mid, ts in sorted(out.items())}
 
 
+def swap_map(mode: Mode, i: int, j: int) -> dict[str, str] | None:
+    """The renaming that swaps applications i and j and maps the mode onto
+    itself, or None where this test finds none.
+
+    Tasks pair in the order the two applications list them, with equal
+    WCETs; the applications have equal periods and deadlines.  Edges pair
+    in listed order too, join paired tasks, and their messages pair one to
+    one.  Neither application shares a task or message id with any other.
+    Nodes pair as their tasks do, one to one, and a node that moves hosts
+    only tasks of the two applications, so a node they share with the rest
+    of the mode stays put.  The result maps each task and message id of
+    either application to its partner, in both directions.
+
+    >>> t = lambda tid, node: Task(tid, node, 1000, 10_000)
+    >>> a = Application("a", 10_000, 10_000, (t("s", "n1"), t("c", "hub")),
+    ...                 (("s", "c", "m"),))
+    >>> b = Application("b", 10_000, 10_000, (t("s2", "n2"), t("c2", "hub")),
+    ...                 (("s2", "c2", "m2"),))
+    >>> swap_map(Mode("m", (a, b)), 0, 1)["m2"]
+    'm'
+    """
+    a, b = mode.applications[i], mode.applications[j]
+    if (i == j or (a.period_us, a.deadline_us) != (b.period_us, b.deadline_us)
+            or len(a.tasks) != len(b.tasks) or len(a.edges) != len(b.edges)):
+        return None
+    ren: dict[str, str] = {}
+    nodes: dict[str, str] = {}
+
+    def pair(m: dict[str, str], x: str, y: str) -> bool:
+        return m.setdefault(x, y) == y and m.setdefault(y, x) == x
+
+    for x, y in zip(a.tasks, b.tasks):
+        if x.wcet_us != y.wcet_us or not (pair(ren, x.id, y.id) and pair(nodes, x.node, y.node)):
+            return None
+    for (s, d, m), (s2, d2, m2) in zip(a.edges, b.edges):
+        if ren.get(s) != s2 or ren.get(d) != d2 or not pair(ren, m, m2):
+            return None
+    own_tasks = [t.id for t in a.tasks + b.tasks]
+    own_msgs = a.message_ids + b.message_ids
+    rest = [app for k, app in enumerate(mode.applications) if k not in (i, j)]
+    rest_tasks = {t.id for app in rest for t in app.tasks}
+    rest_msgs = {mid for app in rest for mid in app.message_ids}
+    rest_nodes = {t.node for app in rest for t in app.tasks}
+    if (len(set(own_tasks)) < len(own_tasks) or len(set(own_msgs)) < len(own_msgs)
+            or rest_tasks.intersection(own_tasks) or rest_msgs.intersection(own_msgs)
+            or any(u != v and u in rest_nodes for u, v in nodes.items())):
+        return None
+    return ren
+
+
 @dataclass(frozen=True, slots=True)
 class Round:
     """One communication round: start time and its slot allocation.

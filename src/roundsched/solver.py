@@ -13,9 +13,10 @@ VM:
 - mip_rel_gap 0: the search stops only when the latency is proven
   optimal, not within HiGHS's default 0.01 % gap.
 - mip_pool_soft_limit 100: caps the cut pool, the main heap cost of the
-  larger programs.  On the hardest ladder program (4 pipelines sharing a
-  controller, 4 rounds) the default pool of 10000 peaks at 92.6 MB RSS and
-  solves in 9.5 s; 100 cuts peak at 85.9 MB and solve in 6.1 s.
+  larger programs.  On the 4-pipeline ladder program (4 pipelines sharing
+  a controller, 4 rounds, with its sym rows) 100 cuts peak at 86.1-86.3 MB
+  RSS and prove the optimum in 2.7-3.0 s (911 nodes); the default pool of
+  10000 peaks at 88.5-89.0 MB and proves it in 2.0-2.3 s (736 nodes).
 - mip_heuristic_run_feasibility_jump off: on the small programs whose
   root LP bound is already the optimum, the feasibility-jump heuristic
   spent about half of each ~20 ms solve finding an incumbent that the
@@ -31,6 +32,7 @@ from __future__ import annotations
 
 import contextlib
 import ctypes
+import math
 import os
 import sys
 import time
@@ -46,8 +48,8 @@ from .ilp import ILPInstance, check_assignment
 HIGHS_OPTIONS = {
     # prove the latency optimal, not within the default 0.01 % gap
     "mip_rel_gap": 0.0,
-    # 4-pipeline ladder, 4 rounds: 85.9 MB and 6.1 s, against 92.6 MB and
-    # 9.5 s with the default pool of 10000 cuts
+    # 4-pipeline ladder, 4 rounds: 86 MB and 2.7-3.0 s, against 89 MB and
+    # 2.0-2.3 s with the default pool of 10000 cuts
     "mip_pool_soft_limit": 100,
     # small programs: ~10 ms per solve instead of ~20 ms, half of which the
     # heuristic spent on an incumbent the root heuristics then replaced
@@ -70,6 +72,10 @@ class SolverSolution:
     # None on an infeasible result, which counts 0 here however many nodes
     # HiGHS explored (its log shows 80 for the 2-pipeline ladder at 3 rounds)
     nodes: int
+    # no point has a smaller objective: HiGHS's mip_dual_bound rounded up to
+    # an integer (objectives are integers) and capped at the objective;
+    # None when infeasible or when HiGHS reports no finite bound
+    dual_bound: int | None = None
 
 
 @contextlib.contextmanager
@@ -151,10 +157,21 @@ def solve(inst: ILPInstance, *, budget_ms: float | None = None) -> SolverSolutio
     if status == "timeout" and (deadline is None or time.monotonic() < deadline):
         raise RuntimeError(f"milp stopped before its deadline: {res.message}")
     if res.x is None:
-        return SolverSolution(status, None, None, nodes)
+        return SolverSolution(status, None, None, nodes, _dual_bound(res, None))
     values = [int(round(x)) for x in res.x]
     bad = check_assignment(inst, values)
     if bad:
         raise RuntimeError(f"milp point fails exact verification: {bad[:3]}")
     objective = sum(cf * values[i] for i, cf in inst.objective.items())
-    return SolverSolution(status, values, objective, nodes)
+    return SolverSolution(status, values, objective, nodes, _dual_bound(res, objective))
+
+
+def _dual_bound(res, objective: int | None) -> int | None:
+    bound = res.mip_dual_bound
+    if bound is None or not math.isfinite(bound):
+        return None
+    # the float bound carries noise above an integer (404000.00000000314 on
+    # the 4-pipeline ladder), which must not round up to the next integer;
+    # a tolerance below 1 can only weaken the bound, never overstate it
+    bound = math.ceil(bound - min(0.5, 1e-6 * max(1.0, abs(bound))))
+    return bound if objective is None else min(bound, objective)

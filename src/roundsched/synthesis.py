@@ -49,6 +49,10 @@ class SynthesisOutcome:
     min_rounds: int  # the search started here; smaller counts were not solved
     solver_calls: int  # round counts HiGHS was run on, from min_rounds up
     nodes_total: int
+    # no schedule at the last round count solved has a smaller objective:
+    # objective_us when feasible, HiGHS's bound when that count ran out of
+    # budget, None when infeasible or when HiGHS stated no bound
+    dual_bound_us: int | None = None
 
 
 def max_rounds(mode: Mode, params: NetworkParams, config: SynthConfig) -> int:
@@ -138,7 +142,9 @@ def synthesize(
         if sol.status == "infeasible":
             continue
         if sol.values is None:
-            return SynthesisOutcome("timeout", None, None, None, r_min, calls, nodes)
+            return SynthesisOutcome(
+                "timeout", None, None, None, r_min, calls, nodes, sol.dual_bound
+            )
         schedule = extract_schedule(inst, sol.values, mode)
         audit = check(mode, schedule, params)
         if not audit.ok:
@@ -147,5 +153,7 @@ def synthesize(
                 f"{sorted(audit.failed())}"
             )
         status = "feasible" if sol.status == "optimal" else "timeout"
-        return SynthesisOutcome(status, schedule, n_rounds, sol.objective, r_min, calls, nodes)
+        return SynthesisOutcome(
+            status, schedule, n_rounds, sol.objective, r_min, calls, nodes, sol.dual_bound
+        )
     return SynthesisOutcome("infeasible", None, None, None, r_min, calls, nodes)

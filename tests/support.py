@@ -65,12 +65,13 @@ def ladder_mode(k: int, deadline_ms: int | None = None) -> Mode:
     periods alternating 200/400 ms, 1 ms tasks, deadlines equal to the
     periods unless deadline_ms is given.
 
-    Synthesized on a 5 ms grid over wide_params(hops=2), k = 4 needs four
-    rounds, and HiGHS finds an optimal schedule for them (444 ms summed
-    latency) seconds before it can prove it optimal.  With k = 5 and
-    115 ms deadlines, four rounds (the lower bound) are infeasible, and
-    five are optimal at 545 ms, proven only after about 15 s on a 2-core
-    x86 VM.
+    Loops of equal period are interchangeable (model.swap_map), so their
+    latencies are ordered in the program.  Synthesized on a 5 ms grid over
+    wide_params(hops=2), k = 4 needs four rounds and is proven optimal at
+    444 ms summed latency in about 3 s (911 nodes) on a 2-core x86 VM.
+    With k = 5 and 115 ms deadlines, four rounds (the lower bound) are
+    infeasible, refuted in about 2.8 s, and five are optimal at 545 ms,
+    proven only after about 12 s more.
     """
     apps = []
     for i in range(k):

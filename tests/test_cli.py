@@ -156,6 +156,7 @@ class TestSynth:
         err = capsys.readouterr().err
         assert "timeout: best schedule has 2 rounds, objective 89000 us, " \
             "not proven optimal" in err
+        assert err.endswith(", dual bound 89000 us\n")
         assert main(["check", "--spec", CONTROL, "--schedule", str(out)]) == 0
 
     def test_stdout_is_only_json_in_a_subprocess(self):

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 from lptools import milp_solve, parse_lp
-from support import control_mode, mk_app, random_small_case, wide_params
+from support import control_mode, ladder_mode, mk_app, random_small_case, wide_params
 
 from roundsched.ilp import build_instance
 from roundsched.lpformat import render_lp, write_lp
@@ -142,6 +142,8 @@ PINNED_LP = {
     ("shared", 1): "6b88191a1418141561509ebc6cf6ff3b270ad4b6606ee8493afb97172a9d8491",
     ("shared", 2): "8b36193277378c2acbd80fd7807eb967a65fad7bf733fba74db7a55f40f677c9",
     ("shared", 3): "eded91bc29f0b8ac32536508276dd955df644112e420cb6166e5ae01472ae423",
+    # recorded when interchangeable applications got their sym_<i>_<j> rows
+    ("ladder4", 4): "2ea36042752f71ca4e2c7cd76c428abe8de2e5071b37ec209003c39acf91175f",
 }
 
 
@@ -152,6 +154,8 @@ def test_exported_bytes_are_pinned(mode_id, n_rounds):
         report = ValidationReport()
         validate_mode(mode, report)
         assert report.ok, str(report)
+    elif mode_id == "ladder4":
+        mode, params, grid = ladder_mode(4), wide_params(hops=2), 5000
     else:
         spec = parse_spec(load_json(str(SPEC)))
         mode, params, grid = spec.mode_by_id(mode_id), spec.network, spec.grid_us

@@ -44,6 +44,7 @@ class TestBasics:
         sol = solve(inst)
         assert sol.status == "infeasible"
         assert sol.values is None and sol.objective is None
+        assert sol.dual_bound is None
 
     def test_zero_budget_times_out(self):
         sol = solve(knapsackish(), budget_ms=0)
@@ -59,7 +60,7 @@ class TestOracleAgreement:
         sol = solve(inst)
         assert sol.status == want_status
         if want_status == "optimal":
-            assert sol.objective == want_obj
+            assert sol.objective == sol.dual_bound == want_obj
             assert check_assignment(inst, sol.values) == []
             got = sum(cf * sol.values[i] for i, cf in inst.objective.items())
             assert got == want_obj

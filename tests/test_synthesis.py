@@ -173,11 +173,12 @@ class TestBudget:
 
     Five loops with 115 ms deadlines: HiGHS refutes the lower bound of
     four rounds, then finds the 545 ms optimum at five rounds about 1 s
-    into that count but cannot prove it before the deadline."""
+    into that count but cannot prove it before the deadline; its dual
+    bound then stands at about 505 ms."""
 
     BUDGET_MS = 5000
     # time allowed past the deadline for HiGHS to notice it and for the
-    # audit of the incumbent; refuting four rounds alone takes about 2.7 s,
+    # audit of the incumbent; refuting four rounds alone takes about 2.8 s,
     # so a budget restarted per round count would overrun it
     SLACK_S = 0.25
 
@@ -203,6 +204,10 @@ class TestBudget:
         assert check(mode, out.schedule, params).ok
         assert out.objective_us >= 545_000  # the proven optimum
 
+    def test_timeout_states_its_dual_bound(self, run):
+        _mode, _params, out, _wall = run
+        assert out.dual_bound_us <= 545_000 <= out.objective_us
+
 
 class TestLadderOptima:
     """Proven optima of the shared-controller ladder: a change in HiGHS's
@@ -210,7 +215,7 @@ class TestLadderOptima:
 
     @pytest.mark.parametrize(
         "k, rounds, objective_us",
-        [(1, 2, 101_000), (2, 4, 212_000), (3, 4, 333_000)],
+        [(1, 2, 101_000), (2, 4, 212_000), (3, 4, 333_000), (4, 4, 444_000)],
     )
     def test_proven_optimum(self, k, rounds, objective_us):
         mode, params = ladder_mode(k), wide_params(hops=2)
