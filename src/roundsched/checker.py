@@ -107,6 +107,7 @@ def check(mode: Mode, schedule: ModeSchedule, params: NetworkParams) -> CheckRep
     t_r = round_length(params)
     h = hyperperiod(mode)
     tasks = mode.all_tasks()
+    task_period = mode.task_periods()
     period_of = mode.message_periods()
 
     # -- domains -------------------------------------------------------------
@@ -146,12 +147,9 @@ def check(mode: Mode, schedule: ModeSchedule, params: NetworkParams) -> CheckRep
 
     for tid, t in tasks.items():
         o = schedule.task_offsets[tid]
-        if not 0 <= o <= t.period_us - t.wcet_us:
-            rep.add(
-                "domains",
-                f"task {tid}",
-                f"offset {o} outside [0, {t.period_us - t.wcet_us}]",
-            )
+        hi = task_period[tid] - t.wcet_us
+        if not 0 <= o <= hi:
+            rep.add("domains", f"task {tid}", f"offset {o} outside [0, {hi}]")
     for mid, p in period_of.items():
         o = schedule.message_offsets[mid]
         d = schedule.message_deadlines[mid]
@@ -204,10 +202,10 @@ def check(mode: Mode, schedule: ModeSchedule, params: NetworkParams) -> CheckRep
             if _overlap_cyclic(
                 schedule.task_offsets[ti.id],
                 ti.wcet_us,
-                ti.period_us,
+                task_period[ti.id],
                 schedule.task_offsets[tj.id],
                 tj.wcet_us,
-                tj.period_us,
+                task_period[tj.id],
             ):
                 rep.add(
                     "node_exclusive",

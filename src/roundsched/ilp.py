@@ -161,13 +161,14 @@ def build_instance(
             key[k] = inst.add_var(name, lb, ub, binary)
 
     tasks = mode.all_tasks()
+    task_period = mode.task_periods()
     period_of = mode.message_periods()
     mids = sorted(period_of)
 
     # --- variables ----------------------------------------------------------
     md_lb = -(-t_r // g)  # window must be wide enough to hold one round
     for t in tasks.values():
-        add(("o", t.id), f"o_{_safe(t.id)}", 0, (t.period_us - t.wcet_us) // g)
+        add(("o", t.id), f"o_{_safe(t.id)}", 0, (task_period[t.id] - t.wcet_us) // g)
     for mid, p in period_of.items():
         pg = p // g
         add(("mo", mid), f"mo_{_safe(mid)}", 0, pg - 1)
@@ -189,7 +190,7 @@ def build_instance(
         for tj in task_list[i + 1 :]:
             if ti.node != tj.node:
                 continue
-            for k, dv in enumerate(_delta_values(ti.period_us, tj.period_us)):
+            for k, dv in enumerate(_delta_values(task_period[ti.id], task_period[tj.id])):
                 pair = f"{_safe(ti.id)}__{_safe(tj.id)}__{k}"
                 add(("y", ti.id, tj.id, k), f"y_{pair}", 0, 1, binary=True)
                 y = key["y", ti.id, tj.id, k]
@@ -274,7 +275,7 @@ def build_instance(
     # --- shared-node task separation ----------------------------------------
     for ti, tj, dv, y, nm in pair_deltas:
         oi, oj = key["o", ti.id], key["o", tj.id]
-        m_pair = ti.period_us + tj.period_us
+        m_pair = task_period[ti.id] + task_period[tj.id]
         # y = 1: instance of ti (shifted by dv) finishes before tj starts
         inst.add_row(
             nm + "_a", {oi: g, oj: -g, y: m_pair}, "<=", m_pair - ti.wcet_us - dv

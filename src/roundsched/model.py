@@ -28,13 +28,13 @@ class Task:
     """A periodic task mapped to one node.
 
     wcet_us is the budgeted execution time; the scheduler reserves exactly
-    this much on the node.
+    this much on the node.  A task runs at the period of the applications
+    that list it (Mode.task_periods); it carries no period of its own.
     """
 
     id: str
     node: str
     wcet_us: int
-    period_us: int
 
 
 @dataclass(frozen=True, slots=True)
@@ -43,10 +43,10 @@ class Application:
 
     edges are (producer task id, consumer task id, message id) triples. A
     message appearing on several edges from the same producer is a multicast.
-    Tasks and messages inherit the application's period.  message_ids are
-    the ids the edges name, sorted; Mode.message_periods pairs each with its
-    period.  A message with several producers (on one node, see
-    validate_mode) is released only once every one of them has finished.
+    Tasks and messages inherit the application's period: Mode.task_periods
+    and Mode.message_periods pair each id with it.  message_ids are the ids
+    the edges name, sorted.  A message with several producers (on one node,
+    see validate_mode) is released only once every one of them has finished.
     """
 
     id: str
@@ -91,7 +91,11 @@ class Chain:
 
 @dataclass(frozen=True, slots=True)
 class Mode:
-    """A set of applications that run together under one round schedule."""
+    """A set of applications that run together under one round schedule.
+
+    A task or message id listed by several applications is one task or
+    message; validate_mode requires those applications to share a period.
+    """
 
     id: str
     applications: tuple[Application, ...]
@@ -102,6 +106,11 @@ class Mode:
             for t in app.tasks:
                 out[t.id] = t
         return out
+
+    def task_periods(self) -> dict[str, int]:
+        """Task id -> period, in the order the applications first list
+        each task."""
+        return {t.id: app.period_us for app in self.applications for t in app.tasks}
 
     def message_periods(self) -> dict[str, int]:
         """Message id -> period, in the order the applications first list
@@ -136,7 +145,7 @@ def swap_map(mode: Mode, i: int, j: int) -> dict[str, str] | None:
     of the mode stays put.  The result maps each task and message id of
     either application to its partner, in both directions.
 
-    >>> t = lambda tid, node: Task(tid, node, 1000, 10_000)
+    >>> t = lambda tid, node: Task(tid, node, 1000)
     >>> a = Application("a", 10_000, 10_000, (t("s", "n1"), t("c", "hub")),
     ...                 (("s", "c", "m"),))
     >>> b = Application("b", 10_000, 10_000, (t("s2", "n2"), t("c2", "hub")),
@@ -238,7 +247,7 @@ def chains(app: Application) -> tuple[Chain, ...]:
     chain. Raises ModelError if the graph has a cycle or an edge names a
     task the application does not list.
 
-    >>> t1 = Task("t1", "n1", 1000, 10_000); t2 = Task("t2", "n2", 1000, 10_000)
+    >>> t1 = Task("t1", "n1", 1000); t2 = Task("t2", "n2", 1000)
     >>> app = Application("a", 10_000, 10_000, (t1, t2), (("t1", "t2", "m1"),))
     >>> [c.items for c in chains(app)]
     [('t1', 'm1', 't2')]
@@ -332,12 +341,6 @@ def validate_application(app: Application, report: ValidationReport) -> None:
             report.add(
                 "bad_wcet", tw, f"wcet {t.wcet_us} us exceeds period {app.period_us} us"
             )
-        if t.period_us != app.period_us:
-            report.add(
-                "task_period_mismatch",
-                tw,
-                f"task period {t.period_us} us != {app.period_us} us",
-            )
 
     for src, dst, _ in app.edges:
         ew = f"{where}, edge {src}->{dst}"
@@ -365,13 +368,12 @@ def validate_mode(mode: Mode, report: ValidationReport) -> None:
             )
         seen_apps.add(app.id)
         validate_application(app, report)
-    # shared tasks/messages must agree on their attributes
-    tasks_seen: dict[str, Task] = {}
+    # shared tasks/messages must agree on their attributes and period
+    tasks_seen: dict[str, tuple[Task, int]] = {}
     periods_seen: dict[str, int] = {}
     for app in mode.applications:
         for t in app.tasks:
-            prev = tasks_seen.setdefault(t.id, t)
-            if prev != t:
+            if tasks_seen.setdefault(t.id, (t, app.period_us)) != (t, app.period_us):
                 report.add(
                     "shared_task_mismatch",
                     f"{where}, task {t.id}",

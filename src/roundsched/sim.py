@@ -77,7 +77,7 @@ def simulate(
 
     >>> from roundsched.model import Application, Mode, ModeSchedule, Round, Task
     >>> app = Application("loop", 100_000, 100_000,
-    ...     (Task("s", "n1", 1000, 100_000), Task("c", "n2", 1000, 100_000)),
+    ...     (Task("s", "n1", 1000), Task("c", "n2", 1000)),
     ...     (("s", "c", "m"),))
     >>> sched = ModeSchedule("op", 100_000, 15_094, {"s": 0, "c": 40_000},
     ...     {"m": 1000}, {"m": 30_000}, (Round(2000, ("m",)),), {"m": 0})

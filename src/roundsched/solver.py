@@ -13,10 +13,14 @@ VM:
 - mip_rel_gap 0: the search stops only when the latency is proven
   optimal, not within HiGHS's default 0.01 % gap.
 - mip_pool_soft_limit 100: caps the cut pool, the main heap cost of the
-  larger programs.  On the 4-pipeline ladder program (4 pipelines sharing
-  a controller, 4 rounds, with its sym rows) 100 cuts peak at 86.1-86.3 MB
-  RSS and prove the optimum in 2.7-3.0 s (911 nodes); the default pool of
-  10000 peaks at 88.5-89.0 MB and proves it in 2.0-2.3 s (736 nodes).
+  larger programs.  The cap costs time on some programs and saves it on
+  others.  The 4-pipeline ladder at 4 rounds (4 pipelines sharing a
+  controller, with its sym rows) is proven optimal in 2.9-3.2 s (911
+  nodes) at 86 MB peak RSS with the cap, and in 2.2-2.5 s (736 nodes) at
+  88.5 MB with HiGHS's default pool of 10000 cuts.  Refuting 4 rounds of
+  5 pipelines with 115 ms deadlines takes 3.4-3.6 s with the cap and
+  4.1-4.7 s without it, which a 5 s budget for the whole search over
+  round counts cannot spare: the cap stays.
 - mip_heuristic_run_feasibility_jump off: on the small programs whose
   root LP bound is already the optimum, the feasibility-jump heuristic
   spent about half of each ~20 ms solve finding an incumbent that the
@@ -48,8 +52,7 @@ from .ilp import ILPInstance, check_assignment
 HIGHS_OPTIONS = {
     # prove the latency optimal, not within the default 0.01 % gap
     "mip_rel_gap": 0.0,
-    # 4-pipeline ladder, 4 rounds: 86 MB and 2.7-3.0 s, against 89 MB and
-    # 2.0-2.3 s with the default pool of 10000 cuts
+    # smaller heap; slower on some ladder programs, faster on others (above)
     "mip_pool_soft_limit": 100,
     # small programs: ~10 ms per solve instead of ~20 ms, half of which the
     # heuristic spent on an incumbent the root heuristics then replaced

@@ -1,9 +1,12 @@
 """Strict JSON reading and writing for specs, schedules, scenarios.
 
 Readers reject anything the schema does not name: unknown keys, wrong
-types (a bool is never accepted where an int belongs), bad ranges.
-Errors carry the JSON path of the offending value so they read like
+types (a bool is never accepted where an int belongs), bad ranges, and
+a network whose rounds take no time.  Errors carry the JSON path of the
+offending value so they read like
 "$.modes[0].applications[1].tasks[2].wcet_us: expected int, got bool".
+A task names only its id, node and WCET; it runs at the period of the
+application that lists it.
 
 Writers are byte-stable: keys sorted, two-space indent, one trailing
 newline. A simulation trace is streamed, never held whole:
@@ -24,7 +27,7 @@ from typing import Iterable, Iterator
 from .checker import CheckReport
 from .model import Application, Mode, ModeSchedule, Round, Task
 from .sim import Event, Scenario, SimTrace, SwitchRequest
-from .timing import NetworkParams
+from .timing import NetworkParams, round_length
 
 
 class SpecError(ValueError):
@@ -53,13 +56,11 @@ def _as_obj(x, path: str, required: tuple[str, ...], optional: tuple[str, ...] =
     return x
 
 
-def _as_int(x, path: str, lo: int | None = None, hi: int | None = None) -> int:
+def _as_int(x, path: str, lo: int | None = None) -> int:
     if isinstance(x, bool) or not isinstance(x, int):
         _fail(path, f"expected int, got {_typename(x)}")
     if lo is not None and x < lo:
         _fail(path, f"value {x} below minimum {lo}")
-    if hi is not None and x > hi:
-        _fail(path, f"value {x} above maximum {hi}")
     return x
 
 
@@ -122,17 +123,21 @@ def parse_network(x, path: str = "$.network") -> NetworkParams:
     }
     for k in _NETWORK_OPTIONAL:
         if k in obj:
-            kw[k] = _as_int(obj[k], f"{path}.{k}", 0)
-    return NetworkParams(**kw)
+            # a 0 bps radio sends nothing: every airtime divides by the bitrate
+            kw[k] = _as_int(obj[k], f"{path}.{k}", 1 if k == "bitrate_bps" else 0)
+    params = NetworkParams(**kw)
+    if round_length(params) == 0:
+        # every horizon would hold unboundedly many rounds
+        _fail(path, "round length is 0 us: no slot takes any radio-on or -off time")
+    return params
 
 
-def _parse_task(x, path: str, period_us: int) -> Task:
+def _parse_task(x, path: str) -> Task:
     obj = _as_obj(x, path, ("id", "node", "wcet_us"))
     return Task(
         id=_as_str(obj["id"], f"{path}.id"),
         node=_as_str(obj["node"], f"{path}.node"),
         wcet_us=_as_int(obj["wcet_us"], f"{path}.wcet_us", 1),
-        period_us=period_us,
     )
 
 
@@ -147,7 +152,7 @@ def _parse_app(x, path: str) -> Application:
         else period
     )
     tasks = tuple(
-        _parse_task(t, f"{path}.tasks[{i}]", period)
+        _parse_task(t, f"{path}.tasks[{i}]")
         for i, t in enumerate(_as_list(obj["tasks"], f"{path}.tasks"))
     )
     edges = []

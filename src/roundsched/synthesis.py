@@ -83,7 +83,7 @@ def min_rounds(mode: Mode, params: NetworkParams) -> int:
     one round more than the hyperperiod holds.
 
     >>> from roundsched.model import Application, Task
-    >>> t1 = Task("t1", "n1", 1000, 10_000); t2 = Task("t2", "n2", 1000, 10_000)
+    >>> t1 = Task("t1", "n1", 1000); t2 = Task("t2", "n2", 1000)
     >>> app = Application("a", 10_000, 10_000, (t1, t2), (("t1", "t2", "m1"),))
     >>> min_rounds(Mode("m", (app,)), NetworkParams(1, 5, 10))
     1

@@ -174,6 +174,7 @@ def brute_force_min_rounds(
     t_r = round_length(params)
     cap = params.slots_per_round
     tasks = list(mode.all_tasks().values())
+    task_period = mode.task_periods()
     msgs = mode.message_periods()
     if h % grid_us:
         raise ValueError("hyperperiod must be a multiple of the grid")
@@ -349,13 +350,14 @@ def brute_force_min_rounds(
             try_leaf(offsets)
             return
         t = task_order[idx]
-        for o in range(0, t.period_us - t.wcet_us + 1, grid_us):
+        p = task_period[t.id]
+        for o in range(0, p - t.wcet_us + 1, grid_us):
             budget.spend()
             clash = False
             for other_id, oo in offsets.items():
                 other = app_by_task[other_id].task_by_id(other_id)
                 if other.node == t.node and _overlap_cyclic(
-                    oo, other.wcet_us, other.period_us, o, t.wcet_us, t.period_us
+                    oo, other.wcet_us, task_period[other_id], o, t.wcet_us, p
                 ):
                     clash = True
                     break

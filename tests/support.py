@@ -30,7 +30,7 @@ def mk_app(
         id=app_id,
         period_us=p,
         deadline_us=d,
-        tasks=tuple(Task(tid, node, w * MS, p) for tid, node, w in tasks),
+        tasks=tuple(Task(tid, node, w * MS) for tid, node, w in tasks),
         edges=tuple(edges),
     )
 

@@ -158,8 +158,19 @@ class TestMutations:
         assert "leftover" in rep.failed()
 
     def test_offset_out_of_range(self):
+        # a task's offset range comes from its application's period
         rep = self.run(mutate(task_offsets={"t1": 99_500, "t2": 16_100}))
-        assert "domains" in rep.failed()
+        assert [str(v) for v in rep.violations] == [
+            "domains at task t1: offset 99500 outside [0, 99000]"
+        ]
+
+    @pytest.mark.parametrize("change, text", [
+        ({"mode_id": "other"}, "mode id 'other' != 'op'"),
+        ({"hyperperiod_us": 200_000}, "hyperperiod 200000 != 100000"),
+    ])
+    def test_schedule_of_another_mode(self, change, text):
+        rep = self.run(mutate(**change))
+        assert [str(v) for v in rep.violations] == [f"domains at schedule: {text}"]
 
     def test_missing_key_skips_dependents(self):
         rep = self.run(mutate(task_offsets={"t1": 0}))

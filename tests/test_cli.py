@@ -15,6 +15,7 @@ import pytest
 
 from roundsched import cli
 from roundsched.cli import main
+from roundsched.model import Mode
 from roundsched.sim import simulate
 from roundsched.specio import (
     dumps,
@@ -26,7 +27,7 @@ from roundsched.specio import (
 )
 from roundsched.synthesis import synthesize
 from roundsched.timing import NetworkParams, t_round
-from support import pipeline_app
+from support import ladder_mode, pipeline_app
 
 SPEC_DIR = Path(__file__).resolve().parent.parent / "specs"
 CONTROL = str(SPEC_DIR / "control_loop.json")
@@ -34,6 +35,22 @@ SCENARIO = str(SPEC_DIR / "mode_change.json")
 SRC = Path(__file__).resolve().parent.parent / "src"
 # a spec on which HiGHS printf()s a diagnostic line to the C stdout
 HIGHS_STDOUT = str(Path(__file__).resolve().parent / "data" / "highs_stdout.json")
+
+
+def mode_spec(tmp_path: Path, mode: Mode, grid_us: int = 1000) -> str:
+    """A spec file holding mode alone, on the bundled spec's network."""
+    data = json.loads(Path(CONTROL).read_text())
+    data["grid_us"] = grid_us
+    data["modes"] = [{"id": mode.id, "applications": [{
+        "id": app.id,
+        "period_us": app.period_us,
+        "deadline_us": app.deadline_us,
+        "tasks": [{"id": t.id, "node": t.node, "wcet_us": t.wcet_us} for t in app.tasks],
+        "edges": [{"src": s, "dst": d, "msg": m} for s, d, m in app.edges],
+    } for app in mode.applications]}]
+    spec = tmp_path / f"{mode.id}.json"
+    spec.write_text(json.dumps(data))
+    return str(spec)
 
 
 @pytest.fixture(scope="module")
@@ -97,20 +114,24 @@ class TestSynth:
         )
 
     def test_1100_task_pipeline_gets_a_status_line(self, capsys, tmp_path):
-        app = pipeline_app(1100)
-        data = json.loads(Path(CONTROL).read_text())
-        data["modes"] = [{"id": "long", "applications": [{
-            "id": app.id,
-            "period_us": app.period_us,
-            "tasks": [{"id": t.id, "node": t.node, "wcet_us": t.wcet_us} for t in app.tasks],
-            "edges": [{"src": s, "dst": d, "msg": m} for s, d, m in app.edges],
-        }]}]
-        spec = tmp_path / "pipe.json"
-        spec.write_text(json.dumps(data))
-        rc = main(["synth", "--spec", str(spec)])
+        spec = mode_spec(tmp_path, Mode("long", (pipeline_app(1100),)))
+        rc = main(["synth", "--spec", spec])
         assert rc == 2
         assert capsys.readouterr().err == (
             "infeasible: needs at least 1099 rounds, at most 23 fit\n"
+        )
+
+    def test_timeout_before_any_incumbent(self, capsys, tmp_path):
+        # four rounds, the lower bound, are infeasible: refuting them takes
+        # about 3 s, so 200 ms end with no schedule to write
+        spec = mode_spec(tmp_path, ladder_mode(5, deadline_ms=115), grid_us=5000)
+        rc = main(["synth", "--spec", spec, "--budget-ms", "200"])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "timeout: solver budget exhausted after 1 solver call "
+            "from the 4-round lower bound\n"
         )
 
     def test_zero_budget_exits_1(self, capsys):
@@ -516,6 +537,25 @@ class TestBadInputs:
         assert "mode fallback: multi_node_producers at mode fallback, message wm" in (
             captured.err
         )
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("command", [["synth", "--mode", "normal"],
+                                         ["model", "--table", "energy"]])
+    @pytest.mark.parametrize("network, message", [
+        ({"bitrate_bps": 0}, "$.network.bitrate_bps: value 0 below minimum 1"),
+        ({"hops": 1, "retransmissions": 0, "start_us": 0, "radio_delay_us": 0,
+          "wakeup_us": 0, "gap_us": 0}, "$.network: round length is 0 us"),
+    ])
+    def test_network_that_divides_by_zero(self, capsys, tmp_path, command, network,
+                                          message):
+        data = json.loads(Path(CONTROL).read_text())
+        data["network"].update(network)
+        spec = tmp_path / "zero.json"
+        spec.write_text(json.dumps(data))
+        rc = main([*command, "--spec", str(spec)])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: {message}")
         assert captured.out == ""
 
     def test_malformed_schedule_mapping(self, capsys, synthesized):

@@ -107,14 +107,14 @@ class TestValidation:
         assert "graph_cycle" in app_report(app).codes()
 
     def test_non_positive_period_is_reported_once(self):
-        app = Application("a", 0, 0, (Task("t", "n", 1, 0),), ())
+        app = Application("a", 0, 0, (Task("t", "n", 1),), ())
         report = mode_report(Mode("m", (app,)))
         assert [v.code for v in report.violations] == ["bad_period", "bad_deadline"]
 
     def test_hyperperiod_beyond_the_cap_overflows(self):
         # two primes near 1000 s: their lcm is just past the cap
         apps = tuple(
-            Application(f"a{p}", p, p, (Task(f"t{p}", "n", 1, p),), ())
+            Application(f"a{p}", p, p, (Task(f"t{p}", "n", 1),), ())
             for p in (1_000_003, 1_000_033)
         )
         report = mode_report(Mode("m", apps))
@@ -129,13 +129,6 @@ class TestValidation:
         ]
         assert mode_report(Mode("m", (a, dataclasses.replace(a, id="b")))).ok
 
-    def test_task_period_mismatch(self):
-        app = control_app()
-        bad = dataclasses.replace(
-            app, tasks=app.tasks[:-1] + (dataclasses.replace(app.tasks[-1], period_us=7),)
-        )
-        assert "task_period_mismatch" in app_report(bad).codes()
-
     def test_duplicate_task_id(self):
         app = mk_app("a", 10, [("t", "n1", 1), ("t", "n2", 1)], [])
         assert "duplicate_task" in app_report(app).codes()
@@ -145,6 +138,17 @@ class TestValidation:
         a2 = mk_app("a2", 10, [("t", "n2", 1)], [])
         report = mode_report(Mode("m", (a1, a2)))
         assert "shared_task_mismatch" in report.codes()
+
+    def test_shared_task_needs_one_period(self):
+        # the same task, listed by applications of two periods
+        a = mk_app("a", 10, [("t", "n1", 1)], [])
+        b = mk_app("b", 20, [("t", "n1", 1)], [])
+        assert a.tasks == b.tasks
+        report = mode_report(Mode("m", (a, b)))
+        assert [(v.code, v.where) for v in report.violations] == [
+            ("shared_task_mismatch", "mode m, task t")
+        ]
+        assert mode_report(Mode("m", (a, dataclasses.replace(a, id="b")))).ok
 
     def test_message_with_two_producers_on_different_nodes(self):
         app = mk_app(
@@ -310,6 +314,8 @@ def test_messages_are_derived_from_edges():
     assert Mode("m", (app,)).message_periods() == {"ma": 10 * MS, "mb": 10 * MS}
     slower = dataclasses.replace(app, period_us=20 * MS)
     assert Mode("m", (slower,)).message_periods()["ma"] == 20 * MS
+    assert Mode("m", (slower,)).task_periods() == {t: 20 * MS for t in ("t1", "t2", "t3")}
+    assert mode_report(Mode("m", (slower,))).ok
 
 
 def test_mode_producers_merge_applications():

@@ -11,6 +11,7 @@ from roundsched.specio import (
     SpecError,
     dumps,
     load_json,
+    parse_network,
     parse_scenario,
     parse_schedule,
     parse_spec,
@@ -115,6 +116,26 @@ class TestSpecErrors:
             lambda d: d["network"].update(hops=0),
             "$.network.hops: value 0 below minimum 1",
         )
+
+    def test_zero_bitrate_rejected(self):
+        self.check(
+            lambda d: d["network"].update(bitrate_bps=0),
+            "$.network.bitrate_bps: value 0 below minimum 1",
+        )
+
+    def test_zero_length_round_rejected(self):
+        # one hop and no retransmissions: a flood has no transmission phase
+        def mut(d):
+            d["network"].update(retransmissions=0, start_us=0, radio_delay_us=0,
+                                wakeup_us=0, gap_us=0)
+
+        self.check(mut, "$.network: round length is 0 us")
+
+    def test_zero_times_with_a_transmission_phase_accepted(self):
+        net = base_spec()["network"]
+        net.update(hops=2, retransmissions=0, start_us=0, radio_delay_us=0,
+                   wakeup_us=0, gap_us=0)
+        assert parse_network(net).flood_width == 1
 
     def test_empty_id_rejected(self):
         self.check(

@@ -208,6 +208,16 @@ class TestBudget:
         _mode, _params, out, _wall = run
         assert out.dual_bound_us <= 545_000 <= out.objective_us
 
+    def test_timeout_before_any_incumbent(self):
+        # four rounds are infeasible and refuting them takes about 3 s, so
+        # no point exists when 200 ms run out
+        mode, params = ladder_mode(5, deadline_ms=115), wide_params(hops=2)
+        out = synthesize(mode, params, SynthConfig(grid_us=5000, solver_budget_ms=200))
+        assert out.status == "timeout"
+        assert (out.schedule, out.rounds_used, out.objective_us) == (None, None, None)
+        assert (out.min_rounds, out.solver_calls) == (4, 1)
+        assert out.dual_bound_us is None
+
 
 class TestLadderOptima:
     """Proven optima of the shared-controller ladder: a change in HiGHS's
