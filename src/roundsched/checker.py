@@ -13,13 +13,13 @@ counts at the first failing instant word the curve_order violation.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .model import (
     Mode,
     ModeSchedule,
     Round,
-    Violation,
+    ValidationReport,
     chains,
     hyperperiod,
 )
@@ -49,41 +49,32 @@ VERDICT_FAMILIES = (
 
 
 @dataclass
-class CheckReport:
-    """Outcome of one schedule check, grouped into verdict families."""
+class CheckReport(ValidationReport):
+    """Outcome of one schedule check, grouped into verdict families.
 
-    violations: list[Violation] = field(default_factory=list)
-    evaluated: set[str] = field(default_factory=set)
+    A violation's code is its family.  complete is False when a
+    structural domains violation stopped the check before the other
+    families, which are then skipped.
+    """
 
-    @property
-    def ok(self) -> bool:
-        return not self.violations and self.evaluated == set(VERDICT_FAMILIES)
+    complete: bool = True
 
     def add(self, family: str, where: str, detail: str) -> None:
         assert family in VERDICT_FAMILIES
-        self.violations.append(Violation(family, where, detail))
-
-    def failed(self) -> set[str]:
-        return {v.code for v in self.violations}
+        super().add(family, where, detail)
 
     def by_family(self) -> dict[str, str]:
         bad = self.failed()
-        out = {}
-        for fam in VERDICT_FAMILIES:
-            if fam in bad:
-                out[fam] = "fail"
-            elif fam in self.evaluated:
-                out[fam] = "pass"
-            else:
-                out[fam] = "skipped"
-        return out
+        return {
+            fam: "fail" if fam in bad else "pass" if self.complete else "skipped"
+            for fam in VERDICT_FAMILIES
+        }
 
     def __str__(self) -> str:
         if self.ok:
             return "ok"
-        lines = [f"{fam}: {state}" for fam, state in self.by_family().items()]
-        lines += [str(v) for v in self.violations]
-        return "\n".join(lines)
+        states = [f"{fam}: {state}" for fam, state in self.by_family().items()]
+        return "\n".join([*states, super().__str__()])
 
 
 def _overlap_cyclic(
@@ -111,7 +102,6 @@ def check(mode: Mode, schedule: ModeSchedule, params: NetworkParams) -> CheckRep
     period_of = mode.message_periods()
 
     # -- domains -------------------------------------------------------------
-    rep.evaluated.add("domains")
     structural = False
     if schedule.mode_id != mode.id:
         rep.add("domains", "schedule", f"mode id {schedule.mode_id!r} != {mode.id!r}")
@@ -143,6 +133,7 @@ def check(mode: Mode, schedule: ModeSchedule, params: NetworkParams) -> CheckRep
             if mid not in period_of:
                 rep.add("domains", f"round {r_idx}", f"unknown message {mid!r}")
     if structural:
+        rep.complete = False
         return rep
 
     for tid, t in tasks.items():
@@ -159,7 +150,6 @@ def check(mode: Mode, schedule: ModeSchedule, params: NetworkParams) -> CheckRep
             rep.add("domains", f"message {mid}", f"deadline {d} outside (0, {p}]")
 
     # -- rounds --------------------------------------------------------------
-    rep.evaluated.update({"round_gap", "round_overlap", "slot_capacity"})
     order = sorted(range(len(schedule.rounds)), key=lambda i: schedule.rounds[i].t)
     for i in order:
         r = schedule.rounds[i]
@@ -193,7 +183,6 @@ def check(mode: Mode, schedule: ModeSchedule, params: NetworkParams) -> CheckRep
             )
 
     # -- node exclusivity ----------------------------------------------------
-    rep.evaluated.add("node_exclusive")
     placed = sorted(tasks.values(), key=lambda t: t.id)
     for i, ti in enumerate(placed):
         for tj in placed[i + 1 :]:
@@ -214,7 +203,6 @@ def check(mode: Mode, schedule: ModeSchedule, params: NetworkParams) -> CheckRep
                 )
 
     # -- precedence and end-to-end deadlines ---------------------------------
-    rep.evaluated.update({"precedence", "e2e_deadline"})
     # a message with several producers slips as far as its latest
     # producer needs, as the ILP's one sp_<msg> does; a message or an edge
     # that several applications list is checked, and reported, once
@@ -275,15 +263,6 @@ def check(mode: Mode, schedule: ModeSchedule, params: NetworkParams) -> CheckRep
                 )
 
     # -- per-message service -------------------------------------------------
-    rep.evaluated.update(
-        {
-            "conservation",
-            "leftover",
-            "service_after_release",
-            "service_before_deadline",
-            "curve_order",
-        }
-    )
     rounds_sorted = tuple(sorted(schedule.rounds, key=lambda r: r.t))
     # one entry per allocated slot, in round order; unknown ids were
     # reported under domains

@@ -25,7 +25,9 @@ from .lpformat import write_lp
 from .model import ValidationReport, validate_mode, validate_modes_disjoint
 from .sim import SimTrace, run
 from .specio import (
+    NETWORK_MINIMUMS,
     SpecError,
+    check_round_length,
     dumps,
     load_json,
     parse_scenario,
@@ -36,7 +38,7 @@ from .specio import (
     trace_chunks,
 )
 from .synthesis import SynthConfig, max_rounds, synthesize
-from .timing import NetworkParams, energy_saving, t_round
+from .timing import NetworkParams, energy_saving, round_length
 
 ROUND_GRID_HEADER = ("hops", "slots", "payload_bytes", "retransmissions", "t_round_us")
 ENERGY_GRID_HEADER = ("payload_bytes", "slots", "hops", "retransmissions", "saving")
@@ -209,38 +211,46 @@ def _cmd_model(args) -> int:
             raise SpecError("model needs --spec or all of --hops, --slots, --payload")
         base = NetworkParams(hops=1, slots_per_round=1, payload_bytes=1)
 
-    def axis(text: str | None, flag: str, default: int, least: int) -> list[int]:
-        # parse_network's minimums, which a spec can only miss on slots
-        values = [default] if text is None else _parse_range(text, flag)
+    def axis(text: str | None, flag: str, name: str) -> list[int]:
+        values = [getattr(base, name)] if text is None else _parse_range(text, flag)
+        least = NETWORK_MINIMUMS[name]
+        if name == "slots_per_round" and args.table == "energy":
+            least = 1  # at 0 slots the energy saving is 0/0
         if min(values) < least:
             where = f"{flag} from the spec" if text is None else flag
             raise SpecError(f"{where} must be at least {least}, got {min(values)}")
         return values
 
-    hops = axis(args.hops, "--hops", base.hops, 1)
-    # at 0 slots the energy saving is 0/0
-    slots = axis(
-        args.slots, "--slots", base.slots_per_round, 1 if args.table == "energy" else 0
-    )
-    payloads = axis(args.payload, "--payload", base.payload_bytes, 1)
+    hops = axis(args.hops, "--hops", "hops")
+    slots = axis(args.slots, "--slots", "slots_per_round")
+    payloads = axis(args.payload, "--payload", "payload_bytes")
     retx = base.retransmissions
+
+    def cell(h: int, b: int, l: int) -> str:
+        # a row's network is held to parse_network's rule
+        where = f"--hops {h} --slots {b} --payload {l}"
+        net = check_round_length(
+            replace(base, hops=h, slots_per_round=b, payload_bytes=l), where)
+        if args.table == "round-length":
+            return str(round_length(net))
+        try:
+            return f"{float(energy_saving(l, b, net)):.6f}"
+        except ValueError as e:
+            raise SpecError(f"{where}: {e}") from None
+
     lines = []
     if args.table == "round-length":
         lines.append(",".join(ROUND_GRID_HEADER))
         for l in payloads:
             for h in hops:
-                ph = replace(base, hops=h)
                 for b in slots:
-                    lines.append(f"{h},{b},{l},{retx},{t_round(l, b, ph)}")
+                    lines.append(f"{h},{b},{l},{retx},{cell(h, b, l)}")
     else:
         lines.append(",".join(ENERGY_GRID_HEADER))
         for h in hops:
-            ph = replace(base, hops=h)
             for l in payloads:
                 for b in slots:
-                    lines.append(
-                        f"{l},{b},{h},{retx},{float(energy_saving(l, b, ph)):.6f}"
-                    )
+                    lines.append(f"{l},{b},{h},{retx},{cell(h, b, l)}")
     _emit(["\n".join(lines) + "\n"], args.out)
     return 0
 

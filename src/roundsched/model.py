@@ -307,7 +307,7 @@ class ValidationReport:
     def add(self, code: str, where: str, detail: str) -> None:
         self.violations.append(Violation(code, where, detail))
 
-    def codes(self) -> set[str]:
+    def failed(self) -> set[str]:
         return {v.code for v in self.violations}
 
     def __str__(self) -> str:

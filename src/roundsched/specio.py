@@ -1,5 +1,14 @@
 """Strict JSON reading and writing for specs, schedules, scenarios.
 
+Each record's schema is its dataclass: a network is NetworkParams, a
+schedule ModeSchedule (its rounds Round), a scenario Scenario (its
+switches SwitchRequest), a mode Mode and a task Task.  The JSON keys are
+the fields, a field with a default is an optional key, and a missing one
+takes the dataclass default; NETWORK_MINIMUMS bounds each network field.
+Three records name their keys here: an application, whose deadline_us is
+optional only in JSON (it defaults to the period), an edge, which is a
+(src, dst, msg) triple, and the spec itself.
+
 Readers reject anything the schema does not name: unknown keys, wrong
 types (a bool is never accepted where an int belongs), bad ranges, and
 a network whose rounds take no time.  Errors carry the JSON path of the
@@ -20,9 +29,10 @@ it is: a flat dict of "t", "kind" and the kind's fields.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import MISSING, asdict, dataclass, fields
+from functools import partial
 from itertools import islice
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
 from .checker import CheckReport
 from .model import Application, Mode, ModeSchedule, Round, Task
@@ -56,10 +66,10 @@ def _as_obj(x, path: str, required: tuple[str, ...], optional: tuple[str, ...] =
     return x
 
 
-def _as_int(x, path: str, lo: int | None = None) -> int:
+def _as_int(x, path: str, lo: int) -> int:
     if isinstance(x, bool) or not isinstance(x, int):
         _fail(path, f"expected int, got {_typename(x)}")
-    if lo is not None and x < lo:
+    if x < lo:
         _fail(path, f"value {x} below minimum {lo}")
     return x
 
@@ -99,202 +109,154 @@ class SystemSpec:
         raise KeyError(mode_id)
 
 
-_NETWORK_OPTIONAL = (
-    "retransmissions",
-    "beacon_bytes",
-    "cal_bytes",
-    "header_bytes",
-    "bitrate_bps",
-    "wakeup_us",
-    "start_us",
-    "radio_delay_us",
-    "gap_us",
-)
+def _at_least(lo: int) -> Callable[[object, str], int]:
+    return lambda x, path: _as_int(x, path, lo)
 
 
-def parse_network(x, path: str = "$.network") -> NetworkParams:
-    obj = _as_obj(
-        x, path, ("hops", "slots_per_round", "payload_bytes"), _NETWORK_OPTIONAL
-    )
-    kw = {
-        "hops": _as_int(obj["hops"], f"{path}.hops", 1),
-        "slots_per_round": _as_int(obj["slots_per_round"], f"{path}.slots_per_round", 0),
-        "payload_bytes": _as_int(obj["payload_bytes"], f"{path}.payload_bytes", 1),
-    }
-    for k in _NETWORK_OPTIONAL:
-        if k in obj:
-            # a 0 bps radio sends nothing: every airtime divides by the bitrate
-            kw[k] = _as_int(obj[k], f"{path}.{k}", 1 if k == "bitrate_bps" else 0)
-    params = NetworkParams(**kw)
+def _tuple_of(item: Callable[[object, str], object]) -> Callable[[object, str], tuple]:
+    """A reader of a JSON list whose entries item reads."""
+    return lambda x, path: tuple(
+        [item(v, f"{path}[{i}]") for i, v in enumerate(_as_list(x, path))])
+
+
+def _record(cls, read: dict[str, Callable[[object, str], object]]):
+    """A reader of the JSON object whose keys are the dataclass cls's fields.
+
+    A field with a default is an optional key.  The keys are read in field
+    order by read[key], and only the present ones are passed to cls, so a
+    missing optional key takes the dataclass default.
+    """
+    names = tuple(f.name for f in fields(cls))
+    assert set(read) == set(names), cls
+    required = tuple(
+        f.name for f in fields(cls)
+        if f.default is MISSING and f.default_factory is MISSING)
+    optional = tuple(k for k in names if k not in required)
+    readers = tuple((k, read[k]) for k in names)
+
+    def parse(x, path: str = "$"):
+        obj = _as_obj(x, path, required, optional)
+        kw = {}
+        for k, read_k in readers:
+            if k in obj:
+                kw[k] = read_k(obj[k], f"{path}.{k}")
+        return cls(**kw)
+
+    return parse
+
+
+#: the least value of each NetworkParams field: a network needs a hop and
+#: a payload byte, and a 0 bps radio sends nothing (every airtime divides
+#: by the bitrate)
+NETWORK_MINIMUMS = {f.name: 0 for f in fields(NetworkParams)} | {
+    "hops": 1, "payload_bytes": 1, "bitrate_bps": 1}
+
+_parse_network_fields = _record(
+    NetworkParams, {k: _at_least(lo) for k, lo in NETWORK_MINIMUMS.items()})
+
+
+def check_round_length(params: NetworkParams, path: str) -> NetworkParams:
+    """params, or a SpecError at path if its round is 0 us long."""
     if round_length(params) == 0:
         # every horizon would hold unboundedly many rounds
         _fail(path, "round length is 0 us: no slot takes any radio-on or -off time")
     return params
 
 
-def _parse_task(x, path: str) -> Task:
-    obj = _as_obj(x, path, ("id", "node", "wcet_us"))
-    return Task(
-        id=_as_str(obj["id"], f"{path}.id"),
-        node=_as_str(obj["node"], f"{path}.node"),
-        wcet_us=_as_int(obj["wcet_us"], f"{path}.wcet_us", 1),
-    )
+def parse_network(x, path: str = "$.network") -> NetworkParams:
+    return check_round_length(_parse_network_fields(x, path), path)
+
+
+_parse_tasks = _tuple_of(
+    _record(Task, {"id": _as_str, "node": _as_str, "wcet_us": _at_least(1)}))
+
+
+def _parse_edge(x, path: str) -> tuple[str, str, str]:
+    obj = _as_obj(x, path, ("src", "dst", "msg"))
+    return tuple(_as_str(obj[k], f"{path}.{k}") for k in ("src", "dst", "msg"))
+
+
+_parse_edges = _tuple_of(_parse_edge)
 
 
 def _parse_app(x, path: str) -> Application:
-    obj = _as_obj(
-        x, path, ("id", "period_us", "tasks", "edges"), ("deadline_us",)
-    )
+    obj = _as_obj(x, path, ("id", "period_us", "tasks", "edges"), ("deadline_us",))
     period = _as_int(obj["period_us"], f"{path}.period_us", 1)
-    deadline = (
-        _as_int(obj["deadline_us"], f"{path}.deadline_us", 1)
-        if "deadline_us" in obj
-        else period
-    )
-    tasks = tuple(
-        _parse_task(t, f"{path}.tasks[{i}]")
-        for i, t in enumerate(_as_list(obj["tasks"], f"{path}.tasks"))
-    )
-    edges = []
-    for i, e in enumerate(_as_list(obj["edges"], f"{path}.edges")):
-        ep = f"{path}.edges[{i}]"
-        eo = _as_obj(e, ep, ("src", "dst", "msg"))
-        edges.append(
-            (
-                _as_str(eo["src"], f"{ep}.src"),
-                _as_str(eo["dst"], f"{ep}.dst"),
-                _as_str(eo["msg"], f"{ep}.msg"),
-            )
-        )
     return Application(
         id=_as_str(obj["id"], f"{path}.id"),
         period_us=period,
-        deadline_us=deadline,
-        tasks=tasks,
-        edges=tuple(edges),
+        deadline_us=_as_int(obj.get("deadline_us", period), f"{path}.deadline_us", 1),
+        tasks=_parse_tasks(obj["tasks"], f"{path}.tasks"),
+        edges=_parse_edges(obj["edges"], f"{path}.edges"),
     )
+
+
+_parse_modes = _tuple_of(
+    _record(Mode, {"id": _as_str, "applications": _tuple_of(_parse_app)}))
 
 
 def parse_spec(x) -> SystemSpec:
     obj = _as_obj(x, "$", ("network", "modes"), ("grid_us",))
     network = parse_network(obj["network"])
     grid = _as_int(obj.get("grid_us", 1), "$.grid_us", 1)
-    modes = []
-    for i, m in enumerate(_as_list(obj["modes"], "$.modes")):
-        mp = f"$.modes[{i}]"
-        mo = _as_obj(m, mp, ("id", "applications"))
-        apps = tuple(
-            _parse_app(a, f"{mp}.applications[{j}]")
-            for j, a in enumerate(
-                _as_list(mo["applications"], f"{mp}.applications")
-            )
-        )
-        mode_id = _as_str(mo["id"], f"{mp}.id")
-        if any(prev.id == mode_id for prev in modes):
-            _fail(f"{mp}.id", f"duplicate mode id {mode_id!r}")
-        modes.append(Mode(id=mode_id, applications=apps))
+    modes = _parse_modes(obj["modes"], "$.modes")
+    for i, mode in enumerate(modes):
+        if any(prev.id == mode.id for prev in modes[:i]):
+            _fail(f"$.modes[{i}].id", f"duplicate mode id {mode.id!r}")
     if not modes:
         _fail("$.modes", "at least one mode is required")
-    return SystemSpec(network=network, grid_us=grid, modes=tuple(modes))
+    return SystemSpec(network=network, grid_us=grid, modes=modes)
 
 
-def _parse_us_map(x, path: str, lo: int | None = None) -> dict[str, int]:
+def _parse_us_map(x, path: str, lo: int) -> dict[str, int]:
     if not isinstance(x, dict):
         _fail(path, f"expected object, got {_typename(x)}")
     return {k: _as_int(v, f"{path}.{k}", lo) for k, v in x.items()}
 
 
-def parse_schedule(x, path: str = "$") -> ModeSchedule:
-    obj = _as_obj(
-        x,
-        path,
-        (
-            "mode_id",
-            "hyperperiod_us",
-            "round_len_us",
-            "task_offsets",
-            "message_offsets",
-            "message_deadlines",
-            "rounds",
-            "leftover",
-        ),
-    )
-    rounds = []
-    for i, r in enumerate(_as_list(obj["rounds"], f"{path}.rounds")):
-        rp = f"{path}.rounds[{i}]"
-        ro = _as_obj(r, rp, ("t", "alloc"))
-        alloc = tuple(
-            _as_str(a, f"{rp}.alloc[{j}]")
-            for j, a in enumerate(_as_list(ro["alloc"], f"{rp}.alloc"))
-        )
-        rounds.append(Round(_as_int(ro["t"], f"{rp}.t", 0), alloc))
-    leftover = _parse_us_map(obj["leftover"], f"{path}.leftover", 0)
+def _parse_leftover(x, path: str) -> dict[str, int]:
+    leftover = _parse_us_map(x, path, 0)
     for k, v in leftover.items():
         if v > 1:
-            _fail(f"{path}.leftover.{k}", f"value {v} above maximum 1")
-    return ModeSchedule(
-        mode_id=_as_str(obj["mode_id"], f"{path}.mode_id"),
-        hyperperiod_us=_as_int(obj["hyperperiod_us"], f"{path}.hyperperiod_us", 1),
-        round_len_us=_as_int(obj["round_len_us"], f"{path}.round_len_us", 1),
-        task_offsets=_parse_us_map(obj["task_offsets"], f"{path}.task_offsets", 0),
-        message_offsets=_parse_us_map(
-            obj["message_offsets"], f"{path}.message_offsets", 0
-        ),
-        message_deadlines=_parse_us_map(
-            obj["message_deadlines"], f"{path}.message_deadlines", 1
-        ),
-        rounds=tuple(rounds),
-        leftover=leftover,
-    )
+            _fail(f"{path}.{k}", f"value {v} above maximum 1")
+    return leftover
+
+
+parse_schedule = _record(ModeSchedule, {
+    "mode_id": _as_str,
+    "hyperperiod_us": _at_least(1),
+    "round_len_us": _at_least(1),
+    "task_offsets": partial(_parse_us_map, lo=0),
+    "message_offsets": partial(_parse_us_map, lo=0),
+    "message_deadlines": partial(_parse_us_map, lo=1),
+    "rounds": _tuple_of(
+        _record(Round, {"t": _at_least(0), "alloc": _tuple_of(_as_str)})),
+    "leftover": _parse_leftover,
+})
 
 
 def schedule_to_obj(s: ModeSchedule) -> dict:
-    return {
-        "mode_id": s.mode_id,
-        "hyperperiod_us": s.hyperperiod_us,
-        "round_len_us": s.round_len_us,
-        "task_offsets": dict(sorted(s.task_offsets.items())),
-        "message_offsets": dict(sorted(s.message_offsets.items())),
-        "message_deadlines": dict(sorted(s.message_deadlines.items())),
-        "rounds": [{"t": r.t, "alloc": list(r.alloc)} for r in s.rounds],
-        "leftover": dict(sorted(s.leftover.items())),
-    }
+    obj = asdict(s)
+    obj["rounds"] = [dict(r, alloc=list(r["alloc"])) for r in obj["rounds"]]
+    return obj
 
 
-def parse_scenario(x, path: str = "$") -> Scenario:
-    obj = _as_obj(
-        x,
-        path,
-        ("initial_mode", "n_rounds"),
-        ("beacon_loss", "seed", "switches"),
-    )
-    switches = []
-    for i, s in enumerate(_as_list(obj.get("switches", []), f"{path}.switches")):
-        sp = f"{path}.switches[{i}]"
-        so = _as_obj(s, sp, ("at_us", "to_mode"))
-        switches.append(
-            SwitchRequest(
-                at_us=_as_int(so["at_us"], f"{sp}.at_us", 0),
-                to_mode=_as_str(so["to_mode"], f"{sp}.to_mode"),
-            )
-        )
-    return Scenario(
-        initial_mode=_as_str(obj["initial_mode"], f"{path}.initial_mode"),
-        n_rounds=_as_int(obj["n_rounds"], f"{path}.n_rounds", 1),
-        beacon_loss=_as_prob(obj.get("beacon_loss", 0.0), f"{path}.beacon_loss"),
-        seed=_as_int(obj.get("seed", 0), f"{path}.seed", 0),
-        switches=tuple(switches),
-    )
+parse_scenario = _record(Scenario, {
+    "initial_mode": _as_str,
+    "n_rounds": _at_least(1),
+    "beacon_loss": _as_prob,
+    "seed": _at_least(0),
+    "switches": _tuple_of(
+        _record(SwitchRequest, {"at_us": _at_least(0), "to_mode": _as_str})),
+})
+
+
+#: the summary's counters: every SimTrace field but its events
+_SUMMARY_FIELDS = tuple(f.name for f in fields(SimTrace) if f.name != "events")
 
 
 def _summary_obj(trace: SimTrace) -> dict:
-    return {
-        "beacons_sent": trace.beacons_sent,
-        "beacons_missed": trace.beacons_missed,
-        "transmissions": trace.transmissions,
-        "collisions": trace.collisions,
-        "resyncs": trace.resyncs,
-    }
+    return {k: getattr(trace, k) for k in _SUMMARY_FIELDS}
 
 
 def trace_to_obj(trace: SimTrace) -> dict:
@@ -348,10 +310,7 @@ def report_to_obj(report: CheckReport) -> dict:
     return {
         "ok": report.ok,
         "families": report.by_family(),
-        "violations": [
-            {"code": v.code, "where": v.where, "detail": v.detail}
-            for v in report.violations
-        ],
+        "violations": [asdict(v) for v in report.violations],
     }
 
 

@@ -119,7 +119,7 @@ def synthesize(
     report = ValidationReport()
     validate_mode(mode, report)
     if not report.ok:
-        raise ValueError(f"mode {mode.id} is not well formed: {sorted(report.codes())}")
+        raise ValueError(f"mode {mode.id} is not well formed: {sorted(report.failed())}")
 
     r_min = min_rounds(mode, params)
     r_max = max_rounds(mode, params, config)

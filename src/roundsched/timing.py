@@ -113,7 +113,8 @@ def energy_saving(payload_bytes: int, data_slots: int, p: NetworkParams) -> Frac
 
     Compares the radio-on time of one round (one beacon, data_slots payloads)
     against sending each payload with its own beacon. Exact fraction; 0 for a
-    single slot, growing with the slot count.
+    single slot, growing with the slot count.  Raises ValueError where the
+    saving is 0/0: no data slot, or slots that take no radio-on time.
 
     >>> p = NetworkParams(hops=4, slots_per_round=5, payload_bytes=10)
     >>> energy_saving(10, 5, p) == Fraction(13312, 41120)
@@ -125,6 +126,8 @@ def energy_saving(payload_bytes: int, data_slots: int, p: NetworkParams) -> Frac
     on_data = t_slot(payload_bytes, p).on_us
     with_rounds = on_beacon + data_slots * on_data
     without = data_slots * (on_beacon + on_data)
+    if without == 0:
+        raise ValueError("energy saving is 0/0: without rounds the radio is never on")
     return Fraction(without - with_rounds, without)
 
 

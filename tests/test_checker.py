@@ -13,6 +13,7 @@ import pytest
 
 from roundsched.checker import VERDICT_FAMILIES, check
 from roundsched.model import Mode, ModeSchedule, Round
+from roundsched.specio import dumps, report_to_obj
 from roundsched.timing import round_length
 from support import mk_app, small_params
 
@@ -186,6 +187,77 @@ class TestMutations:
     def test_unknown_message_in_round(self):
         rep = self.run(mutate(rounds=(Round(1000, ("m", "ghost")),)))
         assert "domains" in rep.failed()
+
+
+class TestReportText:
+    """The text and JSON of a failing report, pinned whole."""
+
+    def test_failing_audit(self):
+        rep = check(pipeline_mode(), mutate(rounds=(Round(500, ("m",)),)), P)
+        assert str(rep) == "\n".join([
+            "domains: pass",
+            "round_gap: pass",
+            "round_overlap: pass",
+            "slot_capacity: pass",
+            "node_exclusive: pass",
+            "precedence: pass",
+            "e2e_deadline: pass",
+            "conservation: pass",
+            "leftover: pass",
+            "service_after_release: fail",
+            "service_before_deadline: pass",
+            "curve_order: pass",
+            "service_after_release at message m: instance 0 released 1000, "
+            "round starts 500",
+        ])
+        assert dumps(report_to_obj(rep)) == """{
+  "families": {
+    "conservation": "pass",
+    "curve_order": "pass",
+    "domains": "pass",
+    "e2e_deadline": "pass",
+    "leftover": "pass",
+    "node_exclusive": "pass",
+    "precedence": "pass",
+    "round_gap": "pass",
+    "round_overlap": "pass",
+    "service_after_release": "fail",
+    "service_before_deadline": "pass",
+    "slot_capacity": "pass"
+  },
+  "ok": false,
+  "violations": [
+    {
+      "code": "service_after_release",
+      "detail": "instance 0 released 1000, round starts 500",
+      "where": "message m"
+    }
+  ]
+}
+"""
+
+    def test_structural_domains_failure_skips_the_rest(self):
+        rep = check(pipeline_mode(), mutate(task_offsets={"t1": 0}), P)
+        assert not rep.ok
+        assert str(rep) == "\n".join(
+            ["domains: fail"]
+            + [f"{fam}: skipped" for fam in VERDICT_FAMILIES[1:]]
+            + ["domains at task_offsets: missing=['t2'] unexpected=[]"]
+        )
+        assert report_to_obj(rep) == {
+            "ok": False,
+            "families": {
+                "domains": "fail",
+                **{fam: "skipped" for fam in VERDICT_FAMILIES[1:]},
+            },
+            "violations": [
+                {
+                    "code": "domains",
+                    "where": "task_offsets",
+                    "detail": "missing=['t2'] unexpected=[]",
+                }
+            ],
+        }
 
 
 def test_wrapped_window_served_late():

@@ -558,6 +558,38 @@ class TestBadInputs:
         assert captured.err.startswith(f"error: {message}")
         assert captured.out == ""
 
+    @pytest.mark.parametrize("flags, network, message", [
+        # one hop and no retransmissions: a slot has no radio-on time, but
+        # the off time keeps the round, and the spec, valid
+        (["--table", "energy"], {"hops": 1, "retransmissions": 0, "start_us": 0},
+         "--hops 1 --slots 5 --payload 10: energy saving is 0/0"),
+        # at two hops the spec's round takes time; at one hop it takes none
+        (["--table", "round-length", "--hops", "1:2"],
+         {"hops": 2, "retransmissions": 0, "start_us": 0, "radio_delay_us": 0,
+          "wakeup_us": 0, "gap_us": 0},
+         "--hops 1 --slots 5 --payload 10: round length is 0 us"),
+    ], ids=["energy", "round-length"])
+    def test_model_row_that_divides_by_zero(self, capsys, tmp_path, flags, network,
+                                            message):
+        data = json.loads(Path(CONTROL).read_text())
+        data["network"].update(network)
+        spec = tmp_path / "zero.json"
+        spec.write_text(json.dumps(data))
+        rc = main(["model", *flags, "--spec", str(spec)])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: {message}")
+        assert captured.err.count("\n") == 1
+        assert captured.out == ""
+
+    def test_spec_without_radio_on_time_synthesizes(self, capsys, tmp_path):
+        data = json.loads(Path(CONTROL).read_text())
+        data["network"].update(hops=1, retransmissions=0, start_us=0)
+        spec = tmp_path / "no_on_time.json"
+        spec.write_text(json.dumps(data))
+        assert main(["synth", "--spec", str(spec), "--mode", "normal"]) == 0
+        assert capsys.readouterr().err.startswith("feasible: ")
+
     def test_malformed_schedule_mapping(self, capsys, synthesized):
         rc = main([
             "simulate", "--spec", CONTROL, "--scenario", SCENARIO,

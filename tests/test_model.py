@@ -83,15 +83,15 @@ def test_hyperperiod_divides_evenly():
 class TestValidation:
     def test_deadline_exceeds_period(self):
         app = mk_app("a", 10, [("t", "n", 1)], [], deadline_ms=12)
-        assert "deadline_exceeds_period" in app_report(app).codes()
+        assert "deadline_exceeds_period" in app_report(app).failed()
 
     def test_wcet_longer_than_period(self):
         app = mk_app("a", 10, [("t", "n", 11)], [])
-        assert "bad_wcet" in app_report(app).codes()
+        assert "bad_wcet" in app_report(app).failed()
 
     def test_unknown_edge_task(self):
         app = mk_app("a", 10, [("t", "n", 1)], [("t", "ghost", "m")])
-        assert "unknown_edge_task" in app_report(app).codes()
+        assert "unknown_edge_task" in app_report(app).failed()
 
     def test_cycle_detected(self):
         app = mk_app(
@@ -100,11 +100,11 @@ class TestValidation:
             [("t1", "n1", 1), ("t2", "n2", 1)],
             [("t1", "t2", "m1"), ("t2", "t1", "m2")],
         )
-        assert "graph_cycle" in app_report(app).codes()
+        assert "graph_cycle" in app_report(app).failed()
 
     def test_self_loop_is_a_cycle(self):
         app = mk_app("a", 10, [("t1", "n1", 1)], [("t1", "t1", "m")])
-        assert "graph_cycle" in app_report(app).codes()
+        assert "graph_cycle" in app_report(app).failed()
 
     def test_non_positive_period_is_reported_once(self):
         app = Application("a", 0, 0, (Task("t", "n", 1),), ())
@@ -118,7 +118,7 @@ class TestValidation:
             for p in (1_000_003, 1_000_033)
         )
         report = mode_report(Mode("m", apps))
-        assert report.codes() == {"hyperperiod_overflow"}
+        assert report.failed() == {"hyperperiod_overflow"}
 
     def test_shared_message_needs_one_period(self):
         a = mk_app("a", 10, [("t1", "n1", 1), ("u1", "n2", 1)], [("t1", "u1", "m")])
@@ -131,13 +131,13 @@ class TestValidation:
 
     def test_duplicate_task_id(self):
         app = mk_app("a", 10, [("t", "n1", 1), ("t", "n2", 1)], [])
-        assert "duplicate_task" in app_report(app).codes()
+        assert "duplicate_task" in app_report(app).failed()
 
     def test_mode_sharing_requires_identical_tasks(self):
         a1 = mk_app("a1", 10, [("t", "n1", 1)], [])
         a2 = mk_app("a2", 10, [("t", "n2", 1)], [])
         report = mode_report(Mode("m", (a1, a2)))
-        assert "shared_task_mismatch" in report.codes()
+        assert "shared_task_mismatch" in report.failed()
 
     def test_shared_task_needs_one_period(self):
         # the same task, listed by applications of two periods
@@ -188,10 +188,10 @@ class TestValidation:
         a = mk_app("a", 10, [("t", "n", 1)], [])
         report = ValidationReport()
         validate_modes_disjoint((Mode("m1", (a,)), Mode("m2", (a,))), report)
-        assert "app_in_multiple_modes" in report.codes()
+        assert "app_in_multiple_modes" in report.failed()
 
     def test_empty_mode(self):
-        assert "empty_mode" in mode_report(Mode("m", ())).codes()
+        assert "empty_mode" in mode_report(Mode("m", ())).failed()
 
 
 class TestChains:

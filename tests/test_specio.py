@@ -154,6 +154,18 @@ class TestSpecErrors:
 
         self.check(mut, "$.modes[1].id: duplicate mode id 'only'")
 
+    def test_network_fields_are_read_in_field_order(self):
+        self.check(
+            lambda d: d["network"].update(hops=0, payload_bytes=0),
+            "$.network.hops: value 0 below minimum 1",
+        )
+
+    def test_schedule_keys_are_required_in_field_order(self):
+        data = base_schedule()
+        del data["mode_id"], data["rounds"]
+        with pytest.raises(SpecError, match=re.escape("$: missing required key 'mode_id'")):
+            parse_schedule(data)
+
     def test_edge_fields_are_checked(self):
         def mut(d):
             d["modes"][0]["applications"][0]["edges"][0]["src"] = 3
