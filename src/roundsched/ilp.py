@@ -11,8 +11,8 @@ Variable families, in index order:
     sp_<msg>            producer handoff slips one period
     sc_<msg>__<task>    consumer handoff slips one period
     d_<app>             worst chain latency of the app, microseconds
-    y_<t1>__<t2>__<k>   ordering choice for two tasks sharing a node, k-th
-                        start difference
+    q_<t1>__<t2>        two tasks sharing a node: whole gcds in their start
+                        difference, [-p1/gcd, p2/gcd - 1]
     rt<j>               round start, ticks, rounds kept sorted
     ka<j>_<msg>         message instances released by round j's start
     kd<j>_<msg>         message deadlines passed at round j's end
@@ -21,7 +21,7 @@ Variable families, in index order:
 
 Variables are addressed by model key only: ILPInstance.keys maps the
 family and the model ids in the name, such as ("o", task), ("sc", msg,
-task), ("y", t1, t2, k) or ("n", j, msg), to the variable's index; d is
+task), ("q", t1, t2) or ("n", j, msg), to the variable's index; d is
 keyed by the application's position in the mode.  A task or message
 shared by several applications has one variable.  Each (message,
 producer) and (message, consumer) pair has one row however many
@@ -42,6 +42,17 @@ itself; the swaps generate every permutation of each class of such
 applications, so any schedule can be renamed to sort each class's
 latencies in mode order, and the optimum does not move.  A mode without
 such a pair gets no sym rows.
+
+Rows apart_<t1>__<t2>_a and _b keep two tasks of one node apart with no
+big-M.  With periods p1, p2, G = gcd(p1, p2), WCETs e1, e2 and start
+difference D = g*o_t2 - g*o_t1, the start differences the two patterns
+realize are D plus every multiple of G (Bezout), so their executions
+never overlap exactly when e1 <= D mod G <= G - e2, the rule
+checker._overlap_cyclic audits.  The rows state e1 <= D - G*q <= G - e2.
+WCETs are at least 1 us, so that interval lies inside (0, G) and the only
+q that can satisfy it is floor(D / G): the rows hold for some q exactly
+when the rule does.  Since -(p1 - e1) <= D <= p2 - e2, floor(D / G) lies
+in [-p1/G, p2/G - 1], the bounds of q, so they never bind.
 """
 
 from __future__ import annotations
@@ -115,18 +126,6 @@ def _safe(raw: str) -> str:
     return _UNSAFE.sub("_", raw)
 
 
-def _delta_values(p_i: int, p_j: int) -> list[int]:
-    """Start-time differences two periodic patterns can realize, restricted
-    to the range where executions could collide."""
-    g = math.gcd(p_i, p_j)
-    out = []
-    k = -((p_i - 1) // g)
-    while k * g < p_j:
-        out.append(k * g)
-        k += 1
-    return out
-
-
 def build_instance(
     mode: Mode,
     n_rounds: int,
@@ -185,16 +184,16 @@ def build_instance(
         add(("d", i), f"d_{_safe(app.id)}", 0, app.deadline_us)
 
     task_list = sorted(tasks.values(), key=lambda t: t.id)
-    pair_deltas: list[tuple] = []
+    pairs: list[tuple] = []  # (ti, tj, gcd of their periods)
     for i, ti in enumerate(task_list):
         for tj in task_list[i + 1 :]:
             if ti.node != tj.node:
                 continue
-            for k, dv in enumerate(_delta_values(task_period[ti.id], task_period[tj.id])):
-                pair = f"{_safe(ti.id)}__{_safe(tj.id)}__{k}"
-                add(("y", ti.id, tj.id, k), f"y_{pair}", 0, 1, binary=True)
-                y = key["y", ti.id, tj.id, k]
-                pair_deltas.append((ti, tj, dv, y, f"apart_{pair}"))
+            p_i, p_j = task_period[ti.id], task_period[tj.id]
+            gcd = math.gcd(p_i, p_j)
+            add(("q", ti.id, tj.id), f"q_{_safe(ti.id)}__{_safe(tj.id)}",
+                -(p_i // gcd), p_j // gcd - 1)
+            pairs.append((ti, tj, gcd))
 
     rt_ub = (t_max_us - t_r) // g
     if n_rounds and rt_ub < 0:
@@ -272,16 +271,14 @@ def build_instance(
             f"order_r{j}", {key["rt", j]: g, key["rt", j + 1]: -g}, "<=", -t_r
         )
 
-    # --- shared-node task separation ----------------------------------------
-    for ti, tj, dv, y, nm in pair_deltas:
-        oi, oj = key["o", ti.id], key["o", tj.id]
-        m_pair = task_period[ti.id] + task_period[tj.id]
-        # y = 1: instance of ti (shifted by dv) finishes before tj starts
-        inst.add_row(
-            nm + "_a", {oi: g, oj: -g, y: m_pair}, "<=", m_pair - ti.wcet_us - dv
-        )
-        # y = 0: tj finishes before the shifted instance of ti starts
-        inst.add_row(nm + "_b", {oj: g, oi: -g, y: -m_pair}, "<=", dv - tj.wcet_us)
+    # --- shared-node task separation (see the module docstring) ------------
+    for ti, tj, gcd in pairs:
+        oi, oj, q = key["o", ti.id], key["o", tj.id], key["q", ti.id, tj.id]
+        nm = f"apart_{_safe(ti.id)}__{_safe(tj.id)}"
+        # the instance of ti that starts gcd*q before tj ends before tj starts
+        inst.add_row(nm + "_a", {oi: g, oj: -g, q: gcd}, "<=", -ti.wcet_us)
+        # tj ends before ti starts again, one gcd later
+        inst.add_row(nm + "_b", {oj: g, oi: -g, q: -gcd}, "<=", gcd - tj.wcet_us)
 
     # --- service windows vs rounds ------------------------------------------
     for j in range(n_rounds):

@@ -15,12 +15,13 @@ VM:
 - mip_pool_soft_limit 100: caps the cut pool, the main heap cost of the
   larger programs.  The cap costs time on some programs and saves it on
   others.  The 4-pipeline ladder at 4 rounds (4 pipelines sharing a
-  controller, with its sym rows) is proven optimal in 2.9-3.2 s (911
-  nodes) at 86 MB peak RSS with the cap, and in 2.2-2.5 s (736 nodes) at
-  88.5 MB with HiGHS's default pool of 10000 cuts.  Refuting 4 rounds of
-  5 pipelines with 115 ms deadlines takes 3.4-3.6 s with the cap and
-  4.1-4.7 s without it, which a 5 s budget for the whole search over
-  round counts cannot spare: the cap stays.
+  controller, with its sym rows) is proven optimal in 2.4-3.0 s (1402
+  nodes) with the cap, and in 2.4-2.7 s (922 nodes) with HiGHS's default
+  pool of 10000 cuts.  Refuting 4 rounds of 5 pipelines with 115 ms
+  deadlines takes 2.7-3.2 s with the cap and 4.2-4.4 s without it, which
+  a 5 s budget for the whole search over round counts cannot spare: the
+  cap stays.  A process that solves both peaks at 85.7 MB RSS with the
+  cap and 88.9 MB without.
 - mip_heuristic_run_feasibility_jump off: on the small programs whose
   root LP bound is already the optimum, the feasibility-jump heuristic
   spent about half of each ~20 ms solve finding an incumbent that the

@@ -205,6 +205,11 @@ def parse_spec(x) -> SystemSpec:
             _fail(f"$.modes[{i}].id", f"duplicate mode id {mode.id!r}")
     if not modes:
         _fail("$.modes", "at least one mode is required")
+    for mode in modes:
+        for app in mode.applications:
+            if app.period_us % grid:
+                _fail("$.grid_us", f"{grid} does not divide the period"
+                      f" {app.period_us} of application {app.id!r} in mode {mode.id!r}")
     return SystemSpec(network=network, grid_us=grid, modes=modes)
 
 

@@ -14,8 +14,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
-from .model import Application, chains
-
 
 @dataclass(frozen=True, slots=True)
 class NetworkParams:
@@ -129,19 +127,6 @@ def energy_saving(payload_bytes: int, data_slots: int, p: NetworkParams) -> Frac
     if without == 0:
         raise ValueError("energy saving is 0/0: without rounds the radio is never on")
     return Fraction(without - with_rounds, without)
-
-
-def min_app_latency(app: Application, round_len_us: int) -> int:
-    """Lower bound on the end-to-end latency of one application instance.
-
-    Every chain needs its task execution times plus one full round per
-    message hop; the bound is the maximum over the chains.
-    """
-    best = 0
-    for chain in chains(app):
-        wcet = sum(app.task_by_id(t).wcet_us for t in chain.task_ids)
-        best = max(best, wcet + len(chain.message_ids) * round_len_us)
-    return best
 
 
 def message_latency_bound(p: NetworkParams) -> int:

@@ -518,6 +518,21 @@ class TestBadInputs:
         )
         assert captured.out == ""
 
+    @pytest.mark.parametrize("grid_us", [7000, 10**9])
+    def test_grid_that_does_not_divide_a_period(self, capsys, tmp_path, grid_us):
+        data = json.loads(Path(CONTROL).read_text())
+        data["grid_us"] = grid_us
+        spec = tmp_path / "grid.json"
+        spec.write_text(json.dumps(data))
+        rc = main(["synth", "--spec", str(spec), "--mode", "normal"])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert captured.err == (
+            f"error: $.grid_us: {grid_us} does not divide the period 100000"
+            " of application 'ctrl' in mode 'normal'\n"
+        )
+        assert captured.out == ""
+
     def test_shared_message_sent_from_two_nodes(self, capsys, tmp_path):
         data = json.loads(Path(CONTROL).read_text())
         data["modes"][1]["applications"].append({

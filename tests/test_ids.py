@@ -103,7 +103,9 @@ class TestExportedNames:
         a1 = mk_app("a1", 20, [("t1", "shared", 1)], [])
         a2 = mk_app("a2", 30, [("t2", "shared", 1)], [])
         inst = build_instance(Mode("m", (a1, a2)), 1, small_params(), 1000)
-        assert len([r for r in inst.rows if r.name.startswith("apart_")]) == 8
+        assert [r.name for r in inst.rows if r.name.startswith("apart_")] == [
+            "apart_t1__t2_a", "apart_t1__t2_b"
+        ]
         self.assert_legal_and_unique(inst)
 
     def test_colliding_ids(self):

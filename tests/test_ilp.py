@@ -8,14 +8,14 @@ shows up as a readable diff rather than a solver mystery.
 import pytest
 from support import control_mode, mk_app, small_params, wide_params
 
+from roundsched.checker import _overlap_cyclic
 from roundsched.ilp import (
     DecodeError,
-    _delta_values,
     build_instance,
     check_assignment,
     extract_schedule,
 )
-from roundsched.model import Mode
+from roundsched.model import Application, Mode, Task
 from roundsched.solver import solve
 from roundsched.synthesis import SynthConfig, synthesize
 from roundsched.timing import round_length
@@ -30,19 +30,6 @@ def row_by_name(inst, name):
 
 def named_coeffs(inst, row):
     return {inst.variables[i].name: cf for i, cf in row.coeffs.items()}
-
-
-class TestDeltaValues:
-    def test_equal_periods_single_offset(self):
-        assert _delta_values(20, 20) == [0]
-
-    def test_20_30(self):
-        assert _delta_values(20_000, 30_000) == [-10_000, 0, 10_000, 20_000]
-
-    def test_range_is_open_on_both_sides(self):
-        vals = _delta_values(40, 60)
-        assert -40 not in vals and 60 not in vals
-        assert vals[0] == -20 and vals[-1] == 40
 
 
 @pytest.fixture(scope="module")
@@ -69,7 +56,7 @@ class TestControlInstance:
         assert byname["sp_m1"].binary and byname["r0_m3"].binary
 
     def test_no_processor_pairs_on_distinct_nodes(self, inst):
-        assert not [v for v in inst.variables if v.name.startswith("y_")]
+        assert not [v for v in inst.variables if v.name.startswith("q_")]
 
     def test_producer_row(self, inst):
         row = row_by_name(inst, "prod_m1")
@@ -162,7 +149,7 @@ class TestControlInstance:
 
 
 class TestSharedNodeRows:
-    def test_pair_rows_tightened_by_period_sum(self):
+    def test_pair_rows_step_by_the_period_gcd(self):
         app = mk_app(
             "a",
             20,
@@ -170,23 +157,72 @@ class TestSharedNodeRows:
             [("t1", "t2", "m")],
         )
         inst = build_instance(Mode(id="m", applications=(app,)), 1, small_params(), 1000)
-        row = row_by_name(inst, "apart_t1__t2__0_a")
-        coeffs = named_coeffs(inst, row)
-        assert coeffs["y_t1__t2__0"] == 40_000
-        assert row.rhs == 40_000 - 3000
-        row_b = row_by_name(inst, "apart_t1__t2__0_b")
-        assert named_coeffs(inst, row_b)["y_t1__t2__0"] == -40_000
-        assert row_b.rhs == -4000
+        q = inst.variables[inst.keys["q", "t1", "t2"]]
+        assert (q.name, q.lb, q.ub, q.binary) == ("q_t1__t2", -1, 0, False)
+        row = row_by_name(inst, "apart_t1__t2_a")
+        assert named_coeffs(inst, row) == {
+            "o_t1": 1000, "o_t2": -1000, "q_t1__t2": 20_000
+        }
+        assert row.rhs == -3000
+        row_b = row_by_name(inst, "apart_t1__t2_b")
+        assert named_coeffs(inst, row_b) == {
+            "o_t2": 1000, "o_t1": -1000, "q_t1__t2": -20_000
+        }
+        assert row_b.rhs == 20_000 - 4000
 
-    def test_unequal_periods_get_one_binary_per_offset(self):
+    def test_unequal_periods_get_one_integer(self):
         a1 = mk_app("a1", 20, [("t1", "shared", 1)], [])
         a2 = mk_app("a2", 40, [("t2", "shared", 1)], [])
         inst = build_instance(
             Mode(id="m", applications=(a1, a2)), 0, small_params(), 1000
         )
-        ys = [v.name for v in inst.variables if v.name.startswith("y_")]
-        # differences multiple of gcd(20, 40) ms in the open range (-20, 40): 0, 20
-        assert len(ys) == len(_delta_values(20_000, 40_000)) == 2
+        qs = [v for v in inst.variables if v.name.startswith("q_")]
+        # gcd(20, 40) ms = 20 ms: q in [-20/20, 40/20 - 1]
+        assert [(v.name, v.lb, v.ub) for v in qs] == [("q_t1__t2", -1, 1)]
+        apart = [r for r in inst.rows if r.name.startswith("apart_")]
+        assert [(r.name, r.coeffs[inst.keys["q", "t1", "t2"]]) for r in apart] == [
+            ("apart_t1__t2_a", 20_000),
+            ("apart_t1__t2_b", -20_000),
+        ]
+
+
+class TestApartRowsAreExact:
+    """For every WCET pair and offset pair of two tasks on one node, some
+    q inside its bounds satisfies both apart rows exactly when the audit's
+    gcd rule (checker._overlap_cyclic) finds no overlap."""
+
+    PERIODS = (4, 6, 8, 12)
+
+    @pytest.mark.parametrize("p_i", PERIODS)
+    @pytest.mark.parametrize("p_j", PERIODS)
+    def test_rows_agree_with_the_audit(self, p_i, p_j):
+        params = small_params()
+        cases = 0
+        for e_i in range(1, p_i + 1):
+            for e_j in range(1, p_j + 1):
+                apps = tuple(
+                    Application(f"a{n}", p, p, (Task(f"t{n}", "shared", e),), ())
+                    for n, p, e in ((1, p_i, e_i), (2, p_j, e_j))
+                )
+                inst = build_instance(Mode("m", apps), 0, params, grid_us=1)
+                oi, oj = inst.keys["o", "t1"], inst.keys["o", "t2"]
+                q = inst.keys["q", "t1", "t2"]
+                q_range = range(inst.variables[q].lb, inst.variables[q].ub + 1)
+                values = [v.ub for v in inst.variables]  # d_<app> at its deadline
+                for o_i in range(p_i - e_i + 1):
+                    for o_j in range(p_j - e_j + 1):
+                        values[oi], values[oj] = o_i, o_j
+                        apart = False
+                        for x in q_range:
+                            values[q] = x
+                            bad = check_assignment(inst, values)
+                            assert all(b.startswith("apart_") for b in bad), bad
+                            apart = apart or not bad
+                        assert apart == (
+                            not _overlap_cyclic(o_i, e_i, p_i, o_j, e_j, p_j)
+                        ), (o_i, e_i, o_j, e_j)
+                        cases += 1
+        assert cases == (p_i * (p_i + 1) // 2) * (p_j * (p_j + 1) // 2)
 
 
 class TestSharedMessageEdge:

@@ -142,8 +142,11 @@ PINNED_LP = {
     ("shared", 1): "6b88191a1418141561509ebc6cf6ff3b270ad4b6606ee8493afb97172a9d8491",
     ("shared", 2): "8b36193277378c2acbd80fd7807eb967a65fad7bf733fba74db7a55f40f677c9",
     ("shared", 3): "eded91bc29f0b8ac32536508276dd955df644112e420cb6166e5ae01472ae423",
-    # recorded when interchangeable applications got their sym_<i>_<j> rows
-    ("ladder4", 4): "2ea36042752f71ca4e2c7cd76c428abe8de2e5071b37ec209003c39acf91175f",
+    # recorded when shared-node tasks got one q_<t1>__<t2> integer and two
+    # apart_ rows per pair in place of a y binary and two big-M rows per
+    # start difference; the LP diff was exactly those variables, their
+    # bounds and the apart_ rows (the modes above share no node)
+    ("ladder4", 4): "788f552814396abe71e4e602707ae6d83d25357846a904ac4dfe5bbec1929e86",
 }
 
 

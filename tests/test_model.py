@@ -21,7 +21,6 @@ from roundsched.model import (
     validate_modes_disjoint,
 )
 from roundsched.synthesis import min_rounds
-from roundsched.timing import min_app_latency
 from support import (
     MS,
     control_app,
@@ -265,8 +264,6 @@ class TestChains:
         msg = "application 'a': edge 'm' names unknown task 'ghost'"
         with pytest.raises(ModelError, match=msg):
             chains(app)
-        with pytest.raises(ModelError, match=msg):
-            min_app_latency(app, 1000)
 
     def test_edge_from_an_unknown_task_raises_model_error(self):
         self.assert_unknown_task_refused(("ghost", "t", "m"))

@@ -172,13 +172,13 @@ class TestBudget:
     and running out of it still yields the audited incumbent.
 
     Five loops with 115 ms deadlines: HiGHS refutes the lower bound of
-    four rounds, then finds the 545 ms optimum at five rounds about 1 s
-    into that count but cannot prove it before the deadline; its dual
-    bound then stands at about 505 ms."""
+    four rounds, then finds a first incumbent at five rounds within 0.5 s
+    and the 545 ms optimum 1-2 s into that count, but cannot prove it
+    before the deadline; its dual bound then stands at about 505 ms."""
 
     BUDGET_MS = 5000
     # time allowed past the deadline for HiGHS to notice it and for the
-    # audit of the incumbent; refuting four rounds alone takes about 2.8 s,
+    # audit of the incumbent; refuting four rounds alone takes about 3 s,
     # so a budget restarted per round count would overrun it
     SLACK_S = 0.25
 

@@ -17,13 +17,12 @@ from roundsched.timing import (
     baseline_round_time,
     energy_saving,
     latency_improvement_factor,
-    min_app_latency,
     round_length,
     t_round,
     t_slot,
     t_tx,
 )
-from support import control_app, round_oracle_us, wide_params
+from support import round_oracle_us, wide_params
 
 
 P4 = wide_params(hops=4)
@@ -133,16 +132,6 @@ def test_round_grid_monotone_in_hops_and_slots():
 
 
 class TestLatency:
-    def test_single_task_floor(self):
-        from support import mk_app
-
-        app = mk_app("a", 100, [("t", "n", 1)], [])
-        assert min_app_latency(app, round_length(P4)) == 1000
-
-    def test_control_chain_floor(self):
-        # 3 tasks of 1 ms on the longest chain plus 2 round traversals
-        assert min_app_latency(control_app(), round_length(P4)) == 3000 + 2 * 50308
-
     def test_improvement_factor_is_two(self):
         assert latency_improvement_factor(P4) == 2.0
         assert latency_improvement_factor(P2) == 2.0
