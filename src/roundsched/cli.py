@@ -134,7 +134,7 @@ def _cmd_synth(args) -> int:
 def _cmd_check(args) -> int:
     spec = _load_spec(args.spec)
     schedule = parse_schedule(load_json(args.schedule))
-    mode = _pick_mode(spec, args.mode if args.mode else schedule.mode_id)
+    mode = _pick_mode(spec, schedule.mode_id)
     report = check(mode, schedule, spec.network)
     _emit([dumps(report_to_obj(report))], args.report)
     if report.ok:
@@ -278,7 +278,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("check", help="audit a schedule against a spec")
     p.add_argument("--spec", required=True)
     p.add_argument("--schedule", required=True, help="schedule JSON to audit")
-    p.add_argument("--mode", help="mode id (defaults to the schedule's mode_id)")
     p.add_argument("--report", help="write the report JSON here instead of stdout")
     p.set_defaults(run=_cmd_check)
 
@@ -311,7 +310,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
+    try:
+        args = _build_parser().parse_args(argv)
+    except SystemExit as e:  # argparse exits 2 on a usage error: infeasible here
+        return 1 if e.code else 0
     try:
         return args.run(args)
     except (SpecError, ValueError, OSError) as e:

@@ -7,7 +7,8 @@ microseconds with a grid factor on the tick variables.
 
 Variable families, in index order:
     o_<task>            task start offset, ticks, [0, (p - e) // g]
-    mo_<msg>, md_<msg>  message window offset [0, p/g) and width (0, p/g]
+    mo_<msg>, md_<msg>  message window offset [0, p/g) and width
+                        [ceil(t_r/g), p/g], empty when no round fits p
     sp_<msg>            producer handoff slips one period
     sc_<msg>__<task>    consumer handoff slips one period
     d_<app>             worst chain latency of the app, microseconds
@@ -32,8 +33,10 @@ already taken gets a _2, _3, ... suffix, so names are unique among the
 variables and among the rows.
 
 Each served instance needs a round that starts at or after its release
-and ends by its deadline, so the window width is bounded below by the
-round length; that bound is baked into md's domain.
+and ends by its deadline, so md's window holds a whole round and fits its
+period.  When p < t_r that domain is empty and HiGHS reports the program
+infeasible; no row marks it.  synthesize() never builds such a program:
+the message lies on a chain, so min_rounds >= H/p > H/t_r >= max_rounds.
 
 Rows sym_<i>_<j> break the symmetry of interchangeable applications: for
 application i and the first later application j that model.swap_map can
@@ -114,10 +117,6 @@ class ILPInstance:
         self.rows.append(Row(name, {k: v for k, v in coeffs.items() if v}, sense, rhs))
 
 
-class DecodeError(ValueError):
-    """An assignment that should describe a schedule does not."""
-
-
 _UNSAFE = re.compile(r"[^A-Za-z0-9]")
 
 
@@ -151,7 +150,6 @@ def build_instance(
         "grid_us": g,
         "round_len_us": t_r,
         "hyperperiod_us": h,
-        "slots_per_round": n_slots,
     }
     key = inst.keys
 
@@ -171,10 +169,7 @@ def build_instance(
     for mid, p in period_of.items():
         pg = p // g
         add(("mo", mid), f"mo_{_safe(mid)}", 0, pg - 1)
-        if md_lb > pg:
-            # no window of this period can contain a whole round
-            inst.add_row(f"nofit_{_safe(mid)}", {}, "<=", -1)
-        add(("md", mid), f"md_{_safe(mid)}", min(md_lb, pg), pg)
+        add(("md", mid), f"md_{_safe(mid)}", md_lb, pg)
     for app in mode.applications:
         for mid in app.message_ids:
             add(("sp", mid), f"sp_{_safe(mid)}", 0, 1, binary=True)
@@ -352,21 +347,16 @@ def extract_schedule(
     """Turn a verified assignment back into a schedule."""
     g = inst.meta["grid_us"]
     n_rounds = inst.meta["n_rounds"]
-    n_slots = inst.meta["slots_per_round"]
     tasks = mode.all_tasks()
     mids = sorted(mode.message_periods())
 
     def val(*k) -> int:
         return values[inst.keys[k]]
 
-    rounds = []
-    for j in range(n_rounds):
-        alloc = []
-        for mid in mids:
-            alloc.extend([mid] * val("n", j, mid))
-        if len(alloc) > n_slots:
-            raise DecodeError(f"round {j} oversubscribed: {alloc}")
-        rounds.append(Round(val("rt", j) * g, tuple(alloc)))
+    rounds = tuple(
+        Round(val("rt", j) * g, tuple(m for m in mids for _ in range(val("n", j, m))))
+        for j in range(n_rounds)
+    )
 
     return ModeSchedule(
         mode_id=mode.id,
@@ -375,6 +365,6 @@ def extract_schedule(
         task_offsets={tid: val("o", tid) * g for tid in sorted(tasks)},
         message_offsets={mid: val("mo", mid) * g for mid in mids},
         message_deadlines={mid: val("md", mid) * g for mid in mids},
-        rounds=tuple(rounds),
+        rounds=rounds,
         leftover={mid: val("r0", mid) for mid in mids},
     )

@@ -14,7 +14,7 @@ from .ilp import ILPInstance, Row
 
 def _terms(inst: ILPInstance, coeffs: dict[int, int]) -> str:
     if not coeffs:
-        # an unsatisfiable marker row has no support; write it with a
+        # a row without terms (cap_j of a mode without messages) gets a
         # zero coefficient so the format stays well formed
         return f"0 {inst.variables[0].name}"
     parts: list[str] = []

@@ -5,7 +5,9 @@ sparse constraint matrix, every variable integer.  HiGHS works in
 floating point, so its point is rounded to integers and re-verified in
 exact integer arithmetic (check_assignment), and the objective is
 recomputed from the rounded integers.  A rounded point that fails the
-check raises instead of being returned.
+check raises instead of being returned.  solve() stops at the absolute
+time.monotonic() deadline of the search that calls it, so one budget
+covers every round count synthesize() tries.
 
 HiGHS runs with three options set (HIGHS_OPTIONS), measured on a 2-core
 VM:
@@ -50,13 +52,9 @@ from scipy.sparse import csr_array
 
 from .ilp import ILPInstance, check_assignment
 
-HIGHS_OPTIONS = {
-    # prove the latency optimal, not within the default 0.01 % gap
+HIGHS_OPTIONS = {  # each is measured in the module docstring
     "mip_rel_gap": 0.0,
-    # smaller heap; slower on some ladder programs, faster on others (above)
     "mip_pool_soft_limit": 100,
-    # small programs: ~10 ms per solve instead of ~20 ms, half of which the
-    # heuristic spent on an incumbent the root heuristics then replaced
     "mip_heuristic_run_feasibility_jump": False,
 }
 
@@ -139,18 +137,15 @@ def _milp(inst: ILPInstance, time_limit_s: float | None):
         )
 
 
-def solve(inst: ILPInstance, *, budget_ms: float | None = None) -> SolverSolution:
+def solve(inst: ILPInstance, *, deadline: float | None = None) -> SolverSolution:
     """Minimize the instance objective over integer points.
 
-    budget_ms bounds the wall time; when it runs out the result is
-    "timeout", with the best verified point found so far, if any.
+    deadline is the search's absolute time.monotonic() instant; once it
+    has passed the result is "timeout", with the best verified point found
+    so far, if any.
     """
-    time_limit_s = deadline = None
-    if budget_ms is not None:
-        if budget_ms <= 0:
-            return SolverSolution("timeout", None, None, 0)
-        time_limit_s = budget_ms / 1000.0
-        deadline = time.monotonic() + time_limit_s
+    # HiGHS ignores a negative time_limit and runs to the end
+    time_limit_s = None if deadline is None else max(0.0, deadline - time.monotonic())
     res = _milp(inst, time_limit_s)
     nodes = int(res.mip_node_count or 0)
     if res.status == 2:

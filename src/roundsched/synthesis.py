@@ -33,6 +33,15 @@ from .solver import solve
 from .timing import NetworkParams, round_length
 
 
+# Longest hyperperiod handed to HiGHS, half the lowest failure measured.
+# HiGHS's integers may be 1e-6 off, 1 us on a 1e6 us coefficient.  Every
+# period = deadline = P, 1 us grid: perfbench's 400 pool modes pass at
+# 2e5..8e5 us; at 1e6 one point fails check_assignment (apart_t2__t3_a:
+# -999 > -1000), at 4e6 seven; ladder_mode(2) fails from 7e6; mode
+# "normal" has its 2 schedulable rounds refuted from 1e9.
+MAX_HYPERPERIOD_US = 500_000
+
+
 @dataclass
 class SynthConfig:
     grid_us: int = 1
@@ -43,12 +52,12 @@ class SynthConfig:
 @dataclass
 class SynthesisOutcome:
     status: str  # "feasible" | "infeasible" | "timeout"
-    schedule: ModeSchedule | None  # on "timeout", the audited incumbent if any
-    rounds_used: int | None
-    objective_us: int | None
     min_rounds: int  # the search started here; smaller counts were not solved
     solver_calls: int  # round counts HiGHS was run on, from min_rounds up
     nodes_total: int
+    schedule: ModeSchedule | None = None  # on "timeout", the audited incumbent if any
+    rounds_used: int | None = None
+    objective_us: int | None = None
     # no schedule at the last round count solved has a smaller objective:
     # objective_us when feasible, HiGHS's bound when that count ran out of
     # budget, None when infeasible or when HiGHS stated no bound
@@ -108,8 +117,7 @@ def synthesize(
 ) -> SynthesisOutcome:
     """Search for a schedule of the mode, trying round counts from
     min_rounds up to max_rounds."""
-    if config is None:
-        config = SynthConfig()
+    config = config or SynthConfig()
     if config.t_max_us is not None and config.t_max_us <= 0:
         raise ValueError(f"horizon cap must be positive, got {config.t_max_us} us")
     if config.solver_budget_ms is not None and config.solver_budget_ms < 0:
@@ -123,37 +131,40 @@ def synthesize(
 
     r_min = min_rounds(mode, params)
     r_max = max_rounds(mode, params, config)
-    deadline = None
-    if config.solver_budget_ms is not None:
-        deadline = time.monotonic() + config.solver_budget_ms / 1000
-    calls = 0
-    nodes = 0
+    h = hyperperiod(mode)
+    if r_min <= r_max and h > MAX_HYPERPERIOD_US:
+        # r_min > r_max is a proof without HiGHS, exact at any hyperperiod
+        raise ValueError(
+            f"mode {mode.id}: hyperperiod {h} us (grid {config.grid_us} us) is "
+            f"above the synthesis limit of {MAX_HYPERPERIOD_US} us"
+        )
+    budget_ms = config.solver_budget_ms
+    deadline = None if budget_ms is None else time.monotonic() + budget_ms / 1000
+    calls = nodes = 0
     for n_rounds in range(r_min, r_max + 1):
         inst = build_instance(
             mode, n_rounds, params, grid_us=config.grid_us, t_max_us=config.t_max_us
         )
-        budget_ms = None if deadline is None else (deadline - time.monotonic()) * 1000
-        if budget_ms is not None and budget_ms <= 0:
+        if deadline is not None and time.monotonic() >= deadline:
             # spent before HiGHS ran on this count: not a solver call
-            return SynthesisOutcome("timeout", None, None, None, r_min, calls, nodes)
-        sol = solve(inst, budget_ms=budget_ms)
+            return SynthesisOutcome("timeout", r_min, calls, nodes)
+        sol = solve(inst, deadline=deadline)
         calls += 1
         nodes += sol.nodes
         if sol.status == "infeasible":
             continue
         if sol.values is None:
             return SynthesisOutcome(
-                "timeout", None, None, None, r_min, calls, nodes, sol.dual_bound
+                "timeout", r_min, calls, nodes, dual_bound_us=sol.dual_bound
             )
         schedule = extract_schedule(inst, sol.values, mode)
         audit = check(mode, schedule, params)
         if not audit.ok:
             raise RuntimeError(
-                "synthesized schedule failed its own audit: "
-                f"{sorted(audit.failed())}"
+                f"synthesized schedule failed its own audit: {sorted(audit.failed())}"
             )
         status = "feasible" if sol.status == "optimal" else "timeout"
         return SynthesisOutcome(
-            status, schedule, n_rounds, sol.objective, r_min, calls, nodes, sol.dual_bound
+            status, r_min, calls, nodes, schedule, n_rounds, sol.objective, sol.dual_bound
         )
-    return SynthesisOutcome("infeasible", None, None, None, r_min, calls, nodes)
+    return SynthesisOutcome("infeasible", r_min, calls, nodes)

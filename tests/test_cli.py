@@ -1,7 +1,7 @@
 """Command line behaviour, driven in process through main(argv).
 
-Exit codes under test: 0 success, 1 input or budget errors, 2 proven
-infeasible, 3 audit violations.
+Exit codes under test: 0 success, 1 usage, input or budget errors, 2
+proven infeasible, 3 audit violations.
 """
 
 import dataclasses
@@ -25,7 +25,7 @@ from roundsched.specio import (
     parse_spec,
     trace_to_obj,
 )
-from roundsched.synthesis import synthesize
+from roundsched.synthesis import MAX_HYPERPERIOD_US, synthesize
 from roundsched.timing import NetworkParams, t_round
 from support import ladder_mode, pipeline_app
 
@@ -481,6 +481,28 @@ class TestModel:
         assert "model needs --spec or all of" in capsys.readouterr().err
 
 
+class TestUsage:
+    """argparse's own exit code for a usage error, 2, means "proven
+    infeasible" here."""
+
+    @pytest.mark.parametrize("argv, message", [
+        (["synth"], "the following arguments are required: --spec"),
+        (["synth", "--spec", CONTROL, "--budget-ms", "abc"],
+         "argument --budget-ms: invalid int value: 'abc'"),
+        (["check", "--spec", CONTROL, "--schedule", "normal.json", "--mode", "normal"],
+         "unrecognized arguments: --mode normal"),
+    ], ids=["missing-spec", "budget-not-an-int", "check-mode"])
+    def test_usage_error_exits_1(self, capsys, argv, message):
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert message in captured.err
+        assert captured.out == ""
+
+    def test_help_exits_0(self, capsys):
+        assert main(["synth", "--help"]) == 0
+        assert "--budget-ms" in capsys.readouterr().out
+
+
 class TestBadInputs:
     def test_unreadable_json(self, capsys, tmp_path):
         bad = tmp_path / "junk.json"
@@ -530,6 +552,27 @@ class TestBadInputs:
         assert captured.err == (
             f"error: $.grid_us: {grid_us} does not divide the period 100000"
             " of application 'ctrl' in mode 'normal'\n"
+        )
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("period_us, grid_us", [(10**9, 1), (10**11, 1000)])
+    def test_hyperperiod_above_the_synthesis_limit(self, capsys, tmp_path,
+                                                   period_us, grid_us):
+        # without the limit HiGHS refutes 2 rounds of the first, which have
+        # a schedule, and its point for the second fails exact verification
+        data = json.loads(Path(CONTROL).read_text())
+        data["grid_us"] = grid_us
+        app = data["modes"][0]["applications"][0]
+        app["period_us"] = app["deadline_us"] = period_us
+        spec = tmp_path / "long.json"
+        spec.write_text(json.dumps(data))
+        rc = main(["synth", "--spec", str(spec), "--mode", "normal",
+                   "--budget-ms", "2000"])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert captured.err == (
+            f"error: mode normal: hyperperiod {period_us} us (grid {grid_us} us)"
+            f" is above the synthesis limit of {MAX_HYPERPERIOD_US} us\n"
         )
         assert captured.out == ""
 

@@ -6,15 +6,12 @@ shows up as a readable diff rather than a solver mystery.
 """
 
 import pytest
+from lptools import milp_solve, parse_lp
 from support import control_mode, mk_app, small_params, wide_params
 
 from roundsched.checker import _overlap_cyclic
-from roundsched.ilp import (
-    DecodeError,
-    build_instance,
-    check_assignment,
-    extract_schedule,
-)
+from roundsched.ilp import build_instance, check_assignment, extract_schedule
+from roundsched.lpformat import render_lp
 from roundsched.model import Application, Mode, Task
 from roundsched.solver import solve
 from roundsched.synthesis import SynthConfig, synthesize
@@ -279,14 +276,17 @@ class TestGuards:
         with pytest.raises(ValueError, match="grid"):
             build_instance(control_mode(), 1, wide_params(hops=2), grid_us=7)
 
-    def test_unservable_window_yields_marker_row(self):
-        # a 20 ms period cannot contain a 42.6 ms round
+    def test_unservable_window_has_an_empty_md_domain(self):
+        # a 20 ms period cannot contain a 42.6 ms round: md's domain is
+        # [ceil(42.6 ms / 1 ms), 20 ms / 1 ms], empty, and no row marks it
         app = mk_app("a", 20, [("t1", "n1", 1), ("t2", "n2", 1)], [("t1", "t2", "m")])
         inst = build_instance(Mode(id="m", applications=(app,)), 0,
                               wide_params(hops=2), 1000)
-        row = row_by_name(inst, "nofit_m")
-        assert row.coeffs == {} and row.rhs == -1
+        md = inst.variables[inst.keys["md", "m"]]
+        assert (md.lb, md.ub) == (43, 20)
+        assert not any(r.name.startswith("nofit") for r in inst.rows)
         assert solve(inst).status == "infeasible"
+        assert milp_solve(parse_lp(render_lp(inst)))[0] == "infeasible"
 
 
 class TestAssignmentRoundTrip:
@@ -310,14 +310,3 @@ class TestAssignmentRoundTrip:
         bad[inst.keys["rt", 0]] = bad[inst.keys["rt", 1]]  # collapse the two rounds
         complaints = check_assignment(inst, bad)
         assert any("order_r0" in c for c in complaints)
-
-    def test_decode_rejects_oversubscribed_round(self):
-        mode = control_mode()
-        params = wide_params(hops=2)
-        inst = build_instance(mode, 2, params, grid_us=1000)
-        sol = solve(inst)
-        bad = list(sol.values)
-        bad[inst.keys["n", 0, "m1"]] = 4
-        bad[inst.keys["n", 0, "m2"]] = 2
-        with pytest.raises(DecodeError, match="oversubscribed"):
-            extract_schedule(inst, bad, mode)

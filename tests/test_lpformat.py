@@ -80,18 +80,18 @@ class TestRoundTrip:
             assert rhs == row.rhs
 
     def test_empty_row_parses_to_zero_coefficients(self):
-        from support import mk_app
-        from roundsched.model import Mode
-
-        app = mk_app("a", 20, [("t1", "n1", 1), ("t2", "n2", 1)], [("t1", "t2", "m")])
-        inst = build_instance(Mode(id="m", applications=(app,)), 0,
+        # a mode without messages has nothing to put in a round's slots, so
+        # its cap_0 row has no terms
+        app = mk_app("a", 100, [("t1", "n1", 1)], [])
+        inst = build_instance(Mode(id="m", applications=(app,)), 1,
                               wide_params(hops=2), 1000)
+        assert [r.coeffs for r in inst.rows if r.name == "cap_0"] == [{}]
         parsed = parse_lp(render_lp(inst))
-        nofit = [r for r in parsed["rows"] if r[0] == "nofit_m"]
-        assert len(nofit) == 1
-        _, coeffs, op, rhs = nofit[0]
+        cap = [r for r in parsed["rows"] if r[0] == "cap_0"]
+        assert len(cap) == 1
+        _, coeffs, op, rhs = cap[0]
         assert all(c == 0 for c in coeffs.values())
-        assert (op, rhs) == ("<=", -1)
+        assert (op, rhs) == ("<=", 5)
 
 
 class TestCrossSolver:

@@ -1,0 +1,39 @@
+"""Every roundsched command in README.md's code blocks runs and exits 0.
+
+The commands run in order through cli.main, in a directory that holds a
+copy of specs/, so the schedules the synth examples write are the ones
+the check and simulate examples read.  A flag that the command line no
+longer takes fails here instead of in a reader's shell.
+"""
+
+import re
+import shlex
+import shutil
+from pathlib import Path
+
+from roundsched.cli import main
+
+ROOT = Path(__file__).resolve().parent.parent
+FENCE = re.compile(r"^```[^\n]*\n(.*?)^```", re.S | re.M)
+
+
+def readme_commands() -> list[list[str]]:
+    commands = []
+    for block in FENCE.findall((ROOT / "README.md").read_text(encoding="utf-8")):
+        for line in block.replace("\\\n", " ").splitlines():
+            if line.startswith("roundsched "):
+                commands.append(shlex.split(line)[1:])
+    return commands
+
+
+def test_the_walkthrough_covers_every_subcommand():
+    assert [c[0] for c in readme_commands()] == [
+        "synth", "synth", "check", "simulate", "model", "model", "model", "model",
+    ]
+
+
+def test_every_readme_command_exits_0(tmp_path, monkeypatch):
+    shutil.copytree(ROOT / "specs", tmp_path / "specs")
+    monkeypatch.chdir(tmp_path)
+    for argv in readme_commands():
+        assert main(argv) == 0, argv

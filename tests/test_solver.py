@@ -5,8 +5,10 @@ row arithmetic, so agreement on forty seeded programs is meaningful
 evidence rather than the solver grading its own homework.
 """
 
+import time
+
 import pytest
-from support import control_mode, enumerate_milp, random_ilp, wide_params
+from support import control_mode, enumerate_milp, ladder_mode, random_ilp, wide_params
 
 from roundsched.ilp import ILPInstance, build_instance, check_assignment
 from roundsched.solver import solve
@@ -47,7 +49,12 @@ class TestBasics:
         assert sol.dual_bound is None
 
     def test_zero_budget_times_out(self):
-        sol = solve(knapsackish(), budget_ms=0)
+        # a deadline already passed: HiGHS would ignore the negative time
+        # limit and prove this program optimal in seconds
+        inst = build_instance(ladder_mode(4), 4, wide_params(hops=2), grid_us=5000)
+        start = time.monotonic()
+        sol = solve(inst, deadline=start - 1.0)
+        assert time.monotonic() - start < 0.5
         assert sol.status == "timeout"
         assert sol.values is None
 

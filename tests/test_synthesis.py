@@ -25,7 +25,13 @@ from roundsched.ilp import build_instance
 from roundsched.model import Mode
 from roundsched.solver import solve
 from roundsched.specio import load_json, parse_spec
-from roundsched.synthesis import SynthConfig, max_rounds, min_rounds, synthesize
+from roundsched.synthesis import (
+    MAX_HYPERPERIOD_US,
+    SynthConfig,
+    max_rounds,
+    min_rounds,
+    synthesize,
+)
 
 GRID = SynthConfig(grid_us=1000)
 LADDER_GRID = SynthConfig(grid_us=5000)
@@ -151,6 +157,24 @@ class TestLimitsAndGuards:
     def test_meaningless_budget_is_rejected(self, cfg, match):
         with pytest.raises(ValueError, match=match):
             synthesize(control_mode(), wide_params(hops=2), cfg)
+
+    @pytest.mark.parametrize("period_ms, grid_us", [(10**6, 1), (10**8, 1000)])
+    def test_hyperperiod_above_the_limit_is_refused(self, period_ms, grid_us):
+        # without the limit, HiGHS refutes the 2 rounds of the first, which
+        # have a schedule, and more counts until the budget runs out; its
+        # point for the second fails exact verification
+        cfg = SynthConfig(grid_us=grid_us, solver_budget_ms=2000)
+        with pytest.raises(
+            ValueError,
+            match=rf"^mode normal: hyperperiod {period_ms * 1000} us \(grid {grid_us} us\)"
+            rf" is above the synthesis limit of {MAX_HYPERPERIOD_US} us$",
+        ):
+            synthesize(control_mode(period_ms), wide_params(hops=2), cfg)
+
+    def test_hyperperiod_at_the_limit_is_synthesized(self):
+        mode = control_mode(MAX_HYPERPERIOD_US // 1000)
+        out = synthesize(mode, wide_params(hops=2), GRID)
+        assert (out.status, out.rounds_used, out.objective_us) == ("feasible", 2, 89_000)
 
     def test_broken_mode_is_rejected_before_solving(self):
         app = mk_app("a", 20, [("t1", "n1", 1)], [("t1", "t9", "m")])
