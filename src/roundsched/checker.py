@@ -28,7 +28,6 @@ from .stepfuncs import (
     _ceil_div,
     deadline_instants,
     first_order_violation,
-    release_instants,
 )
 from .timing import NetworkParams, round_length
 
@@ -271,8 +270,6 @@ def check(mode: Mode, schedule: ModeSchedule, params: NetworkParams) -> CheckRep
         for slot in r.alloc:
             if slot in allocs_of:
                 allocs_of[slot].append(r)
-    round_points = {0, h}
-    round_points.update(min(h + 1, r.t + t_r + 1) for r in rounds_sorted)
     for mid in sorted(period_of):
         p = period_of[mid]
         o = schedule.message_offsets[mid]
@@ -330,13 +327,14 @@ def check(mode: Mode, schedule: ModeSchedule, params: NetworkParams) -> CheckRep
                     )
 
         if r0 in (0, 1):
+            # between two steps of service or demand only arrival moves,
+            # and it only rises: the ordering first fails at 0 or at a step
             mt = MsgTiming(mid, o, d, p)
-            points = set(round_points)
-            points.update(release_instants(mt, h))
+            ends = [r.t + t_r for r in allocs]
+            points = {0}
+            points.update(min(h + 1, e + 1) for e in ends)
             points.update(x + 1 for x in deadline_instants(mt, h))
-            bad = first_order_violation(
-                mt, sorted(points), [r.t + t_r for r in allocs], r0
-            )
+            bad = first_order_violation(mt, sorted(points), ends, r0)
             if bad is not None:
                 t, df, sf, af = bad
                 rep.add(

@@ -142,7 +142,7 @@ def _rounds(
     # a message's producers all sit on the node that sends it
     producers = {mid_: mode.producers() for mid_, (mode, _) in mode_table.items()}
 
-    belief = {n: scenario.initial_mode for n in nodes}
+    # a node that missed a commit beacon, and when its degraded span began
     degraded_since: dict[str, int] = {}
 
     mode_id = scenario.initial_mode
@@ -193,17 +193,11 @@ def _rounds(
 
         # reactions of nodes that heard the beacon
         for n in nodes:
-            if not heard[n]:
-                continue
-            if n in degraded_since or belief[n] != mode_id:
+            if heard[n] and n in degraded_since:
                 trace.resyncs += 1
                 yield {"t": t, "kind": "resync", "node": n, "mode": mode_id}
-                if n in degraded_since:
-                    yield {"t": t, "kind": "degraded", "node": n,
-                           "since": degraded_since.pop(n)}
-                belief[n] = mode_id
-            if committing:
-                belief[n] = to_mode
+                yield {"t": t, "kind": "degraded", "node": n,
+                       "since": degraded_since.pop(n)}
 
         # data slots: only nodes that heard the beacon transmit, and they
         # transmit exactly what the named round allocates
@@ -225,8 +219,9 @@ def _rounds(
 
         if committing:
             for n in nodes:
-                if not heard[n] and belief[n] != to_mode:
-                    degraded_since[n] = t_end
+                if not heard[n]:
+                    # a span already open keeps its start
+                    degraded_since.setdefault(n, t_end)
             mode_id = to_mode
             sched = mode_table[mode_id][1]
             epoch_base = t_end

@@ -4,15 +4,15 @@ Each record's schema is its dataclass: a network is NetworkParams, a
 schedule ModeSchedule (its rounds Round), a scenario Scenario (its
 switches SwitchRequest), a mode Mode and a task Task.  The JSON keys are
 the fields, a field with a default is an optional key, and a missing one
-takes the dataclass default; NETWORK_MINIMUMS bounds each network field.
+takes the dataclass default; NETWORK_MINIMUMS bounds each network field
+(the radio is fixed, see timing, so a network names only its deployment).
 Three records name their keys here: an application, whose deadline_us is
 optional only in JSON (it defaults to the period), an edge, which is a
 (src, dst, msg) triple, and the spec itself.
 
 Readers reject anything the schema does not name: unknown keys, wrong
-types (a bool is never accepted where an int belongs), bad ranges, and
-a network whose rounds take no time.  Errors carry the JSON path of the
-offending value so they read like
+types (a bool is never accepted where an int belongs) and bad ranges.
+Errors carry the JSON path of the offending value so they read like
 "$.modes[0].applications[1].tasks[2].wcet_us: expected int, got bool".
 A task names only its id, node and WCET; it runs at the period of the
 application that lists it.
@@ -37,7 +37,7 @@ from typing import Callable, Iterable, Iterator
 from .checker import CheckReport
 from .model import Application, Mode, ModeSchedule, Round, Task
 from .sim import Event, Scenario, SimTrace, SwitchRequest
-from .timing import NetworkParams, round_length
+from .timing import NetworkParams
 
 
 class SpecError(ValueError):
@@ -146,25 +146,16 @@ def _record(cls, read: dict[str, Callable[[object, str], object]]):
 
 
 #: the least value of each NetworkParams field: a network needs a hop and
-#: a payload byte, and a 0 bps radio sends nothing (every airtime divides
-#: by the bitrate)
-NETWORK_MINIMUMS = {f.name: 0 for f in fields(NetworkParams)} | {
-    "hops": 1, "payload_bytes": 1, "bitrate_bps": 1}
+#: a payload byte
+NETWORK_MINIMUMS = {"hops": 1, "slots_per_round": 0, "payload_bytes": 1,
+                    "retransmissions": 0}
 
 _parse_network_fields = _record(
     NetworkParams, {k: _at_least(lo) for k, lo in NETWORK_MINIMUMS.items()})
 
 
-def check_round_length(params: NetworkParams, path: str) -> NetworkParams:
-    """params, or a SpecError at path if its round is 0 us long."""
-    if round_length(params) == 0:
-        # every horizon would hold unboundedly many rounds
-        _fail(path, "round length is 0 us: no slot takes any radio-on or -off time")
-    return params
-
-
 def parse_network(x, path: str = "$.network") -> NetworkParams:
-    return check_round_length(_parse_network_fields(x, path), path)
+    return _parse_network_fields(x, path)
 
 
 _parse_tasks = _tuple_of(

@@ -65,16 +65,6 @@ def demand(m: MsgTiming, t: TimeUs) -> int:
     return _ceil_div(t - m.offset_us - m.deadline_us, m.period_us)
 
 
-def release_instants(m: MsgTiming, horizon_us: int) -> list[TimeUs]:
-    """Release instants of m inside [0, horizon_us]."""
-    out = []
-    t = m.offset_us
-    while t <= horizon_us:
-        out.append(t)
-        t += m.period_us
-    return out
-
-
 def deadline_instants(m: MsgTiming, horizon_us: int) -> list[TimeUs]:
     """Deadline instants of m inside [0, horizon_us], wrapped ones included."""
     out = []

@@ -118,6 +118,8 @@ def synthesize(
     """Search for a schedule of the mode, trying round counts from
     min_rounds up to max_rounds."""
     config = config or SynthConfig()
+    if config.grid_us < 1:
+        raise ValueError(f"time grid must be at least 1 us, got {config.grid_us} us")
     if config.t_max_us is not None and config.t_max_us <= 0:
         raise ValueError(f"horizon cap must be positive, got {config.t_max_us} us")
     if config.solver_budget_ms is not None and config.solver_budget_ms < 0:

@@ -15,6 +15,10 @@ from roundsched.timing import NetworkParams
 
 MS = 1000
 
+#: the radio constants of timing, which a spec's network may not set
+RADIO_KEYS = ("beacon_bytes", "cal_bytes", "header_bytes", "bitrate_bps",
+              "wakeup_us", "start_us", "radio_delay_us", "gap_us")
+
 
 def mk_app(
     app_id: str,

@@ -7,6 +7,7 @@ when over budget, so a slow regression cannot hide behind a green mark.
 
 import random
 import time
+from dataclasses import replace
 from fractions import Fraction
 
 from oracle import brute_force_min_rounds
@@ -33,7 +34,6 @@ from roundsched.stepfuncs import (
     arrival,
     deadline_instants,
     demand,
-    release_instants,
 )
 from roundsched.synthesis import SynthConfig, max_rounds, synthesize
 from roundsched.timing import (
@@ -61,11 +61,13 @@ def test_acceptance_1_round_length():
 
 def test_acceptance_2_energy_saving():
     t0 = time.monotonic()
-    sav = energy_saving(10, 5, REFERENCE)
+    sav = energy_saving(REFERENCE)
     exact = sav == Fraction(13_312, 41_120)
     close = abs(float(sav) - 0.324) <= 0.01
-    by_slots = [float(energy_saving(10, b, REFERENCE)) for b in range(1, 9)]
-    by_payload = [float(energy_saving(l, 5, REFERENCE)) for l in (8, 10, 12, 16, 24)]
+    by_slots = [float(energy_saving(replace(REFERENCE, slots_per_round=b)))
+                for b in range(1, 9)]
+    by_payload = [float(energy_saving(replace(REFERENCE, payload_bytes=l)))
+                  for l in (8, 10, 12, 16, 24)]
     grows = all(a < b for a, b in zip(by_slots, by_slots[1:]))
     shrinks = all(a > b for a, b in zip(by_payload, by_payload[1:]))
     dt = time.monotonic() - t0
@@ -162,7 +164,7 @@ def test_acceptance_6_counting_functions():
         if (demand(m, 0) == -1) != wraps:
             bad += 1
             continue
-        rel = release_instants(m, p)
+        rel = range(o, p + 1, p)
         dl = deadline_instants(m, p)
         for t in range(0, p + 1, step):
             if arrival(m, t) != af_oracle(o, p, t):

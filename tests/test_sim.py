@@ -171,6 +171,22 @@ class TestModeChange:
         for d in degraded:
             assert d["since"] == ep["t"]
 
+    def test_degraded_span_starts_at_the_first_missed_commit(self, table):
+        # nobody hears a beacon, so every node misses all three commits
+        scn = Scenario(
+            "normal",
+            40,
+            beacon_loss=1.0,
+            seed=1,
+            switches=(SwitchRequest(0, "fallback"), SwitchRequest(1, "normal"),
+                      SwitchRequest(2, "fallback")),
+        )
+        trace = simulate(table, scn)
+        first, _, last = trace.of_kind("epoch")
+        degraded = trace.of_kind("degraded")
+        assert len(degraded) == 5 and all(d["open"] for d in degraded)
+        assert {d["since"] for d in degraded} == {first["t"]} != {last["t"]}
+
 
 class TestCarriedMessageCommit:
     """A message flagged as crossing the cycle boundary delays the commit

@@ -11,13 +11,13 @@ from roundsched.specio import (
     SpecError,
     dumps,
     load_json,
-    parse_network,
     parse_scenario,
     parse_schedule,
     parse_spec,
     schedule_to_obj,
     trace_to_obj,
 )
+from support import RADIO_KEYS
 
 SPEC_DIR = Path(__file__).resolve().parent.parent / "specs"
 SPEC_PATH = str(SPEC_DIR / "control_loop.json")
@@ -117,25 +117,11 @@ class TestSpecErrors:
             "$.network.hops: value 0 below minimum 1",
         )
 
-    def test_zero_bitrate_rejected(self):
-        self.check(
-            lambda d: d["network"].update(bitrate_bps=0),
-            "$.network.bitrate_bps: value 0 below minimum 1",
-        )
-
-    def test_zero_length_round_rejected(self):
-        # one hop and no retransmissions: a flood has no transmission phase
-        def mut(d):
-            d["network"].update(retransmissions=0, start_us=0, radio_delay_us=0,
-                                wakeup_us=0, gap_us=0)
-
-        self.check(mut, "$.network: round length is 0 us")
-
-    def test_zero_times_with_a_transmission_phase_accepted(self):
-        net = base_spec()["network"]
-        net.update(hops=2, retransmissions=0, start_us=0, radio_delay_us=0,
-                   wakeup_us=0, gap_us=0)
-        assert parse_network(net).flood_width == 1
+    @pytest.mark.parametrize("key", RADIO_KEYS)
+    def test_radio_key_is_unknown(self, key):
+        # the radio is fixed (timing's constants): no network sets it
+        self.check(lambda d: d["network"].update({key: 0}),
+                   f"$.network.{key}: unknown key")
 
     def test_empty_id_rejected(self):
         self.check(

@@ -18,7 +18,6 @@ from roundsched.stepfuncs import (
     deadline_instants,
     demand,
     first_order_violation,
-    release_instants,
     service_sweep,
 )
 from support import af_oracle, df_oracle, sv_oracle
@@ -101,9 +100,8 @@ class TestService:
         self.check((Round(0, ("m", "m")),), 0, {3 * MS: 2})
 
 
-def test_release_and_deadline_instants():
+def test_deadline_instants():
     m = timings(8, 5, 10)
-    assert release_instants(m, 30 * MS) == [8 * MS, 18 * MS, 28 * MS]
     assert deadline_instants(m, 30 * MS) == [3 * MS, 13 * MS, 23 * MS]
 
 

@@ -152,6 +152,8 @@ class TestLimitsAndGuards:
             (SynthConfig(grid_us=1000, t_max_us=-5), "horizon cap"),
             (SynthConfig(grid_us=1000, t_max_us=0), "horizon cap"),
             (SynthConfig(grid_us=1000, solver_budget_ms=-5), "solver budget"),
+            (SynthConfig(grid_us=0), "time grid must be at least 1 us, got 0 us"),
+            (SynthConfig(grid_us=-1000), "time grid must be at least 1 us, got -1000 us"),
         ],
     )
     def test_meaningless_budget_is_rejected(self, cfg, match):

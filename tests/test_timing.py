@@ -14,13 +14,10 @@ import pytest
 
 from roundsched.timing import (
     NetworkParams,
-    baseline_round_time,
     energy_saving,
     latency_improvement_factor,
     round_length,
-    t_round,
     t_slot,
-    t_tx,
 )
 from support import round_oracle_us, wide_params
 
@@ -34,15 +31,9 @@ P2 = wide_params(hops=2)
     [(10, 320), (19, 608), (3, 96), (9, 288), (12, 384)],
 )
 def test_tx_time_values(nbytes, expect_us):
-    assert t_tx(nbytes, P4) == expect_us
-
-
-def test_tx_time_rounds_half_up():
-    # at 16 Mbps one byte is exactly 0.5 us, exercising the tie-break
-    p = NetworkParams(hops=1, slots_per_round=1, payload_bytes=1, bitrate_bps=16_000_000)
-    assert t_tx(1, p) == 1  # 0.5 rounds up
-    assert t_tx(3, p) == 2  # 1.5 rounds up
-    assert t_tx(2, p) == 1  # exact
+    # nbytes more payload lengthen every phase of the flood by their airtime
+    grown = t_slot(10 + nbytes, P4).on_us - t_slot(10, P4).on_us
+    assert grown == P4.flood_width * expect_us
 
 
 def test_slot_parts_for_ten_byte_payload():
@@ -61,12 +52,11 @@ def test_beacon_slot_total():
     [(P4, 50308), (P2, 42644)],
 )
 def test_round_length_frozen(params, expect_us):
-    assert t_round(10, 5, params) == expect_us
     assert round_length(params) == expect_us
 
 
 def test_round_length_in_expected_band():
-    ms = t_round(10, 5, P4) / 1000
+    ms = round_length(P4) / 1000
     assert 50.0 <= ms <= 50.5
 
 
@@ -75,36 +65,35 @@ def test_round_length_matches_oracle_grid():
         for b in (1, 3, 5, 8):
             for l in (5, 10, 19):
                 p = NetworkParams(hops=h, slots_per_round=b, payload_bytes=l)
-                assert t_round(l, b, p) == round_oracle_us(l, b, h)
-
-
-def test_baseline_round_time():
-    # without aggregation every message needs its own beacon-prefixed round
-    assert baseline_round_time(10, 5, P4) == 5 * (7078 + 8646)
+                assert round_length(p) == round_oracle_us(l, b, h)
 
 
 class TestEnergy:
     def test_reference_saving(self):
-        s = energy_saving(10, 5, P4)
+        s = energy_saving(P4)
         assert s == Fraction(13312, 41120)
         assert abs(float(s) - 0.3237) < 0.01
 
+    def test_round_without_data_slots_is_refused(self):
+        with pytest.raises(ValueError, match="0/0"):
+            energy_saving(replace(P4, slots_per_round=0))
+
     def test_single_slot_saves_nothing(self):
-        assert energy_saving(10, 1, P4) == 0
+        assert energy_saving(replace(P4, slots_per_round=1)) == 0
 
     def test_saving_grows_with_slot_count(self):
-        vals = [energy_saving(10, b, P4) for b in range(1, 11)]
+        vals = [energy_saving(replace(P4, slots_per_round=b)) for b in range(1, 11)]
         assert all(a < b for a, b in zip(vals, vals[1:]))
 
     def test_saving_shrinks_with_payload(self):
-        vals = [energy_saving(l, 5, P4) for l in (2, 5, 10, 19, 40)]
+        vals = [energy_saving(replace(P4, payload_bytes=l)) for l in (2, 5, 10, 19, 40)]
         assert all(a > b for a, b in zip(vals, vals[1:]))
 
     def test_saving_independent_of_hops(self):
         # flood width scales both numerator and denominator parts the same
         # way only through slot counts, not identically, so just check range
         for h in (1, 2, 4, 8):
-            s = energy_saving(10, 5, wide_params(hops=h))
+            s = energy_saving(wide_params(hops=h))
             assert 0 < s < 1
 
     def test_grid_shape_and_header(self):
@@ -112,14 +101,14 @@ class TestEnergy:
         # every grid point, 0 exactly at one slot
         for l in (5, 10):
             for b in (1, 2, 5):
-                s = energy_saving(l, b, P4)
+                s = energy_saving(replace(P4, slots_per_round=b, payload_bytes=l))
                 assert isinstance(s, Fraction) and 0 <= s < 1
                 assert (s == 0) == (b == 1)
 
 
 def test_round_grid_monotone_in_hops_and_slots():
     by_key = {
-        (h, b): t_round(10, b, replace(P4, hops=h))
+        (h, b): round_length(replace(P4, hops=h, slots_per_round=b))
         for h in (1, 2, 4, 8)
         for b in (1, 2, 5, 10)
     }
