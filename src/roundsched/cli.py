@@ -20,12 +20,10 @@ from dataclasses import replace
 from typing import Iterable
 
 from .checker import check
-from .ilp import build_instance
 from .lpformat import write_lp
 from .model import ValidationReport, validate_mode, validate_modes_disjoint
 from .sim import SimTrace, run
 from .specio import (
-    NETWORK_MINIMUMS,
     SpecError,
     dumps,
     load_json,
@@ -36,8 +34,8 @@ from .specio import (
     schedule_to_obj,
     trace_chunks,
 )
-from .synthesis import SynthConfig, max_rounds, synthesize
-from .timing import NetworkParams, energy_saving, round_length
+from .synthesis import SynthConfig, max_rounds, program, synthesize
+from .timing import NETWORK_MINIMUMS, NetworkParams, energy_saving, round_length
 
 ROUND_GRID_HEADER = ("hops", "slots", "payload_bytes", "retransmissions", "t_round_us")
 ENERGY_GRID_HEADER = ("payload_bytes", "slots", "hops", "retransmissions", "saving")
@@ -96,9 +94,7 @@ def _cmd_synth(args) -> int:
     if args.lp_dir is not None:
         os.makedirs(args.lp_dir, exist_ok=True)
         for r in range(out.min_rounds, out.min_rounds + out.solver_calls):
-            inst = build_instance(
-                mode, r, spec.network, grid_us=config.grid_us, t_max_us=config.t_max_us
-            )
+            inst = program(mode, r, spec.network, config)
             write_lp(inst, os.path.join(args.lp_dir, inst.name + ".lp"))
     if out.schedule is not None:
         _emit([dumps(schedule_to_obj(out.schedule))], args.out)

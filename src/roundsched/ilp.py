@@ -56,6 +56,36 @@ WCETs are at least 1 us, so that interval lies inside (0, G) and the only
 q that can satisfy it is floor(D / G): the rows hold for some q exactly
 when the rule does.  Since -(p1 - e1) <= D <= p2 - e2, floor(D / G) lies
 in [-p1/G, p2/G - 1], the bounds of q, so they never bind.
+
+A schedule shifted along the time axis is a schedule too, so the program
+holds copies of each point that differ only in where time starts.  Here
+rt0 is free; synthesis.program bounds it by U = g * (sum over the task
+instances of the hyperperiod of ceil(e/g) - 1), 0 when no WCET exceeds
+the grid, when every message has one producer.  The bound keeps the
+optimum.  Take an optimal point with every slip as small as its rows
+allow (that only lowers latencies), and let c be the latest grid point
+<= g*rt0 that no task instance strictly straddles.  An instance straddles
+ceil(e/g) - 1 grid points at most and none straddles 0, so c >= g*rt0 - U.
+Shift everything left by c: an offset x of period p becomes x - c mod p,
+plus p when x < c mod p (x wraps, w = 1; else w = 0).
+- Rounds move left by c, so they stay sorted in [0, t_max - t_r], and rt0
+  drops to at most U/g.
+- A task that wraps started before c and, straddling nothing, ended by
+  it, so it still ends inside its period.
+- With sp' = sp + w_prod - w_msg and sc' = sc + w_msg - w_cons the prod
+  and cons rows hold, and each chain's latency telescopes to its old
+  value: d, the sym rows and the objective do not move.  Those slips stay
+  0 or 1.  A slip of -1 contradicts its row.  sp' = 2 puts the producer
+  over c: it starts before c mod p <= mo < its end.  sc' = 2 makes the
+  chain span more than a period, above its deadline: mo < c mod p <= o_cons
+  and sc = 1 give o_cons + p - mo > p.
+- Start differences of two tasks on a node move by multiples of their
+  periods, so D mod G, and the apart rows with q = floor(D / G), hold.
+- The service rows count releases and deadlines against rounds in cyclic
+  order.  A window is at most a period wide, so at most one instance of a
+  message straddles c, and r0_<msg> carries it if a round after c serves it.
+Several producers of one message share its sp, and when some of them wrap
+and some do not, no sp' serves all; such a mode keeps rt0 free.
 """
 
 from __future__ import annotations

@@ -16,14 +16,17 @@ VM:
   optimal, not within HiGHS's default 0.01 % gap.
 - mip_pool_soft_limit 100: caps the cut pool, the main heap cost of the
   larger programs.  The cap costs time on some programs and saves it on
-  others.  The 4-pipeline ladder at 4 rounds (4 pipelines sharing a
-  controller, with its sym rows) is proven optimal in 2.4-3.0 s (1402
-  nodes) with the cap, and in 2.4-2.7 s (922 nodes) with HiGHS's default
-  pool of 10000 cuts.  Refuting 4 rounds of 5 pipelines with 115 ms
-  deadlines takes 2.7-3.2 s with the cap and 4.2-4.4 s without it, which
-  a 5 s budget for the whole search over round counts cannot spare: the
-  cap stays.  A process that solves both peaks at 85.7 MB RSS with the
-  cap and 88.9 MB without.
+  others.  Measured on the programs synthesize() solves, the first
+  round's start bounded: the 4-pipeline ladder at 4 rounds (4 pipelines
+  sharing a controller, with its sym rows) is proven optimal in 1.3-1.6 s
+  (546 nodes) with the cap, and in 1.1-1.2 s (362 nodes) with HiGHS's
+  default pool of 10000 cuts; the 5-pipeline ladder at 4 rounds in
+  6.6-7.0 s with the cap and 8.4-9.8 s without.  Refuting 4 rounds of 5
+  pipelines with 115 ms deadlines takes 1.0-1.2 s with the cap and
+  1.8-1.9 s without it, time a 5 s budget for the whole search over round
+  counts needs for the next count: the cap stays.  A process that solves
+  one of these peaks at 84.4-88.2 MB RSS with the cap and 86.8-94.7 MB
+  without.
 - mip_heuristic_run_feasibility_jump off: on the small programs whose
   root LP bound is already the optimum, the feasibility-jump heuristic
   spent about half of each ~20 ms solve finding an incumbent that the

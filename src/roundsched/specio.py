@@ -4,8 +4,10 @@ Each record's schema is its dataclass: a network is NetworkParams, a
 schedule ModeSchedule (its rounds Round), a scenario Scenario (its
 switches SwitchRequest), a mode Mode and a task Task.  The JSON keys are
 the fields, a field with a default is an optional key, and a missing one
-takes the dataclass default; NETWORK_MINIMUMS bounds each network field
-(the radio is fixed, see timing, so a network names only its deployment).
+takes the dataclass default.  timing.NETWORK_MINIMUMS bounds each network
+field; the reader checks it before NetworkParams does, so the error names
+the JSON path (the radio is fixed, see timing, so a network names only
+its deployment).
 Three records name their keys here: an application, whose deadline_us is
 optional only in JSON (it defaults to the period), an edge, which is a
 (src, dst, msg) triple, and the spec itself.
@@ -37,7 +39,7 @@ from typing import Callable, Iterable, Iterator
 from .checker import CheckReport
 from .model import Application, Mode, ModeSchedule, Round, Task
 from .sim import Event, Scenario, SimTrace, SwitchRequest
-from .timing import NetworkParams
+from .timing import NETWORK_MINIMUMS, NetworkParams
 
 
 class SpecError(ValueError):
@@ -144,11 +146,6 @@ def _record(cls, read: dict[str, Callable[[object, str], object]]):
 
     return parse
 
-
-#: the least value of each NetworkParams field: a network needs a hop and
-#: a payload byte
-NETWORK_MINIMUMS = {"hops": 1, "slots_per_round": 0, "payload_bytes": 1,
-                    "retransmissions": 0}
 
 _parse_network_fields = _record(
     NetworkParams, {k: _at_least(lo) for k, lo in NETWORK_MINIMUMS.items()})

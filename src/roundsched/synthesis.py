@@ -17,10 +17,10 @@ below the bound or was refuted), but its latency is not proven optimal.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .checker import check
-from .ilp import build_instance, extract_schedule
+from .ilp import ILPInstance, build_instance, extract_schedule
 from .model import (
     Mode,
     ModeSchedule,
@@ -110,6 +110,30 @@ def min_rounds(mode: Mode, params: NetworkParams) -> int:
     return bound
 
 
+def program(
+    mode: Mode, n_rounds: int, params: NetworkParams, config: SynthConfig
+) -> ILPInstance:
+    """The program HiGHS solves for n_rounds: build_instance's, with the
+    first round's start bounded by U = g * (sum over the task instances
+    of the hyperperiod of ceil(e / g) - 1), which is 0 when no WCET
+    exceeds the grid g.  A message with several producers leaves the
+    start free.  See ilp's docstring for why the bound keeps the optimum.
+    """
+    g = config.grid_us
+    inst = build_instance(mode, n_rounds, params, grid_us=g, t_max_us=config.t_max_us)
+    if n_rounds and all(len(ps) == 1 for ps in mode.producers().values()):
+        h = hyperperiod(mode)
+        periods = mode.task_periods()
+        u_ticks = sum(
+            h // periods[t.id] * (-(-t.wcet_us // g) - 1)
+            for t in mode.all_tasks().values()
+        )
+        i = inst.keys["rt", 0]
+        rt0 = inst.variables[i]
+        inst.variables[i] = replace(rt0, ub=min(rt0.ub, u_ticks))
+    return inst
+
+
 def synthesize(
     mode: Mode,
     params: NetworkParams,
@@ -144,9 +168,7 @@ def synthesize(
     deadline = None if budget_ms is None else time.monotonic() + budget_ms / 1000
     calls = nodes = 0
     for n_rounds in range(r_min, r_max + 1):
-        inst = build_instance(
-            mode, n_rounds, params, grid_us=config.grid_us, t_max_us=config.t_max_us
-        )
+        inst = program(mode, n_rounds, params, config)
         if deadline is not None and time.monotonic() >= deadline:
             # spent before HiGHS ran on this count: not a solver call
             return SynthesisOutcome("timeout", r_min, calls, nodes)

@@ -29,6 +29,12 @@ START_US = 164
 RADIO_DELAY_US = 68
 
 
+#: the least value of each NetworkParams field: a network needs a hop and
+#: a payload byte
+NETWORK_MINIMUMS = {"hops": 1, "slots_per_round": 0, "payload_bytes": 1,
+                    "retransmissions": 0}
+
+
 @dataclass(frozen=True, slots=True)
 class NetworkParams:
     """The deployment: network diameter, round size, payload and the
@@ -38,6 +44,12 @@ class NetworkParams:
     slots_per_round: int
     payload_bytes: int
     retransmissions: int = 2
+
+    def __post_init__(self) -> None:
+        for name, least in NETWORK_MINIMUMS.items():
+            value = getattr(self, name)
+            if value < least:
+                raise ValueError(f"network {name} must be at least {least}, got {value}")
 
     @property
     def flood_width(self) -> int:

@@ -123,7 +123,7 @@ class TestSynth:
 
     def test_timeout_before_any_incumbent(self, capsys, tmp_path):
         # four rounds, the lower bound, are infeasible: refuting them takes
-        # about 3 s, so 200 ms end with no schedule to write
+        # about 1.1 s, so 200 ms end with no schedule to write
         spec = mode_spec(tmp_path, ladder_mode(5, deadline_ms=115), grid_us=5000)
         rc = main(["synth", "--spec", spec, "--budget-ms", "200"])
         assert rc == 1
@@ -258,6 +258,21 @@ class TestSynth:
         assert sorted(p.name for p in tmp_path.iterdir()) == ["f.json", "lps", "renamed.json"]
         text = (lp_dir / f"{stem}_r1.lp").read_text(encoding="ascii")
         assert text.startswith(f"\\ {stem}_r1\nMinimize\n")
+
+    @pytest.mark.parametrize("mode, grid_us, lp, bound", [
+        # no WCET exceeds the grid: the first round starts at 0
+        (ladder_mode(4), 5000, "ladder4_r4.lp", 0),
+        # three 1 ms tasks straddle one 500 us grid point each, where
+        # build_instance allows (200 ms - 42.644 ms) // 500 us = 314
+        (ladder_mode(1), 500, "ladder1_r2.lp", 3),
+    ])
+    def test_lp_dump_is_the_program_solved(self, capsys, tmp_path, mode, grid_us, lp, bound):
+        lp_dir = tmp_path / "lps"
+        rc = main(["synth", "--spec", mode_spec(tmp_path, mode, grid_us),
+                   "--out", str(tmp_path / "s.json"), "--lp-dir", str(lp_dir)])
+        assert rc == 0, capsys.readouterr().err
+        assert sorted(p.name for p in lp_dir.iterdir()) == [lp]
+        assert f"\n 0 <= rt0 <= {bound}\n" in (lp_dir / lp).read_text()
 
 
 class TestCheck:

@@ -1,5 +1,6 @@
 """The scripts in scripts/ still run against the package."""
 
+import json
 import os
 import subprocess
 import sys
@@ -20,3 +21,23 @@ def test_demo_synthesis_runs():
     )
     assert proc.returncode == 0, proc.stderr
     assert "mode normal: 2 rounds" in proc.stdout
+
+
+def test_bench_pairs_records_both_sides_of_each_pair(tmp_path):
+    out = tmp_path / "bench.json"
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "bench_pairs.py"), str(ROOT), str(ROOT),
+         "--out", str(out), "--pairs", "2", "--seconds", "0.1",
+         "--workloads", "long-horizon", "--change-rev", "same tree"],
+        capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    doc = json.loads(out.read_text())
+    assert doc["change"] == "same tree"
+    assert [(r["pair"], r["side"], r["first_in_pair"]) for r in doc["runs"]] == [
+        (0, "parent", "parent"), (0, "change", "parent"),
+        (1, "change", "change"), (1, "parent", "change"),
+    ]
+    for r in doc["runs"]:
+        assert (r["result"]["correct"], r["result"]["failed"]) == (True, 0)
+    assert "  total_s: parent " in proc.stdout

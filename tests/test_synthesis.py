@@ -198,13 +198,13 @@ class TestBudget:
     and running out of it still yields the audited incumbent.
 
     Five loops with 115 ms deadlines: HiGHS refutes the lower bound of
-    four rounds, then finds a first incumbent at five rounds within 0.5 s
-    and the 545 ms optimum 1-2 s into that count, but cannot prove it
-    before the deadline; its dual bound then stands at about 505 ms."""
+    four rounds in about 1.1 s, then finds the 545 ms optimum 0.5-1 s
+    into the count of five, but needs about 8 s to prove it, more than
+    the deadline leaves; its dual bound then stands at about 505 ms."""
 
     BUDGET_MS = 5000
     # time allowed past the deadline for HiGHS to notice it and for the
-    # audit of the incumbent; refuting four rounds alone takes about 3 s,
+    # audit of the incumbent; refuting four rounds alone takes about 1.1 s,
     # so a budget restarted per round count would overrun it
     SLACK_S = 0.25
 
@@ -235,7 +235,7 @@ class TestBudget:
         assert out.dual_bound_us <= 545_000 <= out.objective_us
 
     def test_timeout_before_any_incumbent(self):
-        # four rounds are infeasible and refuting them takes about 3 s, so
+        # four rounds are infeasible and refuting them takes about 1.1 s, so
         # no point exists when 200 ms run out
         mode, params = ladder_mode(5, deadline_ms=115), wide_params(hops=2)
         out = synthesize(mode, params, SynthConfig(grid_us=5000, solver_budget_ms=200))

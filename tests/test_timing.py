@@ -13,6 +13,7 @@ from fractions import Fraction
 import pytest
 
 from roundsched.timing import (
+    NETWORK_MINIMUMS,
     NetworkParams,
     energy_saving,
     latency_improvement_factor,
@@ -66,6 +67,22 @@ def test_round_length_matches_oracle_grid():
             for l in (5, 10, 19):
                 p = NetworkParams(hops=h, slots_per_round=b, payload_bytes=l)
                 assert round_length(p) == round_oracle_us(l, b, h)
+
+
+class TestNetworkMinimums:
+    def test_network_no_spec_can_state_is_refused(self):
+        # it had flood_width -1, a slot radio-on time of -4032 us and 2052 us
+        # rounds for five 120-byte slots, and synthesized "feasible"
+        with pytest.raises(ValueError, match="^network hops must be at least 1, got 0$"):
+            NetworkParams(hops=0, slots_per_round=5, payload_bytes=120, retransmissions=0)
+
+    @pytest.mark.parametrize("field", sorted(NETWORK_MINIMUMS))
+    def test_each_field_names_itself(self, field):
+        least = NETWORK_MINIMUMS[field]
+        assert getattr(replace(P4, **{field: least}), field) == least
+        with pytest.raises(ValueError, match=f"^network {field} must be at least {least}, "
+                                             f"got {least - 1}$"):
+            replace(P4, **{field: least - 1})
 
 
 class TestEnergy:
