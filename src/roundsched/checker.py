@@ -99,6 +99,7 @@ def check(mode: Mode, schedule: ModeSchedule, params: NetworkParams) -> CheckRep
     tasks = mode.all_tasks()
     task_period = mode.task_periods()
     period_of = mode.message_periods()
+    producers = mode.producers()
 
     # -- domains -------------------------------------------------------------
     structural = False
@@ -202,10 +203,8 @@ def check(mode: Mode, schedule: ModeSchedule, params: NetworkParams) -> CheckRep
                 )
 
     # -- precedence and end-to-end deadlines ---------------------------------
-    # a message with several producers slips as far as its latest
-    # producer needs, as the ILP's one sp_<msg> does; a message or an edge
-    # that several applications list is checked, and reported, once
-    producers = mode.producers()
+    # a message or an edge that several applications list is checked, and
+    # reported, once
     sig_p: dict[str, int] = {}
     sig_c: dict[tuple[str, str], int] = {}
     edges_seen: set[tuple[str, str, str]] = set()
@@ -214,17 +213,15 @@ def check(mode: Mode, schedule: ModeSchedule, params: NetworkParams) -> CheckRep
         for mid in app.message_ids:
             if mid in sig_p:
                 continue
-            sig_p[mid] = 0
-            for prod in producers[mid]:
-                done = schedule.task_offsets[prod.id] + prod.wcet_us
-                s = max(0, _ceil_div(done - schedule.message_offsets[mid], p))
-                sig_p[mid] = max(sig_p[mid], s)
-                if s > 1:
-                    rep.add(
-                        "precedence",
-                        f"message {mid}",
-                        f"release slips {s} periods past producer {prod.id}",
-                    )
+            prod = producers[mid]
+            done = schedule.task_offsets[prod.id] + prod.wcet_us
+            sig_p[mid] = s = max(0, _ceil_div(done - schedule.message_offsets[mid], p))
+            if s > 1:
+                rep.add(
+                    "precedence",
+                    f"message {mid}",
+                    f"release slips {s} periods past producer {prod.id}",
+                )
         for edge in app.edges:
             if edge in edges_seen:
                 continue

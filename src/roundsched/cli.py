@@ -87,7 +87,6 @@ def _cmd_synth(args) -> int:
     mode = _pick_mode(spec, args.mode)
     config = SynthConfig(
         grid_us=spec.grid_us,
-        t_max_us=args.t_max_us,
         solver_budget_ms=args.budget_ms,
     )
     out = synthesize(mode, spec.network, config)
@@ -261,7 +260,6 @@ def _build_parser() -> argparse.ArgumentParser:
         type=int,
         help="solver time budget for the whole search over round counts",
     )
-    p.add_argument("--t-max-us", type=int, help="cap on the scheduling horizon")
     p.set_defaults(run=_cmd_synth)
 
     p = sub.add_parser("check", help="audit a schedule against a spec")

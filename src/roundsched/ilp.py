@@ -24,9 +24,8 @@ Variables are addressed by model key only: ILPInstance.keys maps the
 family and the model ids in the name, such as ("o", task), ("sc", msg,
 task), ("q", t1, t2) or ("n", j, msg), to the variable's index; d is
 keyed by the application's position in the mode.  A task or message
-shared by several applications has one variable.  Each (message,
-producer) and (message, consumer) pair has one row however many
-applications list it, so a message waits for every producer.
+shared by several applications has one variable.  Each message and each
+(message, consumer) pair has one row however many applications list it.
 Names are labels made once, when a variable or row is registered, for
 LP export and error text: ids are sanitized to [A-Za-z0-9_], and a name
 already taken gets a _2, _3, ... suffix, so names are unique among the
@@ -61,11 +60,11 @@ A schedule shifted along the time axis is a schedule too, so the program
 holds copies of each point that differ only in where time starts.  Here
 rt0 is free; synthesis.program bounds it by U = g * (sum over the task
 instances of the hyperperiod of ceil(e/g) - 1), 0 when no WCET exceeds
-the grid, when every message has one producer.  The bound keeps the
-optimum.  Take an optimal point with every slip as small as its rows
-allow (that only lowers latencies), and let c be the latest grid point
-<= g*rt0 that no task instance strictly straddles.  An instance straddles
-ceil(e/g) - 1 grid points at most and none straddles 0, so c >= g*rt0 - U.
+the grid.  The bound keeps the optimum.  Take an optimal point with every
+slip as small as its rows allow (that only lowers latencies), and let c
+be the latest grid point <= g*rt0 that no task instance strictly
+straddles.  An instance straddles ceil(e/g) - 1 grid points at most and
+none straddles 0, so c >= g*rt0 - U.
 Shift everything left by c: an offset x of period p becomes x - c mod p,
 plus p when x < c mod p (x wraps, w = 1; else w = 0).
 - Rounds move left by c, so they stay sorted in [0, t_max - t_r], and rt0
@@ -84,8 +83,6 @@ plus p when x < c mod p (x wraps, w = 1; else w = 0).
 - The service rows count releases and deadlines against rounds in cyclic
   order.  A window is at most a period wide, so at most one instance of a
   message straddles c, and r0_<msg> carries it if a round after c serves it.
-Several producers of one message share its sp, and when some of them wrap
-and some do not, no sp' serves all; such a mode keeps rt0 free.
 """
 
 from __future__ import annotations
@@ -241,22 +238,21 @@ def build_instance(
         inst.objective[key["d", i]] = 1
 
     # --- producer, consumer, chain latency ----------------------------------
-    # a message is released once every one of its producers has finished
     producers = mode.producers()
-    handoffs: set[tuple] = set()  # (msg, producer) and (msg, consumer) rows
+    handoffs: set[tuple] = set()  # msg and (msg, consumer) rows
     for i, app in enumerate(mode.applications):
         p = app.period_us
         for mid in app.message_ids:
-            for prod in producers[mid]:
-                if ("prod", mid, prod.id) in handoffs:  # listed by an earlier app
-                    continue
-                handoffs.add(("prod", mid, prod.id))
-                inst.add_row(
-                    f"prod_{_safe(mid)}",
-                    {key["o", prod.id]: g, key["mo", mid]: -g, key["sp", mid]: -p},
-                    "<=",
-                    -prod.wcet_us,
-                )
+            if ("prod", mid) in handoffs:  # listed by an earlier app
+                continue
+            handoffs.add(("prod", mid))
+            prod = producers[mid]
+            inst.add_row(
+                f"prod_{_safe(mid)}",
+                {key["o", prod.id]: g, key["mo", mid]: -g, key["sp", mid]: -p},
+                "<=",
+                -prod.wcet_us,
+            )
         for _src, dst, mid in app.edges:
             if ("cons", mid, dst) in handoffs:
                 continue

@@ -45,8 +45,7 @@ class Application:
     message appearing on several edges from the same producer is a multicast.
     Tasks and messages inherit the application's period: Mode.task_periods
     and Mode.message_periods pair each id with it.  message_ids are the ids
-    the edges name, sorted.  A message with several producers (on one node,
-    see validate_mode) is released only once every one of them has finished.
+    the edges name, sorted.
     """
 
     id: str
@@ -119,17 +118,28 @@ class Mode:
             mid: app.period_us for app in self.applications for mid in app.message_ids
         }
 
-    def producers(self) -> dict[str, tuple[Task, ...]]:
-        """Message id -> the tasks producing it in any of the applications,
-        sorted by task id.  An edge from a task its application does not
-        list is skipped (validate_application reports it)."""
-        out: dict[str, dict[str, Task]] = {}
-        for app in self.applications:
-            tasks = {t.id: t for t in app.tasks}
-            for src, _, mid in app.edges:
-                if src in tasks:
-                    out.setdefault(mid, {})[src] = tasks[src]
-        return {mid: tuple(ts[k] for k in sorted(ts)) for mid, ts in sorted(out.items())}
+    def producers(self) -> dict[str, Task]:
+        """Message id -> its one producer, sorted by message id.  An edge
+        from a task its application does not list is skipped
+        (validate_application reports it); a second producer raises
+        ModelError (validate_mode reports it as several_producers)."""
+        out: dict[str, Task] = {}
+        for mid, ts in sorted(_producer_tasks(self).items()):
+            if len(ts) > 1:
+                raise ModelError(f"mode {self.id!r}, message {mid!r}: produced by {sorted(ts)}")
+            (out[mid],) = ts.values()
+        return out
+
+
+def _producer_tasks(mode: Mode) -> dict[str, dict[str, Task]]:
+    """Message id -> task id -> task, over the edges producers() reads."""
+    out: dict[str, dict[str, Task]] = {}
+    for app in mode.applications:
+        tasks = {t.id: t for t in app.tasks}
+        for src, _, mid in app.edges:
+            if src in tasks:
+                out.setdefault(mid, {})[src] = tasks[src]
+    return out
 
 
 def swap_map(mode: Mode, i: int, j: int) -> dict[str, str] | None:
@@ -386,14 +396,11 @@ def validate_mode(mode: Mode, report: ValidationReport) -> None:
                     f"{where}, message {mid}",
                     "differs between applications",
                 )
-    # one node sends a message, so all its producers must sit on that node
-    for mid, prods in mode.producers().items():
-        nodes = sorted({t.node for t in prods})
-        if len(nodes) > 1:
+    # one task produces a message, and its node sends it
+    for mid, prods in sorted(_producer_tasks(mode).items()):
+        if len(prods) > 1:
             report.add(
-                "multi_node_producers",
-                f"{where}, message {mid}",
-                f"producers map to several nodes: {nodes}",
+                "several_producers", f"{where}, message {mid}", f"produced by {sorted(prods)}"
             )
     # a non-positive period is bad_period, reported per application
     if all(app.period_us > 0 for app in mode.applications):

@@ -139,7 +139,7 @@ def _rounds(
             for t in mode.all_tasks().values()
         }
     )
-    # a message's producers all sit on the node that sends it
+    # a message's producer sits on the node that sends it
     producers = {mid_: mode.producers() for mid_, (mode, _) in mode_table.items()}
 
     # a node that missed a commit beacon, and when its degraded span began
@@ -204,7 +204,7 @@ def _rounds(
         alloc = sched.rounds[index].alloc
         for s, m_id in enumerate(alloc):
             txers = []
-            p_node = producers[mode_id][m_id][0].node
+            p_node = producers[mode_id][m_id].node
             if heard[p_node]:
                 txers.append((p_node, m_id))
             if len(txers) > 1:

@@ -116,12 +116,12 @@ def program(
     """The program HiGHS solves for n_rounds: build_instance's, with the
     first round's start bounded by U = g * (sum over the task instances
     of the hyperperiod of ceil(e / g) - 1), which is 0 when no WCET
-    exceeds the grid g.  A message with several producers leaves the
-    start free.  See ilp's docstring for why the bound keeps the optimum.
+    exceeds the grid g.  See ilp's docstring for why the bound keeps the
+    optimum.
     """
     g = config.grid_us
     inst = build_instance(mode, n_rounds, params, grid_us=g, t_max_us=config.t_max_us)
-    if n_rounds and all(len(ps) == 1 for ps in mode.producers().values()):
+    if n_rounds:
         h = hyperperiod(mode)
         periods = mode.task_periods()
         u_ticks = sum(

@@ -12,7 +12,7 @@ import dataclasses
 import pytest
 
 from roundsched.checker import VERDICT_FAMILIES, check
-from roundsched.model import Mode, ModeSchedule, Round
+from roundsched.model import Mode, ModeSchedule, ModelError, Round
 from roundsched.specio import dumps, report_to_obj
 from roundsched.timing import round_length
 from support import mk_app, small_params
@@ -333,54 +333,22 @@ def test_two_instances_per_hyperperiod():
     assert rep2.ok, str(rep2)
 
 
-def test_shared_message_slips_for_its_latest_producer_in_either_order():
-    # m is produced by t1 (done at 51 ms, after m's 10 ms release: one
-    # period of slip) in application a and by t2 (done at 1 ms: none) in
-    # b; the one release of m must wait for both, so both chains slip
+def test_message_with_two_producers_is_refused():
+    # t1 in a and t2 in b both produce m: no release time serves both
     a = mk_app("a", 100, [("t1", "n1", 1), ("u1", "n2", 1)], [("t1", "u1", "m")])
     b = mk_app("b", 100, [("t2", "n1", 1), ("u2", "n3", 1)], [("t2", "u2", "m")])
     sched = ModeSchedule(
         mode_id="op",
         hyperperiod_us=100_000,
         round_len_us=T_R,
-        task_offsets={"t1": 50_000, "t2": 0, "u1": 60_000, "u2": 60_000},
+        task_offsets={"t1": 0, "t2": 1000, "u1": 60_000, "u2": 60_000},
         message_offsets={"m": 10_000},
         message_deadlines={"m": 30_000},
         rounds=(Round(10_000, ("m",)),),
         leftover={"m": 0},
     )
-    ab = check(Mode("op", (a, b)), sched, P)
-    ba = check(Mode("op", (b, a)), sched, P)
-    assert ab.failed() == ba.failed() == {"e2e_deadline"}
-    assert sorted(map(str, ab.violations)) == sorted(map(str, ba.violations)) == [
-        "e2e_deadline at chain t1>u1: latency 111000 us exceeds deadline 100000 us",
-        "e2e_deadline at chain t2>u2: latency 161000 us exceeds deadline 100000 us",
-    ]
-
-
-def test_message_waits_for_every_producer_in_one_application():
-    # t2 runs 30 ms on n1 and also produces m, so m, released at 1 ms,
-    # slips a period past t2's end: chain t2>u cannot take 16 ms
-    app = mk_app(
-        "a", 100, [("t1", "n1", 1), ("t2", "n1", 30), ("u", "n2", 1)],
-        [("t1", "u", "m"), ("t2", "u", "m")],
-    )
-    sched = ModeSchedule(
-        mode_id="op",
-        hyperperiod_us=100_000,
-        round_len_us=T_R,
-        task_offsets={"t1": 0, "t2": 1000, "u": 16_094},
-        message_offsets={"m": 1000},
-        message_deadlines={"m": 15_094},
-        rounds=(Round(1000, ("m",)),),
-        leftover={"m": 0},
-    )
-    rep = check(Mode("op", (app,)), sched, P)
-    assert rep.failed() == {"e2e_deadline"}
-    assert [str(v) for v in rep.violations] == [
-        "e2e_deadline at chain t1>u: latency 117094 us exceeds deadline 100000 us",
-        "e2e_deadline at chain t2>u: latency 116094 us exceeds deadline 100000 us",
-    ]
+    with pytest.raises(ModelError, match=r"message 'm': produced by \['t1', 't2'\]"):
+        check(Mode("op", (a, b)), sched, P)
 
 
 def test_shared_message_precedence_is_reported_once():

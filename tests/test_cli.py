@@ -151,8 +151,6 @@ class TestSynth:
     @pytest.mark.parametrize(
         "flag, value, what",
         [
-            ("--t-max-us", "-5", "horizon cap"),
-            ("--t-max-us", "0", "horizon cap"),
             ("--budget-ms", "-5", "solver budget"),
         ],
     )
@@ -602,13 +600,19 @@ class TestBadInputs:
         })
         spec = tmp_path / "two_senders.json"
         spec.write_text(json.dumps(data))
-        rc = main(["synth", "--spec", str(spec), "--mode", "fallback"])
-        assert rc == 1
-        captured = capsys.readouterr()
-        assert "mode fallback: multi_node_producers at mode fallback, message wm" in (
-            captured.err
-        )
-        assert captured.out == ""
+        sched = tmp_path / "fallback.json"
+        assert main(["synth", "--spec", CONTROL, "--mode", "fallback", "--out", str(sched)]) == 0
+        capsys.readouterr()
+        for argv in (["synth", "--mode", "fallback"], ["check", "--schedule", str(sched)]):
+            rc = main([argv[0], "--spec", str(spec), *argv[1:]])
+            assert rc == 1, argv
+            captured = capsys.readouterr()
+            (line,) = captured.err.splitlines()
+            assert line.startswith(
+                "error: mode fallback: several_producers at mode fallback, message wm: "
+                "produced by ['e1', "
+            ), argv
+            assert captured.out == ""
 
     @pytest.mark.parametrize("command", [["synth", "--mode", "normal"],
                                          ["model", "--table", "energy"]])

@@ -36,20 +36,6 @@ def test_pipeline_single_round():
     assert rep.ok, str(rep)
 
 
-def test_message_waits_for_its_slowest_producer():
-    # t1 (1 ms) and t2 (30 ms) on n1 both produce m for u
-    app = mk_app(
-        "a", 100, [("t1", "n1", 1), ("t2", "n1", 30), ("u", "n2", 1)],
-        [("t1", "u", "m"), ("t2", "u", "m")],
-    )
-    mode = Mode("m", (app,))
-    p = small_params()
-    r, witness = brute_force_min_rounds(mode, p, GRID)
-    assert r == 1 == min_rounds(mode, p)
-    assert witness.message_offsets["m"] >= witness.task_offsets["t2"] + 30_000
-    assert check(mode, witness, p).ok
-
-
 def test_two_messages_share_a_round_when_slots_allow():
     app = mk_app(
         "a",

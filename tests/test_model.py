@@ -124,7 +124,8 @@ class TestValidation:
         b = mk_app("b", 20, [("t2", "n1", 1), ("u2", "n3", 1)], [("t2", "u2", "m")])
         report = mode_report(Mode("m", (a, b)))
         assert [(v.code, v.where) for v in report.violations] == [
-            ("shared_message_mismatch", "mode m, message m")
+            ("shared_message_mismatch", "mode m, message m"),
+            ("several_producers", "mode m, message m"),
         ]
         assert mode_report(Mode("m", (a, dataclasses.replace(a, id="b")))).ok
 
@@ -159,8 +160,7 @@ class TestValidation:
         assert app_report(app).ok
         report = mode_report(Mode("op", (app,)))
         assert [str(v) for v in report.violations] == [
-            "multi_node_producers at mode op, message m: "
-            "producers map to several nodes: ['n1', 'n2']"
+            "several_producers at mode op, message m: produced by ['t1', 't2']"
         ]
 
     def test_shared_message_producers_on_different_nodes(self):
@@ -169,11 +169,13 @@ class TestValidation:
         assert app_report(a).ok and app_report(b).ok
         report = mode_report(Mode("shared", (a, b)))
         assert [(v.code, v.where) for v in report.violations] == [
-            ("multi_node_producers", "mode shared, message m")
+            ("several_producers", "mode shared, message m")
         ]
-        # different producers on one node are one sender
+        # different producers on one node are still two producers
         b_n1 = mk_app("b", 10, [("t2", "n1", 1), ("u2", "n4", 1)], [("t2", "u2", "m")])
-        assert mode_report(Mode("shared", (a, b_n1))).ok
+        assert [str(v) for v in mode_report(Mode("shared", (a, b_n1))).violations] == [
+            "several_producers at mode shared, message m: produced by ['t1', 't2']"
+        ]
 
     def test_application_listed_twice_in_one_mode(self):
         a = mk_app("a", 10, [("t", "n", 1)], [])
@@ -323,9 +325,20 @@ def test_mode_producers_merge_applications():
         [("t1", "n1", 1), ("v", "n3", 1), ("w", "n4", 1)],
         [("t1", "v", "m"), ("v", "w", "x")],
     )
-    prods = Mode("op", (a, b)).producers()
-    assert {mid: [t.id for t in ts] for mid, ts in prods.items()} == {
-        "m": ["t1", "t2"],
-        "x": ["v"],
+    with pytest.raises(ModelError, match=r"^mode 'op', message 'm': produced by \['t1', 't2'\]$"):
+        Mode("op", (a, b)).producers()
+    # an application that lists the same edge adds no producer
+    b_t2 = dataclasses.replace(
+        b, tasks=(a.task_by_id("t2"), *b.tasks[1:]), edges=(("t2", "v", "m"), ("v", "w", "x"))
+    )
+    assert Mode("op", (a, b_t2)).producers() == {
+        "m": a.task_by_id("t2"),
+        "x": b.task_by_id("v"),
     }
-    assert prods["m"] == (b.task_by_id("t1"), a.task_by_id("t2"))
+
+
+def test_mode_producers_skip_an_edge_from_an_unlisted_task():
+    # validate_application reports the edge; producers() reads past it
+    app = mk_app("a", 10, [("t1", "n1", 1), ("u", "n2", 1)], [("t1", "u", "m"), ("t9", "u", "m")])
+    assert "unknown_edge_task" in app_report(app).failed()
+    assert Mode("op", (app,)).producers() == {"m": app.task_by_id("t1")}

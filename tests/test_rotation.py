@@ -9,6 +9,7 @@ on build_instance's program, where rt0 is free, backs the bound.
 """
 
 import dataclasses
+import functools
 from pathlib import Path
 
 import pytest
@@ -20,7 +21,7 @@ from roundsched.ilp import build_instance
 from roundsched.model import Mode, ModeSchedule, Round, chains, hyperperiod
 from roundsched.solver import solve
 from roundsched.specio import load_json, parse_spec
-from roundsched.synthesis import SynthConfig, min_rounds, program, synthesize
+from roundsched.synthesis import SynthConfig, max_rounds, min_rounds, program, synthesize
 
 BUNDLED = parse_spec(load_json(str(Path(__file__).resolve().parent.parent
                                    / "specs" / "control_loop.json")))
@@ -96,14 +97,14 @@ def chain_latencies(mode: Mode, schedule: ModeSchedule) -> list[int]:
 
 def without_bound(mode: Mode, params, config: SynthConfig) -> tuple:
     """(status, round count, objective) of the search over round counts
-    on build_instance's programs, rt0 free."""
-    n = min_rounds(mode, params)
-    while True:
+    on build_instance's programs, rt0 free; ("infeasible", None, None)
+    when no count fits."""
+    for n in range(min_rounds(mode, params), max_rounds(mode, params, config) + 1):
         sol = solve(build_instance(mode, n, params, grid_us=config.grid_us,
                                    t_max_us=config.t_max_us))
         if sol.status != "infeasible":
             return sol.status, n, sol.objective
-        n += 1
+    return "infeasible", None, None
 
 
 def rt0_bounds(mode: Mode, n_rounds: int, params, config: SynthConfig) -> tuple[int, int]:
@@ -132,24 +133,11 @@ def long_task_mode() -> Mode:
     return Mode("straddle", (blk, app))
 
 
-def two_producer_mode() -> Mode:
-    """t0 and t1 of one node both produce m1, and t1 waits for m0 from t0."""
-    app = mk_app("a", 80, [("t0", "c", 1), ("t1", "c", 1), ("t2", "b", 1)],
-                 [("t0", "t1", "m0"), ("t1", "t2", "m1"), ("t0", "t2", "m1")])
-    return Mode("fanin", (app,))
-
-
-def seeded_cases_with_slack():
-    """random_small_case seeds whose WCETs exceed the 1 ms grid (U > 0)
-    and whose bound binds at the round count synthesize() settles on."""
-    for seed in SEEDS:
-        mode, params = random_small_case(seed)
-        out = synthesize(mode, params, GRID)
-        if out.rounds_used is None or u_ticks(mode, GRID.grid_us) == 0:
-            continue
-        pinned, free = rt0_bounds(mode, out.rounds_used, params, GRID)
-        if pinned < free:
-            yield seed, mode, params, out
+@functools.cache
+def seeded_cases() -> list[tuple]:
+    """(seed, mode, params, synthesize's outcome) for every seed."""
+    return [(seed, *case, synthesize(*case, GRID))
+            for seed, case in ((seed, random_small_case(seed)) for seed in SEEDS)]
 
 
 CASES = {
@@ -171,8 +159,7 @@ class TestShiftedSchedules:
                 if not straddled(mode, schedule, c)
                 and not any(r.t < c < r.t + t_r for r in schedule.rounds)]
 
-    def assert_shifts_pass(self, mode, params, config) -> int:
-        out = synthesize(mode, params, config)
+    def assert_shifts_pass(self, mode, params, config, out) -> int:
         assert out.status == "feasible"
         assert check(mode, out.schedule, params).ok
         want = chain_latencies(mode, out.schedule)
@@ -185,13 +172,15 @@ class TestShiftedSchedules:
 
     @pytest.mark.parametrize("case", sorted(CASES))
     def test_named_modes(self, case):
-        assert self.assert_shifts_pass(*CASES[case]) > 0
+        mode, params, config = CASES[case]
+        assert self.assert_shifts_pass(*CASES[case], synthesize(mode, params, config)) > 0
 
     def test_seeded_modes_with_long_tasks(self):
-        cases = list(seeded_cases_with_slack())
-        assert len(cases) >= 10
-        for seed, mode, params, _out in cases:
-            assert self.assert_shifts_pass(mode, params, GRID) > 0, seed
+        # every seed with a schedule; the others are proven infeasible
+        feasible = [case for case in seeded_cases() if case[3].status == "feasible"]
+        assert len(feasible) >= 20
+        for seed, mode, params, out in feasible:
+            assert self.assert_shifts_pass(mode, params, GRID, out) > 0, seed
 
     def test_a_straddled_shift_is_refused(self):
         # a task runs across the start of long_task_mode's one round, and a
@@ -222,13 +211,21 @@ class TestBoundKeepsTheOptimum:
         assert without_bound(mode, BUNDLED.network, GRID) == ("optimal", n_rounds, objective)
 
     def test_seeded_modes_with_long_tasks(self):
-        cases = list(seeded_cases_with_slack())
-        assert len(cases) >= 10
-        for seed, mode, params, out in cases:
-            assert 0 < u_ticks(mode, GRID.grid_us) == rt0_bounds(
-                mode, out.rounds_used, params, GRID)[0], seed
+        # every seed: program bounds rt0 by U at the count the search ends
+        # on, unless no round fits the hyperperiod and there is no program,
+        # and the free search ends on the same count and optimum
+        programs = binds = 0
+        for seed, mode, params, out in seeded_cases():
+            n = out.rounds_used or out.min_rounds
+            if n <= max_rounds(mode, params, GRID):
+                pinned, free = rt0_bounds(mode, n, params, GRID)
+                assert pinned == min(free, u_ticks(mode, GRID.grid_us)), seed
+                programs += 1
+                binds += pinned < free
+            status = "optimal" if out.status == "feasible" else out.status
             assert without_bound(mode, params, GRID) == (
-                "optimal", out.rounds_used, out.objective_us), seed
+                status, out.rounds_used, out.objective_us), seed
+        assert programs >= 30 and binds >= 10
 
     def test_long_task_over_the_rotation_point(self):
         # no optimum has an unstraddled round start, so a bound of 0 costs
@@ -241,25 +238,3 @@ class TestBoundKeepsTheOptimum:
         assert without_bound(mode, params, config) == ("optimal", 1, 26_000)
         assert optimum_at_zero(mode, 1, params, config) == 30_000
 
-
-class TestSeveralProducers:
-    """Producers of one message share its slip sp, so a shift that wraps
-    one of them but not the other has no sp for both: such a mode keeps
-    rt0 free."""
-
-    # rounds may start only in the first 30 ms, so no shift can move the
-    # first round past t0 without splitting t0 from t1
-    CONFIG = SynthConfig(grid_us=5000, t_max_us=30_000)
-
-    def test_rt0_stays_free(self):
-        mode, params = two_producer_mode(), small_params(slots=1)
-        assert rt0_bounds(mode, 2, params, self.CONFIG) == (4, 4)
-
-    def test_a_bound_of_zero_would_lose_the_optimum(self):
-        mode, params = two_producer_mode(), small_params(slots=1)
-        out = synthesize(mode, params, self.CONFIG)
-        assert (out.status, out.rounds_used, out.objective_us) == ("feasible", 2, 31_000)
-        # the first round lies between the two producers of m1
-        t0, t1 = out.schedule.task_offsets["t0"], out.schedule.task_offsets["t1"]
-        assert t0 < out.schedule.rounds[0].t < t1
-        assert optimum_at_zero(mode, 2, params, self.CONFIG) == 76_000
