@@ -136,8 +136,9 @@ def long_task_mode() -> Mode:
 @functools.cache
 def seeded_cases() -> list[tuple]:
     """(seed, mode, params, synthesize's outcome) for every seed."""
-    return [(seed, *case, synthesize(*case, GRID))
-            for seed, case in ((seed, random_small_case(seed)) for seed in SEEDS)]
+    cases = [(seed, *random_small_case(seed)) for seed in SEEDS]
+    return [(seed, mode, params, synthesize(mode, params, GRID))
+            for seed, mode, params in cases]
 
 
 CASES = {
@@ -173,7 +174,7 @@ class TestShiftedSchedules:
     @pytest.mark.parametrize("case", sorted(CASES))
     def test_named_modes(self, case):
         mode, params, config = CASES[case]
-        assert self.assert_shifts_pass(*CASES[case], synthesize(mode, params, config)) > 0
+        assert self.assert_shifts_pass(mode, params, config, synthesize(mode, params, config)) > 0
 
     def test_seeded_modes_with_long_tasks(self):
         # every seed with a schedule; the others are proven infeasible
