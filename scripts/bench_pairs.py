@@ -56,7 +56,13 @@ def run_one(tree: str, workload: str, seconds: float) -> dict:
     lines = proc.stdout.strip().splitlines()
     if proc.returncode != 0 or not lines:
         return {"error": f"exit {proc.returncode}: {proc.stderr.strip()[-500:]}"}
-    return json.loads(lines[-1])
+    try:
+        result = json.loads(lines[-1])
+    except json.JSONDecodeError:
+        result = None
+    if not isinstance(result, dict):
+        return {"error": f"last line is not JSON: {lines[-1][-500:]}"}
+    return result
 
 
 def summary(runs: list[dict]) -> list[str]:

@@ -150,6 +150,9 @@ def check(mode: Mode, schedule: ModeSchedule, params: NetworkParams) -> CheckRep
             rep.add("domains", f"message {mid}", f"deadline {d} outside (0, {p}]")
 
     # -- rounds --------------------------------------------------------------
+    if not schedule.rounds:
+        # a mode change is announced in beacons: such a mode is never left
+        rep.add("round_gap", "schedule", "no rounds: no beacon would be sent")
     order = sorted(range(len(schedule.rounds)), key=lambda i: schedule.rounds[i].t)
     for i in order:
         r = schedule.rounds[i]

@@ -208,8 +208,6 @@ def _cmd_model(args) -> int:
     def axis(text: str | None, flag: str, name: str) -> list[int]:
         values = [getattr(base, name)] if text is None else _parse_range(text, flag)
         least = NETWORK_MINIMUMS[name]
-        if name == "slots_per_round" and args.table == "energy":
-            least = 1  # at 0 slots the energy saving is 0/0
         if min(values) < least:
             where = f"{flag} from the spec" if text is None else flag
             raise SpecError(f"{where} must be at least {least}, got {min(values)}")

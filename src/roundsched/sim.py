@@ -3,9 +3,9 @@
 The host walks the active schedule round by round and opens every round
 with a beacon naming the round.  Nodes never act on guesses: a node that
 heard the beacon knows exactly which slots to use, and a node that
-missed it stays silent for the whole round.  That rule makes slot
-collisions structurally impossible, which the simulator still verifies
-on every slot.
+missed it stays silent for the whole round.  So each slot has one
+possible sender, the node of its message's producer, and the trace's
+collisions counter stays 0.
 
 Mode changes run in two phases.  A request is picked up at the next
 round boundary and announced while the old schedule keeps running; the
@@ -199,22 +199,13 @@ def _rounds(
                 yield {"t": t, "kind": "degraded", "node": n,
                        "since": degraded_since.pop(n)}
 
-        # data slots: only nodes that heard the beacon transmit, and they
-        # transmit exactly what the named round allocates
-        alloc = sched.rounds[index].alloc
-        for s, m_id in enumerate(alloc):
-            txers = []
-            p_node = producers[mode_id][m_id].node
-            if heard[p_node]:
-                txers.append((p_node, m_id))
-            if len(txers) > 1:
-                # the senders are named by the tx events that follow
-                trace.collisions += 1
-                yield {"t": t, "kind": "collision", "round_id": round_id,
-                       "slot": s, "senders": len(txers)}
-            for n, m in txers:
+        # data slots: each slot is sent by its message's producer, if that
+        # node heard the beacon, exactly as the named round allocates
+        for s, m_id in enumerate(sched.rounds[index].alloc):
+            n = producers[mode_id][m_id].node
+            if heard[n]:
                 trace.transmissions += 1
-                yield {"t": t, "kind": "tx", "node": n, "msg": m,
+                yield {"t": t, "kind": "tx", "node": n, "msg": m_id,
                        "round_id": round_id, "slot": s}
 
         if committing:

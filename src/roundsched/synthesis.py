@@ -88,8 +88,9 @@ def min_rounds(mode: Mode, params: NetworkParams) -> int:
       of successive instances do not overlap either.  A chain with k
       distinct messages thus needs k * H / p_app rounds.
 
-    With messages but no data slots no count suffices: the bound is then
-    one round more than the hyperperiod holds.
+    It is at least 1 even for a mode without messages: the host announces
+    a mode change in the beacons of the running mode's rounds, so a mode
+    with none could never be left.
 
     >>> from roundsched.model import Application, Task
     >>> t1 = Task("t1", "n1", 1000); t2 = Task("t2", "n2", 1000)
@@ -99,11 +100,7 @@ def min_rounds(mode: Mode, params: NetworkParams) -> int:
     """
     h = hyperperiod(mode)
     instances = sum(h // p for p in mode.message_periods().values())
-    if not instances:
-        return 0
-    if params.slots_per_round == 0:
-        return h // round_length(params) + 1
-    bound = -(-instances // params.slots_per_round)
+    bound = max(1, -(-instances // params.slots_per_round))
     for app in mode.applications:
         for ch in chains(app):
             bound = max(bound, len(set(ch.message_ids)) * (h // app.period_us))
@@ -113,24 +110,23 @@ def min_rounds(mode: Mode, params: NetworkParams) -> int:
 def program(
     mode: Mode, n_rounds: int, params: NetworkParams, config: SynthConfig
 ) -> ILPInstance:
-    """The program HiGHS solves for n_rounds: build_instance's, with the
-    first round's start bounded by U = g * (sum over the task instances
+    """The program HiGHS solves for n_rounds >= 1: build_instance's, with
+    the first round's start bounded by U = g * (sum over the task instances
     of the hyperperiod of ceil(e / g) - 1), which is 0 when no WCET
     exceeds the grid g.  See ilp's docstring for why the bound keeps the
     optimum.
     """
     g = config.grid_us
     inst = build_instance(mode, n_rounds, params, grid_us=g, t_max_us=config.t_max_us)
-    if n_rounds:
-        h = hyperperiod(mode)
-        periods = mode.task_periods()
-        u_ticks = sum(
-            h // periods[t.id] * (-(-t.wcet_us // g) - 1)
-            for t in mode.all_tasks().values()
-        )
-        i = inst.keys["rt", 0]
-        rt0 = inst.variables[i]
-        inst.variables[i] = replace(rt0, ub=min(rt0.ub, u_ticks))
+    h = hyperperiod(mode)
+    periods = mode.task_periods()
+    u_ticks = sum(
+        h // periods[t.id] * (-(-t.wcet_us // g) - 1)
+        for t in mode.all_tasks().values()
+    )
+    i = inst.keys["rt", 0]
+    rt0 = inst.variables[i]
+    inst.variables[i] = replace(rt0, ub=min(rt0.ub, u_ticks))
     return inst
 
 

@@ -29,10 +29,12 @@ START_US = 164
 RADIO_DELAY_US = 68
 
 
-#: the least value of each NetworkParams field: a network needs a hop and
-#: a payload byte
-NETWORK_MINIMUMS = {"hops": 1, "slots_per_round": 0, "payload_bytes": 1,
-                    "retransmissions": 0}
+#: the least value of each NetworkParams field, what makes a round real:
+#: a flood crosses at least one hop, a round carries at least one data slot
+#: after its beacon, a packet has a payload byte, and in a Glossy flood every
+#: node transmits at least once (at 0 a 1-hop flood has no phase on air)
+NETWORK_MINIMUMS = {"hops": 1, "slots_per_round": 1, "payload_bytes": 1,
+                    "retransmissions": 1}
 
 
 @dataclass(frozen=True, slots=True)
@@ -101,8 +103,7 @@ def energy_saving(p: NetworkParams) -> Fraction:
 
     Compares the radio-on time of one round (one beacon, slots_per_round
     payloads) against sending each payload with its own beacon. Exact
-    fraction; 0 for a single slot, growing with the slot count.  Raises
-    ValueError for a round with no data slot, whose saving is 0/0.
+    fraction; 0 for a single slot, growing with the slot count.
 
     >>> p = NetworkParams(hops=4, slots_per_round=5, payload_bytes=10)
     >>> energy_saving(p) == Fraction(13312, 41120)
@@ -110,8 +111,6 @@ def energy_saving(p: NetworkParams) -> Fraction:
     >>> energy_saving(NetworkParams(hops=4, slots_per_round=1, payload_bytes=10))
     Fraction(0, 1)
     """
-    if p.slots_per_round == 0:
-        raise ValueError("energy saving is 0/0: the round has no data slot")
     on_beacon = t_slot(BEACON_BYTES, p).on_us
     on_data = t_slot(p.payload_bytes, p).on_us
     with_rounds = on_beacon + p.slots_per_round * on_data

@@ -96,7 +96,8 @@ def _min_rounds_for_windows(
     """Fewest non-overlapping rounds serving every window, with the chosen
     starts and the window-to-round assignment; None if impossible."""
     if not windows:
-        return 0, [], []
+        # one round still: a mode's beacons announce its mode changes
+        return (1, [0], []) if t_r <= h else None
     if any(w.hi < w.lo or w.lo < 0 or w.hi > h - t_r for w in windows):
         return None
     key = tuple(sorted((w.lo, w.hi, w.mid) for w in windows))
@@ -196,7 +197,7 @@ def brute_force_min_rounds(
         return (x // grid_us) * grid_us
 
     total_instances = sum(h // p for p in msgs.values())
-    global_lb = _ceil_div(total_instances, cap) if msgs else 0
+    global_lb = max(1, _ceil_div(total_instances, cap))
 
     # a message is released once every one of its producers has finished
     producers: dict[str, set[Task]] = {}

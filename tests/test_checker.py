@@ -120,6 +120,16 @@ class TestMutations:
         )
         assert "round_gap" in rep.failed()
 
+    def test_schedule_without_rounds(self):
+        # even a mode without messages needs beacons to announce a change
+        mode = Mode("op", (mk_app("solo", 100, [("t", "n1", 1)], []),))
+        sched = ModeSchedule("op", 100_000, T_R, {"t": 0}, {}, {}, (), {})
+        rep = self.run(sched, mode)
+        assert [str(v) for v in rep.violations] == [
+            "round_gap at schedule: no rounds: no beacon would be sent"
+        ]
+        assert self.run(dataclasses.replace(sched, rounds=(Round(0, ()),)), mode).ok
+
     def test_e2e_deadline_blown(self):
         # consumer placed before the message deadline forces a period slip
         sched = mutate(task_offsets={"t1": 0, "t2": 15_000})

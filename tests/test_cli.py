@@ -27,7 +27,7 @@ from roundsched.specio import (
 )
 from roundsched.synthesis import MAX_HYPERPERIOD_US, synthesize
 from roundsched.timing import NetworkParams, round_length
-from support import RADIO_KEYS, ladder_mode, pipeline_app
+from support import RADIO_KEYS, ladder_mode, mk_app, pipeline_app
 
 SPEC_DIR = Path(__file__).resolve().parent.parent / "specs"
 CONTROL = str(SPEC_DIR / "control_loop.json")
@@ -100,17 +100,16 @@ class TestSynth:
             "infeasible: needs at least 2 rounds, at most 1 fit\n"
         )
 
-    def test_zero_slots_are_infeasible(self, capsys, tmp_path):
-        # the spec format accepts 0 data slots; no count of rounds can
-        # carry a message then
+    def test_zero_slots_are_refused(self, capsys, tmp_path):
+        # a round carries at least one data slot after its beacon
         data = json.loads(Path(CONTROL).read_text())
         data["network"]["slots_per_round"] = 0
         spec = tmp_path / "mute.json"
         spec.write_text(json.dumps(data))
         rc = main(["synth", "--spec", str(spec), "--mode", "normal"])
-        assert rc == 2
+        assert rc == 1
         assert capsys.readouterr().err == (
-            "infeasible: needs at least 17 rounds, at most 16 fit\n"
+            "error: $.network.slots_per_round: value 0 below minimum 1\n"
         )
 
     def test_1100_task_pipeline_gets_a_status_line(self, capsys, tmp_path):
@@ -321,6 +320,26 @@ class TestSimulate:
         kinds = {e["kind"] for e in trace["events"]}
         assert {"beacon", "request", "announce", "epoch"} <= kinds
 
+    def test_mode_without_messages_runs_beacons_only(self, capsys, tmp_path):
+        spec = mode_spec(tmp_path, Mode("quiet", (mk_app("a", 100, [("t", "n", 1)], []),)))
+        sched = tmp_path / "sched.json"
+        scenario = tmp_path / "scenario.json"
+        trace_path = tmp_path / "trace.json"
+        scenario.write_text(json.dumps({"initial_mode": "quiet", "n_rounds": 3}))
+        assert main(["synth", "--spec", spec, "--out", str(sched)]) == 0
+        assert capsys.readouterr().err.startswith("feasible: 1 rounds, ")
+        assert main(["check", "--spec", spec, "--schedule", str(sched)]) == 0
+        capsys.readouterr()
+        assert main(["simulate", "--spec", spec, "--scenario", str(scenario),
+                     "--schedule", f"quiet={sched}", "--trace", str(trace_path)]) == 0
+        assert capsys.readouterr().err == (
+            "simulated 3 rounds: 0 missed beacons, 0 transmissions, "
+            "0 collisions, 0 resyncs\n"
+        )
+        trace = json.loads(trace_path.read_text())
+        assert [e["kind"] for e in trace["events"]] == ["beacon"] * 3
+        assert trace["summary"]["transmissions"] == 0
+
     def test_trace_bytes_match_reference_encoding(self, capsys, synthesized, tmp_path):
         spec = parse_spec(load_json(CONTROL))
         table = {
@@ -455,9 +474,9 @@ class TestModel:
              "--slots must be at least 1, got 0"),
             ("round-length", ["--hops", "0", "--slots=-1", "--payload", "0"],
              "--hops must be at least 1, got 0"),
-            ("round-length", ["--hops", "2", "--slots=-1", "--payload", "1"],
-             "--slots must be at least 0, got -1"),
-            ("round-length", ["--hops", "2", "--slots", "0", "--payload", "0:3"],
+            ("round-length", ["--hops", "2", "--slots", "0", "--payload", "1"],
+             "--slots must be at least 1, got 0"),
+            ("round-length", ["--hops", "2", "--slots", "1", "--payload", "0:3"],
              "--payload must be at least 1, got 0"),
         ],
         ids=["energy-slots", "hops", "slots", "payload"],
@@ -478,13 +497,12 @@ class TestModel:
         data["network"]["slots_per_round"] = 0
         spec = tmp_path / "no_slots.json"
         spec.write_text(json.dumps(data))
-        # a round of beacons only has a length ...
-        assert main(["model", "--table", "round-length", "--spec", str(spec)]) == 0
-        assert capsys.readouterr().out.splitlines()[1].startswith("2,0,10,2,")
-        # ... but no energy saving: it is 0/0
-        assert main(["model", "--table", "energy", "--spec", str(spec)]) == 1
-        err = capsys.readouterr().err
-        assert err == "error: --slots from the spec must be at least 1, got 0\n"
+        # the spec reader refuses it for both tables
+        for table in ("round-length", "energy"):
+            assert main(["model", "--table", table, "--spec", str(spec)]) == 1
+            assert capsys.readouterr().err == (
+                "error: $.network.slots_per_round: value 0 below minimum 1\n"
+            )
 
     def test_needs_spec_or_all_flags(self, capsys):
         rc = main(["model", "--table", "energy", "--hops", "2"])

@@ -9,18 +9,18 @@ import pytest
 from oracle import brute_force_min_rounds
 
 from roundsched.checker import check
-from roundsched.model import Mode
+from roundsched.model import Mode, Round
 from roundsched.synthesis import min_rounds
 from support import mk_app, small_params
 
 GRID = 1000
 
 
-def test_no_messages_needs_no_rounds():
+def test_no_messages_needs_one_round():
     mode = Mode("m", (mk_app("a", 20, [("t", "n", 1)], []),))
     r, witness = brute_force_min_rounds(mode, small_params(), GRID)
-    assert r == 0 == min_rounds(mode, small_params())
-    assert witness.rounds == ()
+    assert r == 1 == min_rounds(mode, small_params())
+    assert witness.rounds == (Round(0, ()),)
     assert check(mode, witness, small_params()).ok
 
 

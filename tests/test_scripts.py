@@ -41,3 +41,23 @@ def test_bench_pairs_records_both_sides_of_each_pair(tmp_path):
     for r in doc["runs"]:
         assert (r["result"]["correct"], r["result"]["failed"]) == (True, 0)
     assert "  total_s: parent " in proc.stdout
+
+
+def test_bench_pairs_records_a_run_whose_last_line_is_not_json(tmp_path):
+    tree = tmp_path / "tree"
+    (tree / "perfbench").mkdir(parents=True)
+    (tree / "perfbench" / "run.py").write_text('print("done")\n')
+    out = tmp_path / "bench.json"
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "bench_pairs.py"), str(tree), str(tree),
+         "--out", str(out), "--pairs", "1", "--seconds", "0.1",
+         "--workloads", "long-horizon"],
+        capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    runs = json.loads(out.read_text())["runs"]
+    assert [(r["side"], r["result"]) for r in runs] == [
+        ("parent", {"error": "last line is not JSON: done"}),
+        ("change", {"error": "last line is not JSON: done"}),
+    ]
+    assert "long-horizon (failed operations, both sides: 2)" in proc.stdout

@@ -13,6 +13,7 @@ from support import control_mode, mk_app, small_params, wide_params
 from roundsched.checker import check
 from roundsched.model import Mode, ModeSchedule, ModelError, Round
 from roundsched.sim import Scenario, SimTrace, SwitchRequest, run, simulate
+from roundsched.synthesis import SynthConfig, synthesize
 
 
 def fallback_mode():
@@ -290,6 +291,20 @@ class TestCarriedMessageCommit:
         assert self.switch_beacons(trace) == [(56_000, 1)]
         (ep,) = trace.of_kind("epoch")
         assert ep["t"] == 71_094
+
+
+class TestModeWithoutMessages:
+    def test_synthesized_schedule_sends_beacons_only(self):
+        mode = Mode("m", (mk_app("a", 100, [("t", "n", 1)], []),))
+        params = small_params(slots=3)
+        out = synthesize(mode, params, SynthConfig(grid_us=1000))
+        assert (out.status, out.rounds_used) == ("feasible", 1)
+        assert check(mode, out.schedule, params).ok
+        trace = simulate({"m": (mode, out.schedule)}, Scenario("m", 4))
+        assert [e["kind"] for e in trace.events] == ["beacon"] * 4
+        t0 = out.schedule.rounds[0].t
+        assert beacon_times(trace) == [(t0 + k * 100_000, k, "m") for k in range(4)]
+        assert (trace.beacons_sent, trace.transmissions) == (4, 0)
 
 
 class TestRejectedInputs:

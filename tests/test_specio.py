@@ -141,11 +141,15 @@ class TestSpecErrors:
         self.check(mut, "$.modes[1].id: duplicate mode id 'only'")
 
     @pytest.mark.parametrize("field, least", [
-        ("slots_per_round", 0), ("payload_bytes", 1), ("retransmissions", 0)])
+        ("slots_per_round", 1), ("payload_bytes", 1), ("retransmissions", 1)])
     def test_network_minimum_is_refused_at_its_path(self, field, least):
         # the reader refuses before NetworkParams would (hops: see above)
         self.check(lambda d: d["network"].update({field: least - 1}),
                    f"$.network.{field}: value {least - 1} below minimum {least}")
+
+    def test_one_hop_without_retransmissions_is_refused(self):
+        self.check(lambda d: d["network"].update(hops=1, retransmissions=0),
+                   "$.network.retransmissions: value 0 below minimum 1")
 
     def test_network_fields_are_read_in_field_order(self):
         self.check(

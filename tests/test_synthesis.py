@@ -5,7 +5,6 @@ confirmed by the exhaustive search oracle, so these are regression pins
 on behaviour, not on whatever the code happened to produce.
 """
 
-import dataclasses
 import time
 from pathlib import Path
 
@@ -295,16 +294,18 @@ class TestLowerBound:
         inst.objective.clear()
         assert solve(inst).status == "optimal"
 
-    def test_no_messages_need_no_rounds(self):
+    def test_no_messages_need_one_round(self):
+        # its beacons are where a mode change would be announced
         mode = Mode("m", (mk_app("a", 20, [("t", "n", 1)], []),))
-        assert min_rounds(mode, small_params()) == 0
-        assert min_rounds(mode, small_params(slots=0)) == 0
-        out = synthesize(mode, small_params(slots=0), GRID)
-        assert (out.status, out.rounds_used, out.solver_calls) == ("feasible", 0, 1)
+        assert min_rounds(mode, small_params()) == 1
+        out = synthesize(mode, small_params(), GRID)
+        assert (out.status, out.rounds_used, out.solver_calls) == ("feasible", 1, 1)
+        assert out.schedule.rounds[0].alloc == ()
+        assert check(mode, out.schedule, small_params()).ok
 
-    def test_zero_slots_are_infeasible_without_a_solver_call(self):
-        mode = ladder_mode(2)
-        params = dataclasses.replace(wide_params(hops=2), slots_per_round=0)
-        assert min_rounds(mode, params) > max_rounds(mode, params, LADDER_GRID)
-        out = synthesize(mode, params, LADDER_GRID)
-        assert (out.status, out.schedule, out.solver_calls) == ("infeasible", None, 0)
+    def test_no_messages_and_no_room_for_a_round_is_infeasible(self):
+        # a 10 ms hyperperiod holds no 15 094 us round
+        mode = Mode("m", (mk_app("a", 10, [("t", "n", 1)], []),))
+        assert max_rounds(mode, small_params(), GRID) == 0
+        out = synthesize(mode, small_params(), GRID)
+        assert (out.status, out.min_rounds, out.solver_calls) == ("infeasible", 1, 0)

@@ -76,6 +76,13 @@ class TestNetworkMinimums:
         with pytest.raises(ValueError, match="^network hops must be at least 1, got 0$"):
             NetworkParams(hops=0, slots_per_round=5, payload_bytes=120, retransmissions=0)
 
+    def test_one_hop_without_retransmissions_is_refused(self):
+        # its flood would have no phase on air, a radio on 164 us for nothing
+        with pytest.raises(ValueError, match="^network retransmissions must be at least 1, "
+                                             "got 0$"):
+            NetworkParams(hops=1, slots_per_round=5, payload_bytes=10, retransmissions=0)
+        assert NetworkParams(1, 5, 10, retransmissions=1).flood_width == 2
+
     @pytest.mark.parametrize("field", sorted(NETWORK_MINIMUMS))
     def test_each_field_names_itself(self, field):
         least = NETWORK_MINIMUMS[field]
@@ -92,8 +99,10 @@ class TestEnergy:
         assert abs(float(s) - 0.3237) < 0.01
 
     def test_round_without_data_slots_is_refused(self):
-        with pytest.raises(ValueError, match="0/0"):
-            energy_saving(replace(P4, slots_per_round=0))
+        # its saving would be 0/0; no such network can be built
+        with pytest.raises(ValueError, match="^network slots_per_round must be at least 1, "
+                                             "got 0$"):
+            replace(P4, slots_per_round=0)
 
     def test_single_slot_saves_nothing(self):
         assert energy_saving(replace(P4, slots_per_round=1)) == 0
