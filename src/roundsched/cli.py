@@ -207,10 +207,10 @@ def _cmd_model(args) -> int:
 
     def axis(text: str | None, flag: str, name: str) -> list[int]:
         values = [getattr(base, name)] if text is None else _parse_range(text, flag)
+        # a spec's own values were held to the minimums when it was read
         least = NETWORK_MINIMUMS[name]
         if min(values) < least:
-            where = f"{flag} from the spec" if text is None else flag
-            raise SpecError(f"{where} must be at least {least}, got {min(values)}")
+            raise SpecError(f"{flag} must be at least {least}, got {min(values)}")
         return values
 
     hops = axis(args.hops, "--hops", "hops")
