@@ -242,8 +242,7 @@ def check(mode: Mode, schedule: ModeSchedule, params: NetworkParams) -> CheckRep
     for app in mode.applications:
         p = app.period_us
         for ch in chains(app):
-            first = app.task_by_id(ch.first_task)
-            last = app.task_by_id(ch.last_task)
+            last = tasks[ch.last_task]
             shifts = 0
             for k, mid in enumerate(ch.message_ids):
                 consumer = ch.task_ids[k + 1]
@@ -251,7 +250,7 @@ def check(mode: Mode, schedule: ModeSchedule, params: NetworkParams) -> CheckRep
             lat = (
                 schedule.task_offsets[last.id]
                 + last.wcet_us
-                - schedule.task_offsets[first.id]
+                - schedule.task_offsets[ch.first_task]
                 + p * shifts
             )
             if lat > app.deadline_us:

@@ -53,6 +53,11 @@ def _status(msg: str) -> None:
     print(msg, file=sys.stderr)
 
 
+def _count(n: int, noun: str) -> str:
+    """"1 round", "2 rounds"."""
+    return f"{n} {noun}{'' if n == 1 else 's'}"
+
+
 def _load_spec(path: str):
     spec = parse_spec(load_json(path))
     problems = []
@@ -98,26 +103,29 @@ def _cmd_synth(args) -> int:
     if out.schedule is not None:
         _emit([dumps(schedule_to_obj(out.schedule))], args.out)
     searched = (
-        f"{out.solver_calls} solver call{'' if out.solver_calls == 1 else 's'} "
+        f"{_count(out.solver_calls, 'solver call')} "
         f"from the {out.min_rounds}-round lower bound"
     )
     if out.status == "feasible":
         _status(
-            f"feasible: {out.rounds_used} rounds, objective {out.objective_us} us, "
-            f"{searched}"
+            f"feasible: {_count(out.rounds_used, 'round')}, "
+            f"objective {out.objective_us} us, {searched}"
         )
         return 0
     if out.status == "infeasible":
         r_max = max_rounds(mode, spec.network, config)
         if out.min_rounds > r_max:
-            _status(f"infeasible: needs at least {out.min_rounds} rounds, at most {r_max} fit")
+            _status(
+                f"infeasible: needs at least {_count(out.min_rounds, 'round')}, "
+                f"at most {r_max} fit"
+            )
         else:
             _status(f"infeasible: exhausted round counts after {searched}")
         return 2
     best = ""
     if out.schedule is not None:
         best = (
-            f"best schedule has {out.rounds_used} rounds, objective "
+            f"best schedule has {_count(out.rounds_used, 'round')}, objective "
             f"{out.objective_us} us, not proven optimal; "
         )
     bound = "" if out.dual_bound_us is None else f", dual bound {out.dual_bound_us} us"
@@ -301,7 +309,7 @@ def main(argv: list[str] | None = None) -> int:
         return 1 if e.code else 0
     try:
         return args.run(args)
-    except (SpecError, ValueError, OSError) as e:
+    except (ValueError, OSError) as e:  # SpecError is a ValueError
         _status(f"error: {e}")
         return 1
 

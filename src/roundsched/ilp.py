@@ -100,7 +100,6 @@ class Variable:
     name: str
     lb: int
     ub: int
-    binary: bool = False
 
 
 @dataclass(frozen=True)
@@ -133,9 +132,9 @@ class ILPInstance:
     _var_names: set[str] = field(default_factory=set, repr=False)
     _row_names: set[str] = field(default_factory=set, repr=False)
 
-    def add_var(self, name: str, lb: int, ub: int, binary: bool = False) -> int:
+    def add_var(self, name: str, lb: int, ub: int) -> int:
         name = _unique(name, self._var_names)
-        self.variables.append(Variable(name, lb, ub, binary))
+        self.variables.append(Variable(name, lb, ub))
         return len(self.variables) - 1
 
     def add_row(self, name: str, coeffs: dict[int, int], sense: str, rhs: int) -> None:
@@ -180,9 +179,9 @@ def build_instance(
     }
     key = inst.keys
 
-    def add(k: tuple, name: str, lb: int, ub: int, binary: bool = False) -> None:
+    def add(k: tuple, name: str, lb: int, ub: int) -> None:
         if k not in key:  # shared by an earlier application
-            key[k] = inst.add_var(name, lb, ub, binary)
+            key[k] = inst.add_var(name, lb, ub)
 
     tasks = mode.all_tasks()
     task_period = mode.task_periods()
@@ -199,9 +198,9 @@ def build_instance(
         add(("md", mid), f"md_{_safe(mid)}", md_lb, pg)
     for app in mode.applications:
         for mid in app.message_ids:
-            add(("sp", mid), f"sp_{_safe(mid)}", 0, 1, binary=True)
+            add(("sp", mid), f"sp_{_safe(mid)}", 0, 1)
         for _src, dst, mid in app.edges:
-            add(("sc", mid, dst), f"sc_{_safe(mid)}__{_safe(dst)}", 0, 1, binary=True)
+            add(("sc", mid, dst), f"sc_{_safe(mid)}__{_safe(dst)}", 0, 1)
     for i, app in enumerate(mode.applications):
         add(("d", i), f"d_{_safe(app.id)}", 0, app.deadline_us)
 
@@ -231,7 +230,7 @@ def build_instance(
         for mid in mids:
             add(("n", j, mid), f"n{j}_{_safe(mid)}", 0, n_slots)
     for mid in mids:
-        add(("r0", mid), f"r0_{_safe(mid)}", 0, 1, binary=True)
+        add(("r0", mid), f"r0_{_safe(mid)}", 0, 1)
 
     # --- objective ----------------------------------------------------------
     for i in range(len(mode.applications)):
@@ -269,7 +268,7 @@ def build_instance(
                 0,
             )
         for c_idx, ch in enumerate(chains(app)):
-            last = app.task_by_id(ch.last_task)
+            last = tasks[ch.last_task]
             coeffs: dict[int, int] = {key["d", i]: -1}
             for x, cf in ((key["o", last.id], g), (key["o", ch.first_task], -g)):
                 coeffs[x] = coeffs.get(x, 0) + cf

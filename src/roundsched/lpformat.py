@@ -3,8 +3,9 @@
 Output is deliberately byte-stable: variables and rows appear in
 instance order, every coefficient is an integer, and every line is
 written the same way on every run, so exported files diff cleanly.
-Integer variables carry explicit bounds (the format's default domain is
-[0, inf)); binaries are only listed in their own section.
+Every variable gets one Bounds line (the format's default domain is
+[0, inf)) and is listed under Generals: the file states exactly the
+bounds and integrality that solver.solve hands HiGHS.
 """
 
 from __future__ import annotations
@@ -42,18 +43,10 @@ def render_lp(inst: ILPInstance) -> str:
         lines.append(_row_line(inst, row))
     lines.append("Bounds")
     for v in inst.variables:
-        if not v.binary:
-            lines.append(f" {v.lb} <= {v.name} <= {v.ub}")
-    generals = [v.name for v in inst.variables if not v.binary]
-    if generals:
-        lines.append("Generals")
-        for name in generals:
-            lines.append(f" {name}")
-    binaries = [v.name for v in inst.variables if v.binary]
-    if binaries:
-        lines.append("Binaries")
-        for name in binaries:
-            lines.append(f" {name}")
+        lines.append(f" {v.lb} <= {v.name} <= {v.ub}")
+    lines.append("Generals")
+    for v in inst.variables:
+        lines.append(f" {v.name}")
     lines.append("End")
     return "\n".join(lines) + "\n"
 

@@ -58,12 +58,6 @@ class Application:
     def message_ids(self) -> tuple[str, ...]:
         return tuple(sorted({mid for _, _, mid in self.edges}))
 
-    def task_by_id(self, tid: str) -> Task:
-        for t in self.tasks:
-            if t.id == tid:
-                return t
-        raise KeyError(tid)
-
 
 @dataclass(frozen=True, slots=True)
 class Chain:

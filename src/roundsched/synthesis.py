@@ -86,7 +86,8 @@ def min_rounds(mode: Mode, params: NetworkParams) -> int:
       are disjoint and need a round each.  The instance spans at most the
       application's deadline, which is at most its period, so the spans
       of successive instances do not overlap either.  A chain with k
-      distinct messages thus needs k * H / p_app rounds.
+      messages thus needs k * H / p_app rounds; the k are distinct, since
+      a message has one producer and the graph is acyclic.
 
     It is at least 1 even for a mode without messages: the host announces
     a mode change in the beacons of the running mode's rounds, so a mode
@@ -103,7 +104,7 @@ def min_rounds(mode: Mode, params: NetworkParams) -> int:
     bound = max(1, -(-instances // params.slots_per_round))
     for app in mode.applications:
         for ch in chains(app):
-            bound = max(bound, len(set(ch.message_ids)) * (h // app.period_us))
+            bound = max(bound, len(ch.message_ids) * (h // app.period_us))
     return bound
 
 

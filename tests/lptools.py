@@ -39,7 +39,6 @@ def parse_lp(text: str) -> dict:
     rows: list[tuple[str, dict[str, int], str, int]] = []
     bounds: dict[str, tuple[int, int]] = {}
     generals: list[str] = []
-    binaries: list[str] = []
     section = None
     for raw in text.splitlines():
         line = raw.strip()
@@ -57,9 +56,6 @@ def parse_lp(text: str) -> dict:
             continue
         if low in ("generals", "general"):
             section = "generals"
-            continue
-        if low in ("binaries", "binary"):
-            section = "binaries"
             continue
         if low == "end":
             section = None
@@ -83,8 +79,6 @@ def parse_lp(text: str) -> dict:
             bounds[m.group(2)] = (int(m.group(1)), int(m.group(3)))
         elif section == "generals":
             generals.append(line)
-        elif section == "binaries":
-            binaries.append(line)
         else:
             raise ValueError(f"text outside any section: {line!r}")
     return {
@@ -92,21 +86,18 @@ def parse_lp(text: str) -> dict:
         "rows": rows,
         "bounds": bounds,
         "generals": generals,
-        "binaries": binaries,
     }
 
 
 def milp_solve(parsed: dict) -> tuple[str, int | None, dict[str, int] | None]:
     """Solve a parsed LP with scipy's milp; all variables are integer."""
-    names = list(parsed["generals"]) + list(parsed["binaries"])
+    names = list(parsed["generals"])
     idx = {n: i for i, n in enumerate(names)}
     n = len(names)
     lo = np.zeros(n)
     hi = np.zeros(n)
     for name in parsed["generals"]:
         lo[idx[name]], hi[idx[name]] = parsed["bounds"][name]
-    for name in parsed["binaries"]:
-        lo[idx[name]], hi[idx[name]] = 0, 1
     c = np.zeros(n)
     for name, cf in parsed["objective"].items():
         c[idx[name]] = cf

@@ -135,7 +135,7 @@ def _min_rounds_for_windows(
     return result
 
 
-def _toposorted_tasks(app: Application) -> list[Task]:
+def _toposorted_tasks(app: Application, tasks: dict[str, Task]) -> list[Task]:
     indeg = {t.id: 0 for t in app.tasks}
     for _src, dst, _mid in app.edges:
         indeg[dst] += 1
@@ -143,7 +143,7 @@ def _toposorted_tasks(app: Application) -> list[Task]:
     out: list[Task] = []
     while ready:
         tid = ready.pop(0)
-        out.append(app.task_by_id(tid))
+        out.append(tasks[tid])
         for src, dst, _mid in app.edges:
             if src == tid:
                 indeg[dst] -= 1
@@ -174,14 +174,14 @@ def brute_force_min_rounds(
     h = hyperperiod(mode)
     t_r = round_length(params)
     cap = params.slots_per_round
-    tasks = list(mode.all_tasks().values())
+    task_of = mode.all_tasks()
     task_period = mode.task_periods()
     msgs = mode.message_periods()
     if h % grid_us:
         raise ValueError("hyperperiod must be a multiple of the grid")
     if h // grid_us > max_grid_points:
         raise ValueError(f"hyperperiod/grid {h // grid_us} exceeds {max_grid_points}")
-    if len(msgs) > max_messages or len(tasks) > max_tasks:
+    if len(msgs) > max_messages or len(task_of) > max_tasks:
         raise ValueError("too many tasks or messages for the oracle")
     for app in mode.applications:
         if app.period_us % grid_us:
@@ -199,27 +199,24 @@ def brute_force_min_rounds(
     total_instances = sum(h // p for p in msgs.values())
     global_lb = max(1, _ceil_div(total_instances, cap))
 
-    # a message is released once every one of its producers has finished
-    producers: dict[str, set[Task]] = {}
+    producers = mode.producers()
     consumers: dict[str, list[str]] = {}
     app_of_msg: dict[str, Application] = {}
     for app in mode.applications:
-        for src, _dst, mid in app.edges:
-            producers.setdefault(mid, set()).add(app.task_by_id(src))
         for m_id in app.message_ids:
             consumers[m_id] = sorted({dst for _s, dst, mid in app.edges if mid == m_id})
             app_of_msg[m_id] = app
 
     def produced(offsets: dict[str, int], m_id: str) -> int:
-        """When the last producer of m_id finishes."""
-        return max(offsets[t.id] + t.wcet_us for t in producers[m_id])
+        """When the producer of m_id finishes."""
+        prod = producers[m_id]
+        return offsets[prod.id] + prod.wcet_us
 
     chain_cache = {app.id: chains(app) for app in mode.applications}
 
     task_order: list[Task] = []
     for app in mode.applications:
-        task_order.extend(_toposorted_tasks(app))
-    app_by_task = {t.id: app for app in mode.applications for t in app.tasks}
+        task_order.extend(_toposorted_tasks(app, task_of))
 
     best: list = [None, None]  # (count, witness pieces)
 
@@ -239,11 +236,11 @@ def brute_force_min_rounds(
                     n_placed += 1
                 if n_placed == 0:
                     continue
-                first = app.task_by_id(tids[0])
-                lastp = app.task_by_id(tids[n_placed - 1])
+                first = task_of[tids[0]]
+                lastp = task_of[tids[n_placed - 1]]
                 lat = offsets[lastp.id] + lastp.wcet_us - offsets[first.id]
                 for k in range(n_placed - 1):
-                    prod = app.task_by_id(tids[k])
+                    prod = task_of[tids[k]]
                     s = edge_shift_lb(
                         offsets[tids[k]] + prod.wcet_us, offsets[tids[k + 1]], p
                     )
@@ -251,7 +248,7 @@ def brute_force_min_rounds(
                         return False
                     lat += p * s
                 rest = tids[n_placed:]
-                lat += sum(app.task_by_id(t).wcet_us for t in rest)
+                lat += sum(task_of[t].wcet_us for t in rest)
                 lat += t_r * len(rest)  # one round between every later handoff
                 if lat > app.deadline_us:
                     return False
@@ -278,8 +275,8 @@ def brute_force_min_rounds(
         for app in mode.applications:
             p = app.period_us
             for ch in chain_cache[app.id]:
-                first = app.task_by_id(ch.first_task)
-                last = app.task_by_id(ch.last_task)
+                first = task_of[ch.first_task]
+                last = task_of[ch.last_task]
                 shifts = 0
                 for k, mid in enumerate(ch.message_ids):
                     o_frame, v = choice[mid]
@@ -356,7 +353,7 @@ def brute_force_min_rounds(
             budget.spend()
             clash = False
             for other_id, oo in offsets.items():
-                other = app_by_task[other_id].task_by_id(other_id)
+                other = task_of[other_id]
                 if other.node == t.node and _overlap_cyclic(
                     oo, other.wcet_us, task_period[other_id], o, t.wcet_us, p
                 ):

@@ -260,7 +260,7 @@ def random_ilp(seed: int):
     nv = rng.randint(2, 4)
     for i in range(nv):
         if rng.random() < 0.4:
-            inst.add_var(f"v{i}", 0, 1, binary=True)
+            inst.add_var(f"v{i}", 0, 1)
         else:
             lb = rng.randint(-2, 1)
             inst.add_var(f"v{i}", lb, lb + rng.randint(0, 3))

@@ -176,6 +176,22 @@ class TestMutations:
         ]
 
     @pytest.mark.parametrize("change, text", [
+        ({"message_offsets": {"m": 100_000}}, "offset 100000 outside [0, 100000)"),
+        ({"message_deadlines": {"m": 100_001}}, "deadline 100001 outside (0, 100000]"),
+    ])
+    def test_message_window_out_of_range(self, change, text):
+        # the first verdict names the domain; the later ones follow from it
+        rep = self.run(mutate(**change))
+        assert str(rep.violations[0]) == f"domains at message m: {text}"
+
+    def test_carried_count_above_one(self):
+        # the spec reader refuses it; a schedule built in Python reaches check()
+        rep = self.run(mutate(leftover={"m": 2}))
+        assert [str(v) for v in rep.violations] == [
+            "leftover at message m: carried count 2 not 0 or 1"
+        ]
+
+    @pytest.mark.parametrize("change, text", [
         ({"mode_id": "other"}, "mode id 'other' != 'op'"),
         ({"hyperperiod_us": 200_000}, "hyperperiod 200000 != 100000"),
     ])

@@ -100,6 +100,15 @@ class TestSynth:
             "infeasible: needs at least 2 rounds, at most 1 fit\n"
         )
 
+    def test_one_round_is_singular(self, capsys, tmp_path):
+        # a mode without messages needs one round, and a 10 ms hyperperiod
+        # holds none of the bundled network's rounds
+        spec = mode_spec(tmp_path, Mode("quiet", (mk_app("a", 10, [("t", "n", 1)], []),)))
+        assert main(["synth", "--spec", spec]) == 2
+        assert capsys.readouterr().err == (
+            "infeasible: needs at least 1 round, at most 0 fit\n"
+        )
+
     def test_zero_slots_are_refused(self, capsys, tmp_path):
         # a round carries at least one data slot after its beacon
         data = json.loads(Path(CONTROL).read_text())
@@ -327,7 +336,7 @@ class TestSimulate:
         trace_path = tmp_path / "trace.json"
         scenario.write_text(json.dumps({"initial_mode": "quiet", "n_rounds": 3}))
         assert main(["synth", "--spec", spec, "--out", str(sched)]) == 0
-        assert capsys.readouterr().err.startswith("feasible: 1 rounds, ")
+        assert capsys.readouterr().err.startswith("feasible: 1 round, ")
         assert main(["check", "--spec", spec, "--schedule", str(sched)]) == 0
         capsys.readouterr()
         assert main(["simulate", "--spec", spec, "--scenario", str(scenario),

@@ -91,7 +91,7 @@ class TestSharing:
 class TestExportedNames:
     def assert_legal_and_unique(self, inst):
         parsed = parse_lp(render_lp(inst))
-        var_names = parsed["generals"] + parsed["binaries"]
+        var_names = parsed["generals"]
         row_names = [name for name, *_ in parsed["rows"]]
         assert len(var_names) == len(inst.variables)
         assert len(row_names) == len(inst.rows)

@@ -50,7 +50,8 @@ class TestControlInstance:
         assert (byname["ka0_m1"].lb, byname["ka0_m1"].ub) == (0, 2)
         assert (byname["kd0_m1"].lb, byname["kd0_m1"].ub) == (-1, 2)
         assert (byname["n0_m1"].lb, byname["n0_m1"].ub) == (0, 5)
-        assert byname["sp_m1"].binary and byname["r0_m3"].binary
+        assert (byname["sp_m1"].lb, byname["sp_m1"].ub) == (0, 1)
+        assert (byname["r0_m3"].lb, byname["r0_m3"].ub) == (0, 1)
 
     def test_no_processor_pairs_on_distinct_nodes(self, inst):
         assert not [v for v in inst.variables if v.name.startswith("q_")]
@@ -155,7 +156,7 @@ class TestSharedNodeRows:
         )
         inst = build_instance(Mode(id="m", applications=(app,)), 1, small_params(), 1000)
         q = inst.variables[inst.keys["q", "t1", "t2"]]
-        assert (q.name, q.lb, q.ub, q.binary) == ("q_t1__t2", -1, 0, False)
+        assert (q.name, q.lb, q.ub) == ("q_t1__t2", -1, 0)
         row = row_by_name(inst, "apart_t1__t2_a")
         assert named_coeffs(inst, row) == {
             "o_t1": 1000, "o_t2": -1000, "q_t1__t2": 20_000

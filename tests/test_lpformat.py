@@ -56,14 +56,8 @@ class TestRoundTrip:
         inst = control_instance(2)
         parsed = parse_lp(render_lp(inst))
 
-        names = {v.name for v in inst.variables}
-        assert set(parsed["generals"]) | set(parsed["binaries"]) == names
-        assert set(parsed["binaries"]) == {
-            v.name for v in inst.variables if v.binary
-        }
-        for v in inst.variables:
-            if not v.binary:
-                assert parsed["bounds"][v.name] == (v.lb, v.ub)
+        assert parsed["generals"] == [v.name for v in inst.variables]
+        assert parsed["bounds"] == {v.name: (v.lb, v.ub) for v in inst.variables}
 
         assert parsed["objective"] == {
             inst.variables[i].name: c for i, c in inst.objective.items()
@@ -126,27 +120,25 @@ def shared_mode() -> Mode:
     return Mode("shared", (one, two))
 
 
-# sha256 of render_lp(build_instance(...)), recorded before the model's
-# messages became plain ids.  A deliberate change of the formulation
-# (another row, bound or variable order) must record new digests here.
+# sha256 of render_lp(build_instance(...)).  A deliberate change of the
+# formulation (another row, bound or variable order) or of how the text
+# states it must record new digests here.
 PINNED_LP = {
-    ("normal", 0): "db0d74cd92aaf72a89dcaf54bb9911549192016186baeef0503e7012953174bf",
-    ("normal", 1): "89db11e834ab1879048adb1536336d5cde0d5f9df18864ca79f96602fc39bb0b",
-    ("normal", 2): "1d4b1e479140342da5c6620706a6abab8a82b2dbaf2dc22fe1efeedbde662a22",
-    ("normal", 3): "58d21677ae039bbebce7f4d45f195fe42b48d28d7949336ba39b9eb881fa61bf",
-    ("fallback", 0): "7faa463ead873990ac63a637dba45f8c3f6b024bc47c62ca2e8ed99d8c844d11",
-    ("fallback", 1): "db4c0f46b88857eb0f0c3898850da2841b694fd5d085fbf432a46fcafb8f56ba",
-    ("fallback", 2): "ab9649e9e66f2f36762695295455fefa5a1b0e9ca6fc2d6863e3ac6ad11fdad4",
-    ("fallback", 3): "bde52539861650a088fef4c563e12df5e169d67f03f67d9445f8f083085a12ed",
-    ("shared", 0): "7bdf81ab82b0c2ac62cc7d63e2d0d65cdb4094596f57bb9719bf695e83cd1d39",
-    ("shared", 1): "6b88191a1418141561509ebc6cf6ff3b270ad4b6606ee8493afb97172a9d8491",
-    ("shared", 2): "8b36193277378c2acbd80fd7807eb967a65fad7bf733fba74db7a55f40f677c9",
-    ("shared", 3): "eded91bc29f0b8ac32536508276dd955df644112e420cb6166e5ae01472ae423",
-    # recorded when shared-node tasks got one q_<t1>__<t2> integer and two
-    # apart_ rows per pair in place of a y binary and two big-M rows per
-    # start difference; the LP diff was exactly those variables, their
-    # bounds and the apart_ rows (the modes above share no node)
-    ("ladder4", 4): "788f552814396abe71e4e602707ae6d83d25357846a904ac4dfe5bbec1929e86",
+    ("normal", 0): "2cd695216535faef0f774ddf4a25ba8f936b11529cda02515683e81d7aab7422",
+    ("normal", 1): "96de240910f35f7dd3925aefde9750c561d128a2f9030b79a5337af26d15545a",
+    ("normal", 2): "d4173e299cdd6c940016599010c6e0cd8b2b1de041a00bf13ea5dd50cfc572b7",
+    ("normal", 3): "e1b7e2f3d792643f36415a136fdff4d26f5f93b5ff77fc6cbf964e4f7b94d640",
+    ("fallback", 0): "26b66bdbdc9f398393a5891893028be2cf7eb6568eaaf3c94fcd491da920f4bd",
+    ("fallback", 1): "81332e35b0b7444192c35456fd030a32f174b9878ac7425972dc39fdb4e63522",
+    ("fallback", 2): "c2f56f88a16a272001d676417508f96baf9c29e289e1ff9bb1f1fd2b634c0501",
+    ("fallback", 3): "762a94aa485a5d30bd1bbdf3091f802da0c7e4ab2dd5d240354bb8af2bb5222f",
+    ("shared", 0): "7485ffdb649b14cec5018eba4845c950f25b3619074757fb54cf6f0c41e1bcac",
+    ("shared", 1): "9e9a3c46a077c8bb27bb694865c8a532abf9b5c1f67f900cd4ad532a5e8ad61d",
+    ("shared", 2): "0ecc0013f836c2a1008e560b93cbc9373e84c054762a2f363171047454ab8ade",
+    ("shared", 3): "29bd39dd407f8e13c604431066aa1428e7ac016ccb2abe2882724c174d8b4e58",
+    # the modes above share no node; the ladder pins the q_<t1>__<t2>
+    # integers and apart_ rows of tasks that share one
+    ("ladder4", 4): "7916b18bc62238ab10ae86cfd732d59d44fc672657f5f9665eb61f0bd6e4ab9b",
 }
 
 

@@ -88,6 +88,10 @@ class TestValidation:
         app = mk_app("a", 10, [("t", "n", 11)], [])
         assert "bad_wcet" in app_report(app).failed()
 
+    def test_wcet_must_be_positive(self):
+        app = mk_app("a", 10, [("t", "n", 0)], [])
+        assert str(app_report(app)) == "bad_wcet at application a, task t: wcet 0 us"
+
     def test_unknown_edge_task(self):
         app = mk_app("a", 10, [("t", "n", 1)], [("t", "ghost", "m")])
         assert "unknown_edge_task" in app_report(app).failed()
@@ -329,11 +333,13 @@ def test_mode_producers_merge_applications():
         Mode("op", (a, b)).producers()
     # an application that lists t2 -m-> too adds no producer
     c = mk_app("c", 10, [("t2", "n1", 1), ("v", "n3", 1)], [("t2", "v", "m")])
-    assert Mode("op", (a, c)).producers() == {"m": a.task_by_id("t2")}
+    mode = Mode("op", (a, c))
+    assert mode.producers() == {"m": mode.all_tasks()["t2"]}
 
 
 def test_mode_producers_skip_an_edge_from_an_unlisted_task():
     # validate_application reports the edge; producers() reads past it
     app = mk_app("a", 10, [("t1", "n1", 1), ("u", "n2", 1)], [("t1", "u", "m"), ("t9", "u", "m")])
     assert "unknown_edge_task" in app_report(app).failed()
-    assert Mode("op", (app,)).producers() == {"m": app.task_by_id("t1")}
+    mode = Mode("op", (app,))
+    assert mode.producers() == {"m": mode.all_tasks()["t1"]}

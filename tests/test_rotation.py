@@ -80,6 +80,7 @@ def chain_latencies(mode: Mode, schedule: ModeSchedule) -> list[int]:
     def next_at(offset: int, period: int, t: int) -> int:
         return offset + -(-(t - offset) // period) * period
 
+    tasks = mode.all_tasks()
     out = []
     for app in mode.applications:
         p = app.period_us
@@ -87,11 +88,11 @@ def chain_latencies(mode: Mode, schedule: ModeSchedule) -> list[int]:
             start = schedule.task_offsets[ch.first_task]
             t = start
             for k, mid in enumerate(ch.message_ids):
-                t += app.task_by_id(ch.task_ids[k]).wcet_us
+                t += tasks[ch.task_ids[k]].wcet_us
                 t = next_at(schedule.message_offsets[mid], p, t)
                 t += schedule.message_deadlines[mid]
                 t = next_at(schedule.task_offsets[ch.task_ids[k + 1]], p, t)
-            out.append(t + app.task_by_id(ch.last_task).wcet_us - start)
+            out.append(t + tasks[ch.last_task].wcet_us - start)
     return out
 
 

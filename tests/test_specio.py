@@ -157,6 +157,9 @@ class TestSpecErrors:
             "$.network.hops: value 0 below minimum 1",
         )
 
+    def test_list_is_required_at_its_path(self):
+        self.check(lambda d: d.update(modes={}), "$.modes: expected list, got object")
+
     def test_schedule_keys_are_required_in_field_order(self):
         data = base_schedule()
         del data["mode_id"], data["rounds"]
@@ -194,6 +197,14 @@ class TestScheduleRoundTrip:
         ):
             parse_schedule(data)
 
+    def test_task_offsets_must_be_an_object(self):
+        data = base_schedule()
+        data["task_offsets"] = [0, 16_100]
+        with pytest.raises(
+            SpecError, match=re.escape("$.task_offsets: expected object, got list")
+        ):
+            parse_schedule(data)
+
     def test_round_start_cannot_be_negative(self):
         data = base_schedule()
         data["rounds"][0]["t"] = -1
@@ -228,6 +239,12 @@ class TestScenario:
             parse_scenario(
                 {"initial_mode": "x", "n_rounds": 5, "beacon_loss": 1.5}
             )
+
+    def test_loss_must_be_a_number(self):
+        with pytest.raises(
+            SpecError, match=re.escape("$.beacon_loss: expected number, got str")
+        ):
+            parse_scenario({"initial_mode": "x", "n_rounds": 5, "beacon_loss": "high"})
 
     def test_bundled_scenario_parses(self):
         scn = parse_scenario(load_json(str(SPEC_DIR / "mode_change.json")))
