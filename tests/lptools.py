@@ -91,7 +91,7 @@ def parse_lp(text: str) -> dict:
 
 def milp_solve(parsed: dict) -> tuple[str, int | None, dict[str, int] | None]:
     """Solve a parsed LP with scipy's milp; all variables are integer."""
-    names = list(parsed["generals"])
+    names = parsed["generals"]
     idx = {n: i for i, n in enumerate(names)}
     n = len(names)
     lo = np.zeros(n)
