@@ -10,6 +10,7 @@ import argparse
 import os
 import sys
 
+from roundsched.cli import _count
 from roundsched.sim import Scenario, SwitchRequest, simulate
 from roundsched.specio import load_json, parse_spec
 from roundsched.synthesis import SynthConfig, synthesize
@@ -23,9 +24,9 @@ DEFAULT_SPEC = os.path.join(
 
 def describe(mode, out):
     s = out.schedule
-    print(f"mode {mode.id}: {out.rounds_used} rounds per {s.hyperperiod_us} us "
+    print(f"mode {mode.id}: {_count(out.rounds_used, 'round')} per {s.hyperperiod_us} us "
           f"cycle, worst chain latency {out.objective_us} us "
-          f"({out.solver_calls} solver calls, {out.nodes_total} nodes)")
+          f"({_count(out.solver_calls, 'solver call')}, {_count(out.nodes_total, 'node')})")
     for j, r in enumerate(s.rounds):
         print(f"  round {j} at {r.t:>7} us  slots {list(r.alloc)}")
     for tid in sorted(s.task_offsets):
@@ -49,7 +50,8 @@ def main():
     for mode in spec.modes:
         out = synthesize(mode, spec.network, config)
         if out.status != "feasible":
-            print(f"mode {mode.id}: {out.status} after {out.solver_calls} solver calls")
+            print(f"mode {mode.id}: {out.status} after "
+                  f"{_count(out.solver_calls, 'solver call')}")
             continue
         describe(mode, out)
         table[mode.id] = (mode, out.schedule)
@@ -73,10 +75,11 @@ def main():
         seed=args.seed,
         switches=switches,
     )
-    trace = simulate(table, scenario)
-    print(f"simulated {trace.beacons_sent} rounds at {args.loss:.0%} beacon loss: "
-          f"{trace.beacons_missed} missed beacons, {trace.transmissions} "
-          f"transmissions, {trace.collisions} collisions, {trace.resyncs} resyncs")
+    trace = simulate(table, scenario, spec.network)
+    print(f"simulated {_count(trace.beacons_sent, 'round')} at {args.loss:.0%} beacon loss: "
+          f"{_count(trace.beacons_missed, 'missed beacon')}, "
+          f"{_count(trace.transmissions, 'transmission')}, "
+          f"{_count(trace.collisions, 'collision')}, {_count(trace.resyncs, 'resync')}")
     for e in trace.events:
         if e["kind"] in ("request", "announce", "epoch"):
             extra = ", ".join(f"{k}={v}" for k, v in e.items() if k not in ("t", "kind"))

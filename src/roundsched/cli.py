@@ -22,7 +22,7 @@ from typing import Iterable
 from .checker import check
 from .lpformat import write_lp
 from .model import ValidationReport, validate_mode, validate_modes_disjoint
-from .sim import SimTrace, run
+from .sim import AuditError, SimTrace, run
 from .specio import (
     SpecError,
     dumps,
@@ -165,27 +165,22 @@ def _cmd_simulate(args) -> int:
                 f"{path} is a schedule for {schedule.mode_id}, not {mode_id}"
             )
         table[mode_id] = (mode, schedule)
-    needed = {scenario.initial_mode} | {s.to_mode for s in scenario.switches}
-    missing = sorted(needed - set(table))
-    if missing:
-        raise SpecError("no schedule given for mode(s): " + ", ".join(missing))
-    bad = []
-    for mode_id, (mode, schedule) in sorted(table.items()):
-        rep = check(mode, schedule, spec.network)
-        if not rep.ok:
-            bad.append(f"{mode_id}: " + ", ".join(sorted(rep.failed())))
-    if bad:
-        _status("schedule audit failed; " + "; ".join(bad))
-        return 3
-    # the output is opened only now, after the audit, and run() has
-    # checked the scenario before the first event: a bad input never
-    # leaves a partial trace
+    # run() audits the table and checks the scenario before the first
+    # event, and the output is opened only after it returns: a refused
+    # input never leaves a partial trace
     trace = SimTrace()
-    _emit(trace_chunks(run(table, scenario, trace), trace), args.trace)
+    try:
+        events = run(table, scenario, spec.network, trace)
+    except AuditError as e:
+        _status(str(e))
+        return 3
+    _emit(trace_chunks(events, trace), args.trace)
     _status(
-        f"simulated {trace.beacons_sent} rounds: {trace.beacons_missed} missed "
-        f"beacons, {trace.transmissions} transmissions, "
-        f"{trace.collisions} collisions, {trace.resyncs} resyncs"
+        f"simulated {_count(trace.beacons_sent, 'round')}: "
+        f"{_count(trace.beacons_missed, 'missed beacon')}, "
+        f"{_count(trace.transmissions, 'transmission')}, "
+        f"{_count(trace.collisions, 'collision')}, "
+        f"{_count(trace.resyncs, 'resync')}"
     )
     return 0
 

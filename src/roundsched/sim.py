@@ -17,6 +17,10 @@ the new mode's time origin is that round's end.  A node that misses the
 switch beacon is degraded, silent until any beacon of the new mode
 resynchronizes it.
 
+The walk trusts the schedules it is given, so run() audits each of them
+with checker.check against the network it was built for, and refuses
+the whole run if any fails.
+
 An event is the flat dict the trace file holds: its time "t", its
 "kind" and the kind's fields, every value a str, int or bool.  The
 trace writer encodes events without looking at their values and relies
@@ -32,7 +36,9 @@ import random
 from dataclasses import dataclass, field
 from typing import Iterator
 
+from .checker import check
 from .model import Mode, ModeSchedule
+from .timing import NetworkParams
 
 
 @dataclass(frozen=True)
@@ -67,61 +73,67 @@ class SimTrace:
         return [e for e in self.events if e["kind"] == kind]
 
 
+class AuditError(ValueError):
+    """A schedule of the mode table fails check(): the message names each
+    failing mode and its failed verdict families."""
+
+
 def simulate(
     mode_table: dict[str, tuple[Mode, ModeSchedule]],
     scenario: Scenario,
+    params: NetworkParams,
 ) -> SimTrace:
     """Run the protocol for a fixed number of rounds and return the trace.
 
     Each event is a flat dict; a round opens with its beacon:
 
     >>> from roundsched.model import Application, Mode, ModeSchedule, Round, Task
+    >>> from roundsched.timing import NetworkParams
     >>> app = Application("loop", 100_000, 100_000,
     ...     (Task("s", "n1", 1000), Task("c", "n2", 1000)),
     ...     (("s", "c", "m"),))
     >>> sched = ModeSchedule("op", 100_000, 15_094, {"s": 0, "c": 40_000},
     ...     {"m": 1000}, {"m": 30_000}, (Round(2000, ("m",)),), {"m": 0})
-    >>> trace = simulate({"op": (Mode("op", (app,)), sched)}, Scenario("op", 1))
+    >>> net = NetworkParams(hops=1, slots_per_round=2, payload_bytes=8,
+    ...     retransmissions=1)
+    >>> trace = simulate({"op": (Mode("op", (app,)), sched)}, Scenario("op", 1), net)
     >>> trace.events[0]
     {'t': 2000, 'kind': 'beacon', 'round_id': 0, 'mode': 'op', 'index': 0, 'sb': 0}
     """
     trace = SimTrace()
-    trace.events.extend(run(mode_table, scenario, trace))
+    trace.events.extend(run(mode_table, scenario, params, trace))
     return trace
 
 
 def run(
     mode_table: dict[str, tuple[Mode, ModeSchedule]],
     scenario: Scenario,
+    params: NetworkParams,
     trace: SimTrace,
 ) -> Iterator[Event]:
-    """Check the inputs, then return the run's events as it makes them.
+    """Audit the inputs, then return the run's events as it makes them.
 
-    Bad inputs raise here, before any event.  The iterator adds to the
-    counters of trace as it goes (not to trace.events); they are final
-    once it is exhausted.
+    Bad inputs raise here, before any event.  A table key that is not
+    its mode's id, or a mode the scenario names without a schedule,
+    raises ValueError.  A schedule that check() refuses on params, the
+    network it was built for, raises AuditError.  The iterator adds to
+    the counters of trace as it goes (not to trace.events); they are
+    final once it is exhausted.
     """
-    if scenario.initial_mode not in mode_table:
-        raise ValueError(f"unknown initial mode {scenario.initial_mode}")
-    for req in scenario.switches:
-        if req.to_mode not in mode_table:
-            raise ValueError(f"switch to unknown mode {req.to_mode}")
-    for mid_, (mode, sched) in mode_table.items():
-        if not sched.rounds:
-            raise ValueError(f"mode {mid_} has no rounds; nothing would be sent")
-        if sched.mode_id != mode.id or mode.id != mid_:
-            raise ValueError(f"mode table entry {mid_} is inconsistent")
-        msgs = mode.message_periods()
-        for j, r in enumerate(sched.rounds):
-            for m_id in r.alloc:
-                if m_id not in msgs:
-                    raise ValueError(
-                        f"mode {mid_}, round {j}: message {m_id} is not in the mode"
-                    )
-        sent = {m_id for r in sched.rounds for m_id in r.alloc}
-        for m_id in sched.message_offsets:
-            if m_id not in sent:
-                raise ValueError(f"mode {mid_}: message {m_id} is allocated in no round")
+    for key, (mode, _) in mode_table.items():
+        if key != mode.id:
+            raise ValueError(f"mode table entry {key} holds mode {mode.id}")
+    needed = {scenario.initial_mode} | {s.to_mode for s in scenario.switches}
+    missing = sorted(needed - set(mode_table))
+    if missing:
+        raise ValueError("no schedule given for mode(s): " + ", ".join(missing))
+    bad = []
+    for key, (mode, sched) in sorted(mode_table.items()):
+        rep = check(mode, sched, params)
+        if not rep.ok:
+            bad.append(f"{key}: " + ", ".join(sorted(rep.failed())))
+    if bad:
+        raise AuditError("schedule audit failed; " + "; ".join(bad))
     return _rounds(mode_table, scenario, trace)
 
 

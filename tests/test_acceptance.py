@@ -256,7 +256,7 @@ def test_acceptance_7_protocol_safety():
             SwitchRequest(2_000_000, "normal"),
         ),
     )
-    trace = simulate(table, scn)
+    trace = simulate(table, scn, params)
 
     announces = trace.of_kind("announce")
     epochs = trace.of_kind("epoch")

@@ -349,13 +349,26 @@ class TestSimulate:
         assert [e["kind"] for e in trace["events"]] == ["beacon"] * 3
         assert trace["summary"]["transmissions"] == 0
 
+    def test_one_round_is_singular(self, capsys, synthesized, tmp_path):
+        # the fallback schedule's one round carries one slot
+        scenario = tmp_path / "scenario.json"
+        scenario.write_text(json.dumps({"initial_mode": "fallback", "n_rounds": 1}))
+        assert main(["simulate", "--spec", CONTROL, "--scenario", str(scenario),
+                     "--schedule", f"fallback={synthesized['fallback']}",
+                     "--trace", str(tmp_path / "trace.json")]) == 0
+        assert capsys.readouterr().err == (
+            "simulated 1 round: 0 missed beacons, 1 transmission, "
+            "0 collisions, 0 resyncs\n"
+        )
+
     def test_trace_bytes_match_reference_encoding(self, capsys, synthesized, tmp_path):
         spec = parse_spec(load_json(CONTROL))
         table = {
             mode_id: (spec.mode_by_id(mode_id), parse_schedule(load_json(str(path))))
             for mode_id, path in synthesized.items()
         }
-        expected = dumps(trace_to_obj(simulate(table, parse_scenario(load_json(SCENARIO)))))
+        scenario = parse_scenario(load_json(SCENARIO))
+        expected = dumps(trace_to_obj(simulate(table, scenario, spec.network)))
         argv = [
             "simulate", "--spec", CONTROL, "--scenario", SCENARIO,
             "--schedule", f"normal={synthesized['normal']}",

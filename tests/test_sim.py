@@ -12,8 +12,13 @@ from support import control_mode, mk_app, small_params, wide_params
 
 from roundsched.checker import check
 from roundsched.model import Mode, ModeSchedule, ModelError, Round
-from roundsched.sim import Scenario, SimTrace, SwitchRequest, run, simulate
+from roundsched.sim import AuditError, Scenario, SimTrace, SwitchRequest, run, simulate
 from roundsched.synthesis import SynthConfig, synthesize
+
+#: the network of the `table` fixture's schedules (42 644 us rounds)
+WIDE = wide_params(hops=2)
+#: the network of the hand-built 15 094 us schedules
+SMALL = small_params()
 
 
 def fallback_mode():
@@ -29,7 +34,6 @@ def fallback_mode():
 @pytest.fixture(scope="module")
 def table():
     """The control schedules the timeline below was traced from, audited."""
-    params = wide_params(hops=2)
     normal = control_mode()
     fallback = fallback_mode()
     rl = 42_644
@@ -53,8 +57,8 @@ def table():
         rounds=(Round(1000, ("wm",)),),
         leftover={"wm": 0},
     )
-    assert check(normal, sched_n, params).ok
-    assert check(fallback, sched_f, params).ok
+    assert check(normal, sched_n, WIDE).ok
+    assert check(fallback, sched_f, WIDE).ok
     return {"normal": (normal, sched_n), "fallback": (fallback, sched_f)}
 
 
@@ -64,7 +68,7 @@ def beacon_times(trace):
 
 class TestQuietNetwork:
     def test_beacons_follow_the_schedule(self, table):
-        trace = simulate(table, Scenario(initial_mode="normal", n_rounds=4))
+        trace = simulate(table, Scenario(initial_mode="normal", n_rounds=4), WIDE)
         assert beacon_times(trace) == [
             (1000, 0, "normal"),
             (45_000, 1, "normal"),
@@ -80,17 +84,17 @@ class TestQuietNetwork:
 
     def test_trace_is_deterministic(self, table):
         scn = Scenario(initial_mode="normal", n_rounds=30, beacon_loss=0.3, seed=7)
-        assert simulate(table, scn) == simulate(table, scn)
+        assert simulate(table, scn, WIDE) == simulate(table, scn, WIDE)
 
     def test_seed_changes_the_loss_pattern(self, table):
-        a = simulate(table, Scenario("normal", 30, beacon_loss=0.3, seed=1))
-        b = simulate(table, Scenario("normal", 30, beacon_loss=0.3, seed=2))
+        a = simulate(table, Scenario("normal", 30, beacon_loss=0.3, seed=1), WIDE)
+        b = simulate(table, Scenario("normal", 30, beacon_loss=0.3, seed=2), WIDE)
         assert a != b
 
 
 class TestLossExtremes:
     def test_total_loss_silences_everyone(self, table):
-        trace = simulate(table, Scenario("normal", 4, beacon_loss=1.0))
+        trace = simulate(table, Scenario("normal", 4, beacon_loss=1.0), WIDE)
         assert trace.beacons_sent == 4
         assert trace.beacons_missed == 4 * 5  # five nodes across both modes
         assert trace.transmissions == 0
@@ -108,7 +112,7 @@ class TestLossExtremes:
                 SwitchRequest(2_000_000, "normal"),
             ),
         )
-        trace = simulate(table, scn)
+        trace = simulate(table, scn, WIDE)
         assert trace.collisions == 0
         assert trace.beacons_missed > 0
         assert trace.resyncs > 0
@@ -127,7 +131,7 @@ class TestModeChange:
         scn = Scenario(
             "normal", 10, switches=(SwitchRequest(250_000, "fallback"),)
         )
-        trace = simulate(table, scn)
+        trace = simulate(table, scn, WIDE)
 
         (rq,) = trace.of_kind("request")
         # picked up at the next round boundary after the request
@@ -151,7 +155,7 @@ class TestModeChange:
 
     def test_switch_to_current_mode_is_dropped(self, table):
         scn = Scenario("normal", 6, switches=(SwitchRequest(0, "normal"),))
-        trace = simulate(table, scn)
+        trace = simulate(table, scn, WIDE)
         assert len(trace.of_kind("request")) == 1
         assert trace.of_kind("announce") == []
         assert trace.of_kind("epoch") == []
@@ -165,7 +169,7 @@ class TestModeChange:
             seed=7,
             switches=(SwitchRequest(250_000, "fallback"),),
         )
-        trace = simulate(table, scn)
+        trace = simulate(table, scn, WIDE)
         (ep,) = trace.of_kind("epoch")
         degraded = trace.of_kind("degraded")
         assert degraded, "expected someone to miss the switch beacon"
@@ -182,7 +186,7 @@ class TestModeChange:
             switches=(SwitchRequest(0, "fallback"), SwitchRequest(1, "normal"),
                       SwitchRequest(2, "fallback")),
         )
-        trace = simulate(table, scn)
+        trace = simulate(table, scn, WIDE)
         first, _, last = trace.of_kind("epoch")
         degraded = trace.of_kind("degraded")
         assert len(degraded) == 5 and all(d["open"] for d in degraded)
@@ -194,43 +198,52 @@ class TestCarriedMessageCommit:
     into the next cycle, to the round that serves the carried instance."""
 
     @staticmethod
-    def hand_table(leftover):
-        def entry(mode_id, task_prefix, msg):
-            app = mk_app(
-                mode_id + "_app",
-                100,
-                [(task_prefix + "1", "n1", 1), (task_prefix + "2", "n2", 1)],
-                [(task_prefix + "1", task_prefix + "2", msg)],
-            )
+    def hand_table(carried):
+        """Two one-message modes whose one round starts the 100 ms cycle.
+
+        Carried, wrapped's message m has the window [90, 120) ms, so the
+        round at 0 ms serves the instance released at 90 ms of the
+        previous cycle.  Not carried, a mode's window is [0, 40) ms: its
+        producer ends at 100 ms of the previous cycle, so the release
+        slips one period onto the cycle's start.  alt is never carried."""
+        def entry(mode_id, task_prefix, msg, carried):
+            src, dst = task_prefix + "1", task_prefix + "2"
+            app = mk_app(mode_id + "_app", 100, [(src, "n1", 1), (dst, "n2", 1)],
+                         [(src, dst, msg)])
             mode = Mode(id=mode_id, applications=(app,))
+            if carried:
+                offsets, mo, md = {src: 89_000, dst: 20_000}, 90_000, 30_000
+            else:
+                offsets, mo, md = {src: 99_000, dst: 50_000}, 0, 40_000
             sched = ModeSchedule(
                 mode_id=mode_id,
                 hyperperiod_us=100_000,
                 round_len_us=15_094,
-                task_offsets={task_prefix + "1": 0, task_prefix + "2": 50_000},
-                message_offsets={msg: 2000},
-                message_deadlines={msg: 40_000},
+                task_offsets=offsets,
+                message_offsets={msg: mo},
+                message_deadlines={msg: md},
                 rounds=(Round(t=0, alloc=(msg,)),),
-                leftover={msg: leftover if mode_id == "wrapped" else 0},
+                leftover={msg: 1 if carried else 0},
             )
+            assert check(mode, sched, SMALL).ok
             return mode, sched
 
-        return {"wrapped": entry("wrapped", "t", "m"),
-                "alt": entry("alt", "u", "mm")}
+        return {"wrapped": entry("wrapped", "t", "m", carried),
+                "alt": entry("alt", "u", "mm", False)}
 
     def test_leftover_pushes_commit_into_next_cycle(self):
-        table = self.hand_table(leftover=1)
+        table = self.hand_table(carried=True)
         scn = Scenario("wrapped", 4, switches=(SwitchRequest(0, "alt"),))
-        trace = simulate(table, scn)
+        trace = simulate(table, scn, SMALL)
         (an,) = trace.of_kind("announce")
         assert an["commit_end"] == 115_094  # round 0 of the NEXT cycle
         (ep,) = trace.of_kind("epoch")
         assert ep["t"] == 115_094
 
     def test_without_leftover_commit_stays_in_cycle(self):
-        table = self.hand_table(leftover=0)
+        table = self.hand_table(carried=False)
         scn = Scenario("wrapped", 4, switches=(SwitchRequest(0, "alt"),))
-        trace = simulate(table, scn)
+        trace = simulate(table, scn, SMALL)
         (an,) = trace.of_kind("announce")
         assert an["commit_end"] == 15_094
         (ep,) = trace.of_kind("epoch")
@@ -263,8 +276,8 @@ class TestCarriedMessageCommit:
             rounds=tuple(Round(t, ("m",)) for t in starts),
             leftover={"m": 1 if carried else 0},
         )
-        assert check(mode, sched, small_params()).ok
-        return {"twice": (mode, sched), "alt": cls.hand_table(leftover=0)["alt"]}
+        assert check(mode, sched, SMALL).ok
+        return {"twice": (mode, sched), "alt": cls.hand_table(carried=False)["alt"]}
 
     def switch_beacons(self, trace):
         return [(e["t"], e["round_id"]) for e in trace.of_kind("beacon") if e["sb"]]
@@ -272,7 +285,7 @@ class TestCarriedMessageCommit:
     def test_carried_commit_is_the_first_round_of_the_next_cycle(self):
         table = self.two_round_table(carried=True)
         scn = Scenario("twice", 6, switches=(SwitchRequest(0, "alt"),))
-        trace = simulate(table, scn)
+        trace = simulate(table, scn, SMALL)
         (an,) = trace.of_kind("announce")
         # round 0 of the next cycle, not its last round (142 ms)
         assert an["commit_end"] == 115_094
@@ -283,7 +296,7 @@ class TestCarriedMessageCommit:
     def test_uncarried_commit_is_the_last_round_of_this_cycle(self):
         table = self.two_round_table(carried=False)
         scn = Scenario("twice", 6, switches=(SwitchRequest(0, "alt"),))
-        trace = simulate(table, scn)
+        trace = simulate(table, scn, SMALL)
         (an,) = trace.of_kind("announce")
         assert an["t"] == 6_000
         # round 1 of this cycle, not the round 0 that announced it
@@ -300,7 +313,7 @@ class TestModeWithoutMessages:
         out = synthesize(mode, params, SynthConfig(grid_us=1000))
         assert (out.status, out.rounds_used) == ("feasible", 1)
         assert check(mode, out.schedule, params).ok
-        trace = simulate({"m": (mode, out.schedule)}, Scenario("m", 4))
+        trace = simulate({"m": (mode, out.schedule)}, Scenario("m", 4), params)
         assert [e["kind"] for e in trace.events] == ["beacon"] * 4
         t0 = out.schedule.rounds[0].t
         assert beacon_times(trace) == [(t0 + k * 100_000, k, "m") for k in range(4)]
@@ -309,8 +322,8 @@ class TestModeWithoutMessages:
 
 class TestRejectedInputs:
     def test_unknown_initial_mode(self, table):
-        with pytest.raises(ValueError, match="unknown initial mode"):
-            simulate(table, Scenario("panic", 1))
+        with pytest.raises(ValueError, match=r"no schedule given for mode\(s\): panic$"):
+            simulate(table, Scenario("panic", 1), WIDE)
 
     def test_message_with_two_producers(self):
         # m is produced by t2 in a and by t1 in b: no one task sends it
@@ -328,7 +341,7 @@ class TestRejectedInputs:
             leftover={"m": 0},
         )
         with pytest.raises(ModelError, match=r"produced by \['t1', 't2'\]"):
-            simulate({"op": (mode, sched)}, Scenario("op", 3))
+            simulate({"op": (mode, sched)}, Scenario("op", 3), SMALL)
 
     def test_schedule_without_rounds(self):
         mode = fallback_mode()
@@ -342,29 +355,35 @@ class TestRejectedInputs:
             rounds=(),
             leftover={"wm": 0},
         )
-        with pytest.raises(ValueError, match="no rounds"):
-            simulate({"fallback": (mode, sched)}, Scenario("fallback", 1))
+        with pytest.raises(AuditError, match="fallback: .*round_gap"):
+            simulate({"fallback": (mode, sched)}, Scenario("fallback", 1), SMALL)
 
     def test_mismatched_table_key(self, table):
         bad = {"other": table["normal"]}
-        with pytest.raises(ValueError, match="inconsistent"):
-            simulate(bad, Scenario("other", 1))
+        with pytest.raises(ValueError, match="mode table entry other holds mode normal"):
+            simulate(bad, Scenario("other", 1), WIDE)
 
     def test_switch_to_unknown_mode(self, table):
         scn = Scenario("normal", 4, switches=(SwitchRequest(0, "nope"),))
-        with pytest.raises(ValueError, match="unknown mode nope"):
-            simulate(table, scn)
+        with pytest.raises(ValueError, match=r"no schedule given for mode\(s\): nope$"):
+            simulate(table, scn, WIDE)
 
     def test_unknown_switch_target_is_refused_before_any_event(self, table):
         # requested long after the last round, so never picked up: the
         # run is refused anyway, when run() is called, not part way in
         scn = Scenario("normal", 4, switches=(SwitchRequest(10**12, "nope"),))
-        with pytest.raises(ValueError, match="unknown mode nope"):
-            simulate(table, scn)
+        with pytest.raises(ValueError, match=r"no schedule given for mode\(s\): nope$"):
+            simulate(table, scn, WIDE)
         trace = SimTrace()
-        with pytest.raises(ValueError, match="unknown mode nope"):
-            run(table, scn, trace)
+        with pytest.raises(ValueError, match=r"no schedule given for mode\(s\): nope$"):
+            run(table, scn, WIDE, trace)
         assert trace == SimTrace()  # no event, no count
+
+    def test_every_missing_mode_is_named_once(self, table):
+        scn = Scenario("panic", 4, switches=(SwitchRequest(0, "nope"), SwitchRequest(1, "panic"),
+                                             SwitchRequest(2, "fallback")))
+        with pytest.raises(ValueError, match=r"no schedule given for mode\(s\): nope, panic$"):
+            simulate(table, scn, WIDE)
 
     @staticmethod
     def with_rounds(table, mode_id, rounds):
@@ -377,9 +396,8 @@ class TestRejectedInputs:
             (Round(1000, ("m1", "m2")), Round(45_000, ("m3", "ghost"))),
         )
         trace = SimTrace()
-        with pytest.raises(ValueError,
-                           match="mode normal, round 1: message ghost is not in the mode"):
-            run(bad, Scenario("normal", 4), trace)
+        with pytest.raises(AuditError, match="^schedule audit failed; normal: domains$"):
+            run(bad, Scenario("normal", 4), WIDE, trace)
         assert trace == SimTrace()
 
     def test_message_allocated_in_no_round(self, table):
@@ -388,7 +406,31 @@ class TestRejectedInputs:
         bad = self.with_rounds(table, "normal", (Round(1000, ("m1", "m2")),))
         scn = Scenario("normal", 4, switches=(SwitchRequest(0, "fallback"),))
         trace = SimTrace()
-        with pytest.raises(ValueError,
-                           match="mode normal: message m3 is allocated in no round"):
-            run(bad, scn, trace)
+        with pytest.raises(AuditError, match="normal: .*conservation"):
+            run(bad, scn, WIDE, trace)
+        assert trace == SimTrace()
+
+    def test_schedule_for_another_network(self, table):
+        # the schedules are right for two hops; on four the rounds are longer
+        trace = SimTrace()
+        with pytest.raises(AuditError, match="fallback: .*domains.*; normal: .*domains"):
+            run(table, Scenario("normal", 4), wide_params(hops=4), trace)
+        assert trace == SimTrace()
+
+    def test_rounds_listed_out_of_time_order(self):
+        # listed 30 ms then 2 ms, the walk would send its beacons at 30,
+        # 2, 130 and 102 ms: time would run backwards
+        app = mk_app("loop", 100, [("s", "n1", 1), ("c", "n2", 1)], [("s", "c", "m")])
+        sched = ModeSchedule("op", 100_000, 15_094, {"s": 0, "c": 40_000},
+                             {"m": 1000}, {"m": 30_000},
+                             (Round(30_000, ("m",)), Round(2000, ("m",))), {"m": 0})
+        table = {"op": (Mode("op", (app,)), sched)}
+        assert check(*table["op"], SMALL).failed() == {
+            "round_overlap", "conservation", "curve_order"}
+        want = "^schedule audit failed; op: conservation, curve_order, round_overlap$"
+        with pytest.raises(AuditError, match=want):
+            simulate(table, Scenario("op", 4), SMALL)
+        trace = SimTrace()
+        with pytest.raises(AuditError, match=want):
+            run(table, Scenario("op", 4), SMALL, trace)
         assert trace == SimTrace()

@@ -27,9 +27,12 @@ from roundsched.synthesis import SynthConfig, synthesize
 SPEC_DIR = Path(__file__).resolve().parent.parent / "specs"
 
 
+SPEC = parse_spec(load_json(str(SPEC_DIR / "control_loop.json")))
+
+
 @pytest.fixture(scope="module")
 def table():
-    spec = parse_spec(load_json(str(SPEC_DIR / "control_loop.json")))
+    spec = SPEC
     config = SynthConfig(grid_us=spec.grid_us)
     table = {}
     for mode in spec.modes:
@@ -46,8 +49,8 @@ def assert_live_matches_reference(table, scenario) -> SimTrace:
     diff of two long texts takes minutes.
     """
     live = SimTrace()
-    got = "".join(trace_chunks(run(table, scenario, live), live))
-    reference = simulate(table, scenario)
+    got = "".join(trace_chunks(run(table, scenario, SPEC.network, live), live))
+    reference = simulate(table, scenario, SPEC.network)
     want = dumps(trace_to_obj(reference))
     if got != want:
         i = len(os.path.commonprefix([got, want]))
@@ -88,11 +91,12 @@ def test_every_event_is_flat(table):
     # the writer lays events out without looking at their values, which
     # holds only for a flat dict of scalars
     switches = (SwitchRequest(250_000, "fallback"), SwitchRequest(90_000_000, "normal"))
-    full = simulate(table, Scenario("normal", 4000, 0.2, 11, switches))
+    full = simulate(table, Scenario("normal", 4000, 0.2, 11, switches), SPEC.network)
     # cut at the second switch beacon: a node that missed it is still
     # degraded when the run ends
     last_sb = [e for e in full.of_kind("beacon") if e["sb"]][-1]
-    cut = simulate(table, Scenario("normal", last_sb["round_id"] + 1, 0.2, 11, switches))
+    cut = simulate(table, Scenario("normal", last_sb["round_id"] + 1, 0.2, 11, switches),
+                   SPEC.network)
     events = full.events + cut.events
     for e in events:
         assert type(e) is dict, e
@@ -108,7 +112,7 @@ def peak_bytes_writing(table, scenario) -> int:
     tracemalloc.start()
     try:
         trace = SimTrace()
-        collections.deque(trace_chunks(run(table, scenario, trace), trace), maxlen=0)
+        collections.deque(trace_chunks(run(table, scenario, SPEC.network, trace), trace), maxlen=0)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

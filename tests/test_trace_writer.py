@@ -129,7 +129,7 @@ def test_long_lossy_run_with_mode_changes():
         "normal", 4000, beacon_loss=0.2, seed=11,
         switches=(SwitchRequest(250_000, "fallback"), SwitchRequest(90_000_000, "normal")),
     )
-    trace = simulate(table, scenario)
+    trace = simulate(table, scenario, spec.network)
     assert len(trace.of_kind("epoch")) == 2
     assert trace.beacons_missed > 0
     assert len(trace.events) > 3 * TRACE_BLOCK_EVENTS
