@@ -175,13 +175,10 @@ def _cmd_simulate(args) -> int:
         _status(str(e))
         return 3
     _emit(trace_chunks(events, trace), args.trace)
-    _status(
-        f"simulated {_count(trace.beacons_sent, 'round')}: "
-        f"{_count(trace.beacons_missed, 'missed beacon')}, "
-        f"{_count(trace.transmissions, 'transmission')}, "
-        f"{_count(trace.collisions, 'collision')}, "
-        f"{_count(trace.resyncs, 'resync')}"
-    )
+    counts = ((trace.beacons_missed, "missed beacon"), (trace.transmissions, "transmission"),
+              (trace.collisions, "collision"), (trace.resyncs, "resync"))
+    _status(f"simulated {_count(trace.beacons_sent, 'round')}: "
+            + ", ".join(_count(n, noun) for n, noun in counts))
     return 0
 
 

@@ -94,8 +94,7 @@ def simulate(
     ...     (("s", "c", "m"),))
     >>> sched = ModeSchedule("op", 100_000, 15_094, {"s": 0, "c": 40_000},
     ...     {"m": 1000}, {"m": 30_000}, (Round(2000, ("m",)),), {"m": 0})
-    >>> net = NetworkParams(hops=1, slots_per_round=2, payload_bytes=8,
-    ...     retransmissions=1)
+    >>> net = NetworkParams(hops=1, slots_per_round=2, payload_bytes=8, retransmissions=1)
     >>> trace = simulate({"op": (Mode("op", (app,)), sched)}, Scenario("op", 1), net)
     >>> trace.events[0]
     {'t': 2000, 'kind': 'beacon', 'round_id': 0, 'mode': 'op', 'index': 0, 'sb': 0}

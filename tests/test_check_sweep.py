@@ -25,6 +25,7 @@ import random
 from roundsched import checker
 from roundsched.checker import check
 from roundsched.model import Mode, ModeSchedule, Round, hyperperiod
+from roundsched.sim import AuditError, Scenario, SimTrace, run
 from roundsched.specio import dumps, report_to_obj
 from roundsched.timing import round_length
 from support import af_oracle, df_oracle, mk_app, small_params, sv_oracle
@@ -187,3 +188,22 @@ def test_sweep_reports_match_per_instant_reference(monkeypatch):
         want = reference_check(mode, sched, monkeypatch)
         assert str(got) == str(want), f"case {i}"
         assert dumps(report_to_obj(got)) == dumps(report_to_obj(want)), f"case {i}"
+
+
+def test_simulator_runs_exactly_the_schedules_check_accepts():
+    for i, (mode, sched) in enumerate(CORPUS):
+        report = check(mode, sched, P)
+        trace = SimTrace()
+        if report.ok:
+            events = list(run({mode.id: (mode, sched)}, Scenario(mode.id, 4), P, trace))
+            assert trace.beacons_sent == 4, f"case {i}"
+            assert events[0]["t"] == min(r.t for r in sched.rounds), f"case {i}"
+            continue
+        want = f"schedule audit failed; {mode.id}: " + ", ".join(sorted(report.failed()))
+        try:
+            run({mode.id: (mode, sched)}, Scenario(mode.id, 4), P, trace)
+        except AuditError as e:
+            assert str(e) == want, f"case {i}"
+        else:
+            raise AssertionError(f"case {i}: run() accepted a schedule check() refuses")
+        assert trace == SimTrace(), f"case {i}"

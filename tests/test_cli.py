@@ -198,6 +198,24 @@ class TestSynth:
         assert proc.returncode == 0, proc.stderr
         assert json.loads(proc.stdout)["mode_id"] == "rand64"
 
+    def test_module_entry_point(self):
+        # `python -m roundsched.cli` exits with main()'s code
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (str(SRC), env.get("PYTHONPATH")) if p
+        )
+
+        def run(*argv):
+            return subprocess.run([sys.executable, "-m", "roundsched.cli", *argv],
+                                  capture_output=True, text=True, env=env, timeout=120)
+
+        proc = run("--help")
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.startswith("usage: roundsched ")
+        proc = run("frobnicate")
+        assert proc.returncode == 1
+        assert "invalid choice: 'frobnicate'" in proc.stderr
+
     def test_mode_flag_required_for_multi_mode_spec(self, capsys):
         rc = main(["synth", "--spec", CONTROL])
         assert rc == 1

@@ -10,7 +10,7 @@ from lptools import milp_solve, parse_lp
 from support import control_mode, mk_app, small_params, wide_params
 
 from roundsched.checker import _overlap_cyclic
-from roundsched.ilp import build_instance, check_assignment, extract_schedule
+from roundsched.ilp import ILPInstance, build_instance, check_assignment, extract_schedule
 from roundsched.lpformat import render_lp
 from roundsched.model import Application, Mode, ModelError, Task
 from roundsched.solver import solve
@@ -293,6 +293,15 @@ class TestAssignmentRoundTrip:
         assert sched.round_len_us == round_length(params)
         assert len(sched.rounds) == 2
         assert sched.rounds[0].t < sched.rounds[1].t
+
+    def test_check_assignment_reports_bounds_and_equalities(self):
+        inst = ILPInstance(name="tiny")
+        inst.add_var("x", 0, 2)
+        inst.add_var("y", -1, 2)
+        inst.add_row("sum", {0: 1, 1: 1}, "==", 3)
+        assert check_assignment(inst, [1, 2]) == []
+        assert check_assignment(inst, [3, -2]) == [
+            "x=3 outside [0, 2]", "y=-2 outside [-1, 2]", "sum: 1 != 3"]
 
     def test_check_assignment_reports_broken_rows(self):
         mode = control_mode()

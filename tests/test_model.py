@@ -198,6 +198,24 @@ class TestValidation:
     def test_empty_mode(self):
         assert "empty_mode" in mode_report(Mode("m", ())).failed()
 
+    def test_hyperperiod_refuses_an_empty_mode(self):
+        with pytest.raises(ModelError, match="^mode 'm' has no applications$"):
+            hyperperiod(Mode("m", ()))
+
+    @pytest.mark.parametrize("period_us", [0, -100_000])
+    def test_hyperperiod_refuses_a_non_positive_period(self, period_us):
+        app = Application("a", period_us, 100_000, (Task("t", "n", 1),), ())
+        with pytest.raises(ModelError, match="^mode 'm' has a non-positive period$"):
+            hyperperiod(Mode("m", (control_app(), app)))
+
+    def test_report_text(self):
+        report = ValidationReport()
+        assert str(report) == "ok"
+        report.add("bad_period", "application a", "period 0")
+        report.add("empty_mode", "mode m", "no applications")
+        assert str(report) == ("bad_period at application a: period 0\n"
+                               "empty_mode at mode m: no applications")
+
 
 class TestChains:
     def test_single_task_app_has_one_chain(self):

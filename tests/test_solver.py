@@ -6,11 +6,14 @@ evidence rather than the solver grading its own homework.
 """
 
 import time
+from types import SimpleNamespace
 
+import numpy as np
 import pytest
 from support import control_mode, enumerate_milp, ladder_mode, random_ilp, wide_params
 
 from roundsched.ilp import ILPInstance, build_instance, check_assignment
+from roundsched import solver
 from roundsched.solver import solve
 
 
@@ -57,6 +60,38 @@ class TestBasics:
         assert time.monotonic() - start < 0.5
         assert sol.status == "timeout"
         assert sol.values is None
+
+
+class TestDistrustedAnswers:
+    """solve() raises on a HiGHS answer it cannot vouch for; scipy's milp
+    is replaced by one that returns a canned result."""
+
+    @staticmethod
+    def answer(monkeypatch, status, x=None, message="canned"):
+        res = SimpleNamespace(status=status, x=x, message=message,
+                              mip_node_count=0, mip_dual_bound=None)
+        monkeypatch.setattr(solver, "milp", lambda *args, **kwargs: res)
+
+    def test_unknown_status(self, monkeypatch):
+        self.answer(monkeypatch, 4, message="numerical difficulties")
+        with pytest.raises(RuntimeError,
+                           match="^milp failed with status 4: numerical difficulties$"):
+            solve(knapsackish())
+
+    @pytest.mark.parametrize("deadline", [None, 3600.0], ids=["no deadline", "an hour left"])
+    def test_time_limit_before_the_deadline(self, monkeypatch, deadline):
+        self.answer(monkeypatch, 1, message="Time limit reached")
+        if deadline is not None:
+            deadline += time.monotonic()
+        with pytest.raises(RuntimeError, match="^milp stopped before its deadline"):
+            solve(knapsackish(), deadline=deadline)
+
+    def test_point_that_breaks_a_row(self, monkeypatch):
+        # 5 * 2 + 4 * 2 = 18 units on a capacity of 11
+        self.answer(monkeypatch, 0, x=np.array([2.0, 2.0]))
+        with pytest.raises(RuntimeError,
+                           match=r"^milp point fails exact verification: \['cap: 18 > 11'\]$"):
+            solve(knapsackish())
 
 
 class TestOracleAgreement:

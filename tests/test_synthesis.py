@@ -19,7 +19,8 @@ from support import (
     wide_params,
 )
 
-from roundsched.checker import check
+from roundsched import synthesis
+from roundsched.checker import CheckReport, check
 from roundsched.ilp import build_instance
 from roundsched.model import Mode
 from roundsched.solver import solve
@@ -172,6 +173,17 @@ class TestLimitsAndGuards:
         b = mk_app("b", 40, [("t2", "n2", 1), ("u2", "n4", 1)], [("t2", "u2", "m")])
         with pytest.raises(ValueError, match=r"^mode shared is not well formed: \['several_producers'\]$"):
             synthesize(Mode(id="shared", applications=(a, b)), small_params(), GRID)
+
+    def test_schedule_failing_its_own_audit_is_not_returned(self, monkeypatch):
+        def refusing_audit(mode, schedule, params):
+            report = CheckReport()
+            report.add("round_gap", "schedule", "refused for the test")
+            return report
+
+        monkeypatch.setattr(synthesis, "check", refusing_audit)
+        with pytest.raises(RuntimeError,
+                           match=r"^synthesized schedule failed its own audit: \['round_gap'\]$"):
+            synthesize(pipeline_mode(), small_params(), GRID)
 
 
 class TestBudget:
