@@ -1,16 +1,21 @@
 """Exact solution of the co-scheduling programs with the HiGHS MILP engine.
 
-Each program is handed to scipy's milp (HiGHS branch and cut) as one
-sparse constraint matrix, every variable integer.  HiGHS works in
+Each program is handed to HiGHS (branch and cut) through scipy's bundled
+binding of it, scipy.optimize._highspy._core, the engine scipy's milp
+runs: one HighsLp whose matrix is built row by row from the instance's
+rows, every variable integer.  The binding is private to scipy; CI pins
+scipy 1.17.1 (HiGHS 1.12.0), the one version checked.  HiGHS works in
 floating point, so its point is rounded to integers and re-verified in
 exact integer arithmetic (check_assignment), and the objective is
-recomputed from the rounded integers.  A rounded point that fails the
-check raises instead of being returned.  solve() stops at the absolute
-time.monotonic() deadline of the search that calls it, so one budget
-covers every round count synthesize() tries.
+recomputed from the rounded integers.  A rounded point that fails the check raises instead of
+being returned, and so does any HiGHS status other than optimal,
+infeasible or a time limit reached at the deadline.  solve() stops at the
+absolute time.monotonic() deadline of the search that calls it, so one
+budget covers every round count synthesize() tries.
 
 HiGHS runs with three options set (HIGHS_OPTIONS), measured on a 2-core
-VM:
+VM; an option HiGHS does not have, or a value it refuses, raises
+ValueError naming the option:
 
 - mip_rel_gap 0: the search stops only when the latency is proven
   optimal, not within HiGHS's default 0.01 % gap.
@@ -34,8 +39,6 @@ VM:
   pool) synthesize in 5.6 s instead of 10.1 s, median 8.9 ms instead of
   19.8 ms per mode, with the same status, round count and objective on
   every one.
-
-scipy's milp passes the two options it does not know to HiGHS verbatim.
 """
 
 from __future__ import annotations
@@ -46,12 +49,9 @@ import math
 import os
 import sys
 import time
-import warnings
 from dataclasses import dataclass
 
-import numpy as np
-from scipy.optimize import Bounds, LinearConstraint, milp
-from scipy.sparse import csr_array
+from scipy.optimize._highspy import _core as highs
 
 from .ilp import ILPInstance, check_assignment
 
@@ -73,13 +73,13 @@ class SolverSolution:
     # the incumbent if there is one
     values: list[int] | None
     objective: int | None
-    # branch-and-bound nodes as scipy reports them: its mip_node_count is
-    # None on an infeasible result, which counts 0 here however many nodes
-    # HiGHS explored (its log shows 80 for the 2-pipeline ladder at 3 rounds)
+    # branch-and-bound nodes HiGHS explored, whatever the status: a
+    # refutation counts its nodes too (107 for the 2-pipeline ladder at 3
+    # rounds on the 5 ms grid)
     nodes: int
     # no point has a smaller objective: HiGHS's mip_dual_bound rounded up to
     # an integer (objectives are integers) and capped at the objective;
-    # None when infeasible or when HiGHS reports no finite bound
+    # None when there is no point or when HiGHS reports no finite bound
     dual_bound: int | None = None
 
 
@@ -102,42 +102,49 @@ def _stdout_to_stderr():
         os.close(saved)
 
 
-def _milp(inst: ILPInstance, time_limit_s: float | None):
-    n = len(inst.variables)
-    c = np.zeros(n)
-    for i, cf in inst.objective.items():
-        c[i] = cf
-    data, rows, cols = [], [], []
-    lo = np.empty(len(inst.rows))
-    hi = np.empty(len(inst.rows))
-    for r, row in enumerate(inst.rows):
-        rows.extend([r] * len(row.coeffs))
-        cols.extend(row.coeffs)
-        data.extend(row.coeffs.values())
-        hi[r] = row.rhs
-        lo[r] = row.rhs if row.sense == "==" else -np.inf
-    constraints = ()
-    if inst.rows:
-        a = csr_array((data, (rows, cols)), shape=(len(inst.rows), n))
-        constraints = LinearConstraint(a, lo, hi)
-    options = dict(HIGHS_OPTIONS)
+def _run_highs(inst: ILPInstance, time_limit_s: float | None):
+    """The Highs object after it has run on the instance, every variable
+    integer."""
+    options = highs.HighsOptions()
+    settings = dict(HIGHS_OPTIONS, log_to_console=False)
     if time_limit_s is not None:
-        options["time_limit"] = time_limit_s
-    with warnings.catch_warnings(), _stdout_to_stderr():
-        # scipy passes options it does not know to HiGHS verbatim, but
-        # warns about them
-        warnings.filterwarnings(
-            "ignore", "Unrecognized options detected", RuntimeWarning
-        )
-        return milp(
-            c,
-            constraints=constraints,
-            integrality=np.ones(n),
-            bounds=Bounds(
-                [v.lb for v in inst.variables], [v.ub for v in inst.variables]
-            ),
-            options=options,
-        )
+        settings["time_limit"] = time_limit_s
+    for key, value in settings.items():
+        try:
+            setattr(options, key, value)
+        except (AttributeError, TypeError):
+            raise ValueError(f"HiGHS has no option {key!r} taking {value!r}") from None
+    n = len(inst.variables)
+    lp = highs.HighsLp()
+    lp.num_col_ = n
+    lp.num_row_ = len(inst.rows)
+    cost = [0] * n
+    for i, cf in inst.objective.items():
+        cost[i] = cf
+    lp.col_cost_ = cost
+    lp.col_lower_ = [v.lb for v in inst.variables]
+    lp.col_upper_ = [v.ub for v in inst.variables]
+    lp.row_lower_ = [r.rhs if r.sense == "==" else -highs.kHighsInf for r in inst.rows]
+    lp.row_upper_ = [r.rhs for r in inst.rows]
+    lp.integrality_ = [highs.HighsVarType.kInteger] * n
+    start, index, value = [0], [], []
+    for r in inst.rows:
+        index.extend(r.coeffs)
+        value.extend(r.coeffs.values())
+        start.append(len(index))
+    a = lp.a_matrix_
+    a.format_ = highs.MatrixFormat.kRowwise
+    a.num_col_, a.num_row_ = n, len(inst.rows)
+    a.start_, a.index_, a.value_ = start, index, value
+    h = highs._Highs()
+    with _stdout_to_stderr():
+        if h.passOptions(options) == highs.HighsStatus.kError:
+            raise ValueError(f"HiGHS refused the options {settings}")
+        if h.passModel(lp) == highs.HighsStatus.kError:
+            raise RuntimeError("HiGHS refused the program")
+        if h.run() == highs.HighsStatus.kError:
+            raise RuntimeError(f"HiGHS run failed: {h.modelStatusToString(h.getModelStatus())}")
+    return h
 
 
 def solve(inst: ILPInstance, *, deadline: float | None = None) -> SolverSolution:
@@ -149,31 +156,37 @@ def solve(inst: ILPInstance, *, deadline: float | None = None) -> SolverSolution
     """
     # HiGHS ignores a negative time_limit and runs to the end
     time_limit_s = None if deadline is None else max(0.0, deadline - time.monotonic())
-    res = _milp(inst, time_limit_s)
-    nodes = int(res.mip_node_count or 0)
-    if res.status == 2:
+    h = _run_highs(inst, time_limit_s)
+    model_status = h.getModelStatus()
+    info = h.getInfo()
+    nodes = info.mip_node_count
+    if model_status == highs.HighsModelStatus.kInfeasible:
         return SolverSolution("infeasible", None, None, nodes)
-    if res.status not in (0, 1):
-        raise RuntimeError(f"milp failed with status {res.status}: {res.message}")
-    status = "optimal" if res.status == 0 else "timeout"
-    if status == "timeout" and (deadline is None or time.monotonic() < deadline):
-        raise RuntimeError(f"milp stopped before its deadline: {res.message}")
-    if res.x is None:
-        return SolverSolution(status, None, None, nodes, _dual_bound(res, None))
-    values = [int(round(x)) for x in res.x]
+    if model_status == highs.HighsModelStatus.kOptimal:
+        status = "optimal"
+    elif model_status == highs.HighsModelStatus.kTimeLimit:
+        status = "timeout"
+        if deadline is None or time.monotonic() < deadline:
+            raise RuntimeError("HiGHS stopped before its deadline: "
+                               + h.modelStatusToString(model_status))
+    else:
+        raise RuntimeError(f"HiGHS ended with {h.modelStatusToString(model_status)}")
+    if not math.isfinite(info.objective_function_value):
+        return SolverSolution(status, None, None, nodes)
+    values = [int(round(x)) for x in h.getSolution().col_value]
     bad = check_assignment(inst, values)
     if bad:
-        raise RuntimeError(f"milp point fails exact verification: {bad[:3]}")
+        raise RuntimeError(f"HiGHS point fails exact verification: {bad[:3]}")
     objective = sum(cf * values[i] for i, cf in inst.objective.items())
-    return SolverSolution(status, values, objective, nodes, _dual_bound(res, objective))
+    return SolverSolution(status, values, objective, nodes,
+                          _dual_bound(info.mip_dual_bound, objective))
 
 
-def _dual_bound(res, objective: int | None) -> int | None:
-    bound = res.mip_dual_bound
-    if bound is None or not math.isfinite(bound):
+def _dual_bound(bound: float, objective: int) -> int | None:
+    if not math.isfinite(bound):
         return None
     # the float bound carries noise above an integer (404000.00000000314 on
     # the 4-pipeline ladder), which must not round up to the next integer;
     # a tolerance below 1 can only weaken the bound, never overstate it
     bound = math.ceil(bound - min(0.5, 1e-6 * max(1.0, abs(bound))))
-    return bound if objective is None else min(bound, objective)
+    return min(bound, objective)

@@ -5,16 +5,27 @@ row arithmetic, so agreement on forty seeded programs is meaningful
 evidence rather than the solver grading its own homework.
 """
 
+import math
 import time
+import warnings
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from support import control_mode, enumerate_milp, ladder_mode, random_ilp, wide_params
+from scipy.optimize import Bounds, LinearConstraint, milp
+from support import (
+    control_mode,
+    enumerate_milp,
+    ladder_mode,
+    random_ilp,
+    random_small_case,
+    wide_params,
+)
 
 from roundsched.ilp import ILPInstance, build_instance, check_assignment
 from roundsched import solver
-from roundsched.solver import solve
+from roundsched.solver import HIGHS_OPTIONS, solve
+from roundsched.synthesis import SynthConfig, max_rounds, min_rounds, program
 
 
 def knapsackish() -> ILPInstance:
@@ -61,36 +72,87 @@ class TestBasics:
         assert sol.status == "timeout"
         assert sol.values is None
 
+    def test_a_refutation_counts_its_nodes(self):
+        # HiGHS branches to refute three rounds of two pipelines
+        inst = program(ladder_mode(2), 3, wide_params(hops=2), SynthConfig(grid_us=5000))
+        sol = solve(inst)
+        assert sol.status == "infeasible"
+        assert sol.nodes > 0
+
+
+class TestOptions:
+    """An option HiGHS does not accept stops the solve, naming it."""
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [("mip_pool_soft_limt", 100), ("mip_pool_soft_limit", "100")],
+        ids=["misspelled key", "wrong-typed value"],
+    )
+    def test_refused_option_raises(self, monkeypatch, key, value):
+        monkeypatch.setitem(HIGHS_OPTIONS, key, value)
+        with pytest.raises(ValueError, match=f"^HiGHS has no option '{key}' taking {value!r}$"):
+            solve(knapsackish())
+
+    def test_value_out_of_range_raises(self, monkeypatch):
+        monkeypatch.setitem(HIGHS_OPTIONS, "mip_rel_gap", -1.0)
+        with pytest.raises(ValueError, match="^HiGHS refused the options .*'mip_rel_gap': -1.0"):
+            solve(knapsackish())
+
+
+class Ran:
+    """A canned stand-in for the Highs object after its run."""
+
+    def __init__(self, status, x=None):
+        self.status, self.x = status, x
+
+    def getModelStatus(self):
+        return self.status
+
+    def modelStatusToString(self, status):
+        return solver.highs._Highs().modelStatusToString(status)
+
+    def getInfo(self):
+        return SimpleNamespace(
+            mip_node_count=0, mip_dual_bound=math.inf,
+            objective_function_value=math.inf if self.x is None else 0.0,
+        )
+
+    def getSolution(self):
+        return SimpleNamespace(col_value=self.x)
+
 
 class TestDistrustedAnswers:
-    """solve() raises on a HiGHS answer it cannot vouch for; scipy's milp
-    is replaced by one that returns a canned result."""
+    """solve() raises on a HiGHS answer it cannot vouch for; the run of
+    HiGHS is replaced by one that returns a canned result."""
 
     @staticmethod
-    def answer(monkeypatch, status, x=None, message="canned"):
-        res = SimpleNamespace(status=status, x=x, message=message,
-                              mip_node_count=0, mip_dual_bound=None)
-        monkeypatch.setattr(solver, "milp", lambda *args, **kwargs: res)
+    def answer(monkeypatch, status, x=None):
+        monkeypatch.setattr(solver, "_run_highs", lambda *args: Ran(status, x))
 
     def test_unknown_status(self, monkeypatch):
-        self.answer(monkeypatch, 4, message="numerical difficulties")
-        with pytest.raises(RuntimeError,
-                           match="^milp failed with status 4: numerical difficulties$"):
+        self.answer(monkeypatch, solver.highs.HighsModelStatus.kSolveError)
+        with pytest.raises(RuntimeError, match="^HiGHS ended with Solve error$"):
+            solve(knapsackish())
+
+    def test_model_error_is_not_infeasible(self, monkeypatch):
+        self.answer(monkeypatch, solver.highs.HighsModelStatus.kModelError)
+        with pytest.raises(RuntimeError, match="^HiGHS ended with Model error$"):
             solve(knapsackish())
 
     @pytest.mark.parametrize("deadline", [None, 3600.0], ids=["no deadline", "an hour left"])
     def test_time_limit_before_the_deadline(self, monkeypatch, deadline):
-        self.answer(monkeypatch, 1, message="Time limit reached")
+        self.answer(monkeypatch, solver.highs.HighsModelStatus.kTimeLimit)
         if deadline is not None:
             deadline += time.monotonic()
-        with pytest.raises(RuntimeError, match="^milp stopped before its deadline"):
+        with pytest.raises(RuntimeError,
+                           match="^HiGHS stopped before its deadline: Time limit reached$"):
             solve(knapsackish(), deadline=deadline)
 
     def test_point_that_breaks_a_row(self, monkeypatch):
         # 5 * 2 + 4 * 2 = 18 units on a capacity of 11
-        self.answer(monkeypatch, 0, x=np.array([2.0, 2.0]))
+        self.answer(monkeypatch, solver.highs.HighsModelStatus.kOptimal, x=[2.0, 2.0])
         with pytest.raises(RuntimeError,
-                           match=r"^milp point fails exact verification: \['cap: 18 > 11'\]$"):
+                           match=r"^HiGHS point fails exact verification: \['cap: 18 > 11'\]$"):
             solve(knapsackish())
 
 
@@ -126,3 +188,71 @@ class TestWorkerParity:
         assert first.status == second.status == "optimal"
         assert first.values == second.values
         assert first.nodes == second.nodes
+
+
+def milp_answer(inst: ILPInstance) -> tuple[str, int | None]:
+    """(status, objective) from scipy's milp, a second way into HiGHS, run
+    with the solver's options."""
+    n = len(inst.variables)
+    c = np.zeros(n)
+    for i, cf in inst.objective.items():
+        c[i] = cf
+    a = np.zeros((len(inst.rows), n))
+    lo = np.full(len(inst.rows), -np.inf)
+    for r, row in enumerate(inst.rows):
+        for i, cf in row.coeffs.items():
+            a[r, i] = cf
+        if row.sense == "==":
+            lo[r] = row.rhs
+    hi = np.array([row.rhs for row in inst.rows], dtype=float)
+    with warnings.catch_warnings():
+        # milp passes the HiGHS options it does not know on, with a warning
+        warnings.filterwarnings("ignore", "Unrecognized options detected", RuntimeWarning)
+        res = milp(
+            c,
+            constraints=LinearConstraint(a, lo, hi),
+            integrality=np.ones(n),
+            bounds=Bounds([v.lb for v in inst.variables], [v.ub for v in inst.variables]),
+            options=dict(HIGHS_OPTIONS),
+        )
+    if res.status == 2:
+        return "infeasible", None
+    assert res.status == 0, res.message
+    x = [int(round(v)) for v in res.x]
+    return "optimal", sum(cf * x[i] for i, cf in inst.objective.items())
+
+
+SMALL_GRID = SynthConfig(grid_us=1000)
+
+
+def _bound_fits(seed: int) -> bool:
+    mode, params = random_small_case(seed)
+    return min_rounds(mode, params) <= max_rounds(mode, params, SMALL_GRID)
+
+
+# the seeded small cases whose lower bound on rounds fits the hyperperiod;
+# 12 and 35 are infeasible there, the other 33 optimal
+SMALL_SEEDS = [seed for seed in range(40) if _bound_fits(seed)]
+
+
+class TestIndependentPath:
+    """solve() and scipy's milp, which builds its own matrix and passes
+    HiGHS column-wise, agree on the status and objective of the programs
+    synthesize() solves (about 4 s on a 2-core VM, most of it the ladder)."""
+
+    @pytest.mark.parametrize("seed", SMALL_SEEDS)
+    def test_seeded_case_at_its_lower_bound(self, seed):
+        mode, params = random_small_case(seed)
+        inst = program(mode, min_rounds(mode, params), params, SMALL_GRID)
+        sol = solve(inst)
+        assert (sol.status, sol.objective) == milp_answer(inst)
+        assert sol.status == ("infeasible" if seed in (12, 35) else "optimal")
+
+    @pytest.mark.parametrize("k, n_rounds, want", [
+        (2, 3, "infeasible"), (2, 4, "optimal"), (3, 3, "infeasible"), (3, 4, "optimal"),
+    ])
+    def test_ladder(self, k, n_rounds, want):
+        inst = program(ladder_mode(k), n_rounds, wide_params(hops=2), SynthConfig(grid_us=5000))
+        sol = solve(inst)
+        assert sol.status == want
+        assert (sol.status, sol.objective) == milp_answer(inst)
