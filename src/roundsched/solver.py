@@ -7,11 +7,11 @@ rows, every variable integer.  The binding is private to scipy; CI pins
 scipy 1.17.1 (HiGHS 1.12.0), the one version checked.  HiGHS works in
 floating point, so its point is rounded to integers and re-verified in
 exact integer arithmetic (check_assignment), and the objective is
-recomputed from the rounded integers.  A rounded point that fails the check raises instead of
-being returned, and so does any HiGHS status other than optimal,
-infeasible or a time limit reached at the deadline.  solve() stops at the
-absolute time.monotonic() deadline of the search that calls it, so one
-budget covers every round count synthesize() tries.
+recomputed from the rounded integers.  A rounded point that fails the
+check raises instead of being returned, and so does any HiGHS status
+other than optimal, infeasible or a time limit reached at the deadline.
+solve() stops at the absolute time.monotonic() deadline of the search
+that calls it, so one budget covers every round count synthesize() tries.
 
 HiGHS runs with three options set (HIGHS_OPTIONS), measured on a 2-core
 VM; an option HiGHS does not have, or a value it refuses, raises

@@ -10,6 +10,7 @@ checked against exhaustive enumeration (test_solver, acceptance 5).
 from __future__ import annotations
 
 import re
+import warnings
 
 import numpy as np
 from scipy.optimize import Bounds, LinearConstraint, milp
@@ -89,8 +90,13 @@ def parse_lp(text: str) -> dict:
     }
 
 
-def milp_solve(parsed: dict) -> tuple[str, int | None, dict[str, int] | None]:
-    """Solve a parsed LP with scipy's milp; all variables are integer."""
+def milp_solve(
+    parsed: dict, options: dict | None = None
+) -> tuple[str, int | None, dict[str, int] | None]:
+    """Solve a parsed LP with scipy's milp; all variables are integer.
+
+    options are HiGHS options by their HiGHS names; milp passes those it
+    does not know on to HiGHS, with a warning silenced here."""
     names = parsed["generals"]
     idx = {n: i for i, n in enumerate(names)}
     n = len(names)
@@ -113,12 +119,15 @@ def milp_solve(parsed: dict) -> tuple[str, int | None, dict[str, int] | None]:
             c_lo[r_i], c_hi[r_i] = rhs, np.inf
         else:
             c_lo[r_i], c_hi[r_i] = rhs, rhs
-    res = milp(
-        c,
-        constraints=LinearConstraint(a, c_lo, c_hi),
-        integrality=np.ones(n),
-        bounds=Bounds(lo, hi),
-    )
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", "Unrecognized options detected", RuntimeWarning)
+        res = milp(
+            c,
+            constraints=LinearConstraint(a, c_lo, c_hi),
+            integrality=np.ones(n),
+            bounds=Bounds(lo, hi),
+            options=dict(options or {}),  # milp pops keys from the dict it is given
+        )
     if res.status == 2:
         return "infeasible", None, None
     if res.status != 0:

@@ -7,12 +7,10 @@ evidence rather than the solver grading its own homework.
 
 import math
 import time
-import warnings
 from types import SimpleNamespace
 
-import numpy as np
 import pytest
-from scipy.optimize import Bounds, LinearConstraint, milp
+from lptools import milp_solve, parse_lp
 from support import (
     control_mode,
     enumerate_milp,
@@ -23,6 +21,7 @@ from support import (
 )
 
 from roundsched.ilp import ILPInstance, build_instance, check_assignment
+from roundsched.lpformat import render_lp
 from roundsched import solver
 from roundsched.solver import HIGHS_OPTIONS, solve
 from roundsched.synthesis import SynthConfig, max_rounds, min_rounds, program
@@ -190,38 +189,6 @@ class TestWorkerParity:
         assert first.nodes == second.nodes
 
 
-def milp_answer(inst: ILPInstance) -> tuple[str, int | None]:
-    """(status, objective) from scipy's milp, a second way into HiGHS, run
-    with the solver's options."""
-    n = len(inst.variables)
-    c = np.zeros(n)
-    for i, cf in inst.objective.items():
-        c[i] = cf
-    a = np.zeros((len(inst.rows), n))
-    lo = np.full(len(inst.rows), -np.inf)
-    for r, row in enumerate(inst.rows):
-        for i, cf in row.coeffs.items():
-            a[r, i] = cf
-        if row.sense == "==":
-            lo[r] = row.rhs
-    hi = np.array([row.rhs for row in inst.rows], dtype=float)
-    with warnings.catch_warnings():
-        # milp passes the HiGHS options it does not know on, with a warning
-        warnings.filterwarnings("ignore", "Unrecognized options detected", RuntimeWarning)
-        res = milp(
-            c,
-            constraints=LinearConstraint(a, lo, hi),
-            integrality=np.ones(n),
-            bounds=Bounds([v.lb for v in inst.variables], [v.ub for v in inst.variables]),
-            options=dict(HIGHS_OPTIONS),
-        )
-    if res.status == 2:
-        return "infeasible", None
-    assert res.status == 0, res.message
-    x = [int(round(v)) for v in res.x]
-    return "optimal", sum(cf * x[i] for i, cf in inst.objective.items())
-
-
 SMALL_GRID = SynthConfig(grid_us=1000)
 
 
@@ -236,23 +203,28 @@ SMALL_SEEDS = [seed for seed in range(40) if _bound_fits(seed)]
 
 
 class TestIndependentPath:
-    """solve() and scipy's milp, which builds its own matrix and passes
-    HiGHS column-wise, agree on the status and objective of the programs
-    synthesize() solves (about 4 s on a 2-core VM, most of it the ladder)."""
+    """solve() and scipy's milp, a second way into HiGHS that builds its
+    own matrix from the program's LP text and passes it column-wise, run
+    with the solver's options, agree on the status and objective of the
+    programs synthesize() solves (about 5 s on a 2-core VM, most of it
+    the ladder)."""
+
+    @staticmethod
+    def agree(inst: ILPInstance) -> str:
+        sol = solve(inst)
+        want = milp_solve(parse_lp(render_lp(inst)), HIGHS_OPTIONS)[:2]
+        assert (sol.status, sol.objective) == want
+        return sol.status
 
     @pytest.mark.parametrize("seed", SMALL_SEEDS)
     def test_seeded_case_at_its_lower_bound(self, seed):
         mode, params = random_small_case(seed)
         inst = program(mode, min_rounds(mode, params), params, SMALL_GRID)
-        sol = solve(inst)
-        assert (sol.status, sol.objective) == milp_answer(inst)
-        assert sol.status == ("infeasible" if seed in (12, 35) else "optimal")
+        assert self.agree(inst) == ("infeasible" if seed in (12, 35) else "optimal")
 
     @pytest.mark.parametrize("k, n_rounds, want", [
         (2, 3, "infeasible"), (2, 4, "optimal"), (3, 3, "infeasible"), (3, 4, "optimal"),
     ])
     def test_ladder(self, k, n_rounds, want):
         inst = program(ladder_mode(k), n_rounds, wide_params(hops=2), SynthConfig(grid_us=5000))
-        sol = solve(inst)
-        assert sol.status == want
-        assert (sol.status, sol.objective) == milp_answer(inst)
+        assert self.agree(inst) == want
