@@ -21,19 +21,23 @@ The walk trusts the schedules it is given, so run() audits each of them
 with checker.check against the network it was built for, and refuses
 the whole run if any fails.
 
-An event is the flat dict the trace file holds: its time "t", its
-"kind" and the kind's fields, every value a str, int or bool.  The
-trace writer encodes events without looking at their values and relies
-on this.  Events are streamed: run() yields each event as the round
-that makes it is simulated and keeps only the counters, so a run costs
-the memory of a round, not of its length.  simulate() collects the same
-events into SimTrace.events.
+The run is streamed as records: run() yields each as the round that
+makes it is simulated and keeps only the counters, so a run costs the
+memory of a round, not of its length.  A record is a flat tuple
+(shape, t, *values) of one of the SHAPES declared below, which give
+each shape's kind and its fields in order, each a str, int or bool.
+as_event() turns a record into the event the trace file holds, the
+flat dict {"t": t, "kind": kind, <field>: value, ...}, and simulate()
+collects those dicts into SimTrace.events.  The trace writer renders
+records from templates built from the same table, so each value must
+have exactly its declared type: a bool where an int is declared would
+be written 1.
 """
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass, field
+from random import Random
 from typing import Iterator
 
 from .checker import check
@@ -56,8 +60,49 @@ class Scenario:
     switches: tuple[SwitchRequest, ...] = ()
 
 
+@dataclass(frozen=True)
+class Shape:
+    """A record shape: the event kind it stands for, and its fields in
+    record (and event key) order, each with its type."""
+
+    kind: str
+    fields: tuple[tuple[str, type], ...]
+
+
+#: every record shape by its tag; an open degraded span, which the run
+#: ends inside, is a shape of its own
+SHAPES: dict[str, Shape] = {
+    "request": Shape("request", (("to", str), ("requested_at", int))),
+    "announce": Shape("announce", (("to", str), ("commit_end", int))),
+    "beacon": Shape("beacon", (("round_id", int), ("mode", str), ("index", int),
+                               ("sb", int))),
+    "miss": Shape("miss", (("node", str), ("round_id", int))),
+    "resync": Shape("resync", (("node", str), ("mode", str))),
+    "degraded": Shape("degraded", (("node", str), ("since", int))),
+    "degraded_open": Shape("degraded", (("node", str), ("since", int), ("open", bool))),
+    "tx": Shape("tx", (("node", str), ("msg", str), ("round_id", int), ("slot", int))),
+    "epoch": Shape("epoch", (("mode", str),)),
+}
+
+#: (shape tag, t, <field value in SHAPES order>, ...)
+Record = tuple
 #: {"t": int, "kind": str, <field>: str | int | bool, ...}
 Event = dict[str, str | int | bool]
+
+
+def as_event(record: Record) -> Event:
+    """The event a record stands for, keys in the order t, kind, fields.
+
+    >>> as_event(("miss", 2000, "n1", 0))
+    {'t': 2000, 'kind': 'miss', 'node': 'n1', 'round_id': 0}
+    """
+    try:
+        shape = SHAPES[record[0]]
+    except KeyError:
+        raise ValueError(f"undeclared record shape {record[0]!r}") from None
+    event = {"t": record[1], "kind": shape.kind}
+    event.update((name, value) for (name, _), value in zip(shape.fields, record[2:]))
+    return event
 
 
 @dataclass
@@ -85,7 +130,8 @@ def simulate(
 ) -> SimTrace:
     """Run the protocol for a fixed number of rounds and return the trace.
 
-    Each event is a flat dict; a round opens with its beacon:
+    Each event is the flat dict as_event() makes of a record; a round
+    opens with its beacon:
 
     >>> from roundsched.model import Application, Mode, ModeSchedule, Round, Task
     >>> from roundsched.timing import NetworkParams
@@ -100,7 +146,7 @@ def simulate(
     {'t': 2000, 'kind': 'beacon', 'round_id': 0, 'mode': 'op', 'index': 0, 'sb': 0}
     """
     trace = SimTrace()
-    trace.events.extend(run(mode_table, scenario, params, trace))
+    trace.events.extend(map(as_event, run(mode_table, scenario, params, trace)))
     return trace
 
 
@@ -109,8 +155,8 @@ def run(
     scenario: Scenario,
     params: NetworkParams,
     trace: SimTrace,
-) -> Iterator[Event]:
-    """Audit the inputs, then return the run's events as it makes them.
+) -> Iterator[Record]:
+    """Audit the inputs, then return the run's records as it makes them.
 
     Bad inputs raise here, before any event.  A table key that is not
     its mode's id, or a mode the scenario names without a schedule,
@@ -140,8 +186,9 @@ def _rounds(
     mode_table: dict[str, tuple[Mode, ModeSchedule]],
     scenario: Scenario,
     trace: SimTrace,
-) -> Iterator[Event]:
-    rng = random.Random(scenario.seed)
+) -> Iterator[Record]:
+    draw = Random(scenario.seed).random
+    loss = scenario.beacon_loss
 
     nodes = sorted(
         {
@@ -150,14 +197,20 @@ def _rounds(
             for t in mode.all_tasks().values()
         }
     )
+    # per mode, each round's data slots as (slot, message, sending node):
     # a message's producer sits on the node that sends it
-    producers = {mid_: mode.producers() for mid_, (mode, _) in mode_table.items()}
+    slots = {}
+    for mid_, (mode, sched) in mode_table.items():
+        producers = mode.producers()
+        slots[mid_] = [tuple((s, m_id, producers[m_id].node) for s, m_id in enumerate(r.alloc))
+                       for r in sched.rounds]
 
     # a node that missed a commit beacon, and when its degraded span began
     degraded_since: dict[str, int] = {}
 
     mode_id = scenario.initial_mode
     sched = mode_table[mode_id][1]
+    round_slots = slots[mode_id]
     epoch_base = 0
     cycle = 0
     index = 0
@@ -172,8 +225,7 @@ def _rounds(
         # pick up a queued request at the round boundary
         if to_mode is None and queue and queue[0].at_us <= t:
             req = queue.pop(0)
-            yield {"t": t, "kind": "request", "to": req.to_mode,
-                   "requested_at": req.at_us}
+            yield ("request", t, req.to_mode, req.at_us)
             if req.to_mode != mode_id:
                 # commit in the round serving each message's last instance:
                 # a carried one is served by its first round of the next cycle
@@ -188,55 +240,52 @@ def _rounds(
                     if end > commit_end:
                         commit, commit_end = (c, j), end
                 to_mode = req.to_mode
-                yield {"t": t, "kind": "announce", "to": to_mode, "commit_end": commit_end}
+                yield ("announce", t, to_mode, commit_end)
 
         committing = to_mode is not None and commit == (cycle, index)
         trace.beacons_sent += 1
-        yield {"t": t, "kind": "beacon", "round_id": round_id, "mode": mode_id,
-               "index": index, "sb": 1 if committing else 0}
+        yield ("beacon", t, round_id, mode_id, index, 1 if committing else 0)
 
-        heard = {}
-        for n in nodes:
-            heard[n] = rng.random() >= scenario.beacon_loss
-            if not heard[n]:
-                trace.beacons_missed += 1
-                yield {"t": t, "kind": "miss", "node": n, "round_id": round_id}
+        # one draw per node, in node order: a node misses the beacon
+        # with probability beacon_loss
+        missed = [n for n in nodes if draw() < loss]
+        trace.beacons_missed += len(missed)
+        for n in missed:
+            yield ("miss", t, n, round_id)
 
         # reactions of nodes that heard the beacon
-        for n in nodes:
-            if heard[n] and n in degraded_since:
-                trace.resyncs += 1
-                yield {"t": t, "kind": "resync", "node": n, "mode": mode_id}
-                yield {"t": t, "kind": "degraded", "node": n,
-                       "since": degraded_since.pop(n)}
+        if degraded_since:
+            for n in nodes:
+                if n in degraded_since and n not in missed:
+                    trace.resyncs += 1
+                    yield ("resync", t, n, mode_id)
+                    yield ("degraded", t, n, degraded_since.pop(n))
 
         # data slots: each slot is sent by its message's producer, if that
         # node heard the beacon, exactly as the named round allocates
-        for s, m_id in enumerate(sched.rounds[index].alloc):
-            n = producers[mode_id][m_id].node
-            if heard[n]:
+        for s, m_id, n in round_slots[index]:
+            if n not in missed:
                 trace.transmissions += 1
-                yield {"t": t, "kind": "tx", "node": n, "msg": m_id,
-                       "round_id": round_id, "slot": s}
+                yield ("tx", t, n, m_id, round_id, s)
 
         if committing:
-            for n in nodes:
-                if not heard[n]:
-                    # a span already open keeps its start
-                    degraded_since.setdefault(n, t_end)
+            for n in missed:
+                # a span already open keeps its start
+                degraded_since.setdefault(n, t_end)
             mode_id = to_mode
             sched = mode_table[mode_id][1]
+            round_slots = slots[mode_id]
             epoch_base = t_end
             cycle = 0
             index = 0
             to_mode = None
-            yield {"t": t_end, "kind": "epoch", "mode": mode_id}
+            yield ("epoch", t_end, mode_id)
             continue
 
         index += 1
-        if index == len(sched.rounds):
+        if index == len(round_slots):
             index = 0
             cycle += 1
 
     for n, since in sorted(degraded_since.items()):
-        yield {"t": since, "kind": "degraded", "node": n, "since": since, "open": True}
+        yield ("degraded_open", since, n, since, True)

@@ -21,11 +21,14 @@ application that lists it.
 
 Writers are byte-stable: keys sorted, two-space indent, one trailing
 newline. A simulation trace is streamed, never held whole:
-trace_chunks() pulls events from an iterable (such as the live
-sim.run() iterator) in blocks of TRACE_BLOCK_EVENTS, encodes each with
-the C JSON encoder and yields it, then writes the summary last; the
-bytes are those of dumps(trace_to_obj(trace)).  An event is written as
-it is: a flat dict of "t", "kind" and the kind's fields.
+trace_chunks() pulls records (see sim.SHAPES) from an iterable, such as
+the live sim.run() iterator, in blocks of TRACE_BLOCK_EVENTS, renders
+each block and yields it, then writes the summary last; the bytes are
+those of dumps(trace_to_obj(trace)) for the records' events.  Each
+shape is rendered from one %-template built from its declaration, keys
+sorted and encoded in advance: an int value goes in through %d, a bool
+as true or false, and a str as json's own encoder writes it.  A record
+of a shape not declared there is refused with ValueError.
 """
 
 from __future__ import annotations
@@ -34,11 +37,13 @@ import json
 from dataclasses import MISSING, asdict, dataclass, fields
 from functools import partial
 from itertools import islice
+from json.encoder import encode_basestring_ascii
+from operator import itemgetter
 from typing import Callable, Iterable, Iterator
 
 from .checker import CheckReport
 from .model import Application, Mode, ModeSchedule, Round, Task
-from .sim import Event, Scenario, SimTrace, SwitchRequest
+from .sim import SHAPES, Record, Scenario, Shape, SimTrace, SwitchRequest
 from .timing import NETWORK_MINIMUMS, NetworkParams
 
 
@@ -256,42 +261,78 @@ def trace_to_obj(trace: SimTrace) -> dict:
     return {"summary": _summary_obj(trace), "events": trace.events}
 
 
-#: events encoded per block by trace_chunks()
+#: records rendered per block by trace_chunks()
 TRACE_BLOCK_EVENTS = 2048
 
-# Without indent, json uses its C encoder. Events are flat (see sim), so
-# this one writes each event of a list as '{"k": v,\n      "k": v}',
-# joined by '},\n      {': the key lines already carry the 6-space indent
-# of an event inside "events".
-_EVENT_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",\n      ", ": "))
+#: how a field of each declared type enters its shape's template
+_PLACEHOLDERS = {int: "%d", str: "%s", bool: "%s"}
 
 
-def _events_text(events: list[Event]) -> str:
-    """The events as dumps() indents them inside "events", comma-joined."""
-    # JSON strings hold no raw newline, so '},\n      {' only occurs
-    # between two events
-    body = _EVENT_ENCODER.encode(events)[2:-2].replace(
-        "},\n      {", "\n    },\n    {\n      ")
-    return "{\n      " + body + "\n    }"
+def _template(shape: Shape) -> tuple[str, Callable[[Record], tuple], tuple[int, ...]]:
+    """The event of shape as dumps() indents it inside "events", as a
+    %-template; the getter of the record values it takes, in key order;
+    and which of those are str or bool, so go in as JSON text."""
+    types = (None, int) + tuple(typ for _, typ in shape.fields)
+    keys = sorted([("kind", None), ("t", 1)]
+                  + [(name, 2 + i) for i, (name, _) in enumerate(shape.fields)])
+    lines = []
+    for key, pos in keys:
+        value = (json.dumps(shape.kind).replace("%", "%%") if pos is None
+                 else _PLACEHOLDERS[types[pos]])
+        lines.append(f'      {json.dumps(key).replace("%", "%%")}: {value}')
+    positions = [pos for _, pos in keys if pos is not None]
+    texts = tuple(i for i, pos in enumerate(positions) if types[pos] is not int)
+    return "{\n" + ",\n".join(lines) + "\n    }", itemgetter(*positions), texts
 
 
-def trace_chunks(events: Iterable[Event], trace: SimTrace) -> Iterator[str]:
-    """The text of a trace with these events and trace's counters, in blocks.
+_TEMPLATES = {tag: _template(shape) for tag, shape in SHAPES.items()}
+
+
+class _JsonText(dict):
+    """A str or bool value's JSON text, each str encoded once."""
+
+    def __init__(self):
+        super().__init__({True: "true", False: "false"})
+
+    def __missing__(self, value: str) -> str:
+        text = self[value] = encode_basestring_ascii(value)
+        return text
+
+
+def _records_text(records: list[Record], json_text: _JsonText) -> str:
+    """The records' events as dumps() indents them inside "events", comma-joined."""
+    texts = []
+    for record in records:
+        try:
+            template, values_of, text_at = _TEMPLATES[record[0]]
+        except KeyError:
+            raise ValueError(f"undeclared record shape {record[0]!r}") from None
+        values = list(values_of(record))
+        for i in text_at:
+            values[i] = json_text[values[i]]
+        texts.append(template % tuple(values))
+    return ",\n    ".join(texts)
+
+
+def trace_chunks(records: Iterable[Record], trace: SimTrace) -> Iterator[str]:
+    """The text of a trace with these records and trace's counters, in blocks.
 
     Joined, the blocks are dumps(trace_to_obj(trace)) for a trace whose
-    events are these.  Events are pulled and encoded a block at a time,
-    never all held; the counters are read after the last event, so
-    events may be the live iterator that fills them.
+    events are the records' (see sim.as_event).  Records are pulled and
+    rendered a block at a time, never all held; the counters are read
+    after the last record, so records may be the live sim.run() iterator
+    that fills them.
     """
-    events = iter(events)
-    block = list(islice(events, TRACE_BLOCK_EVENTS))
+    records = iter(records)
+    json_text = _JsonText()
+    block = list(islice(records, TRACE_BLOCK_EVENTS))
     if not block:
         yield '{\n  "events": [],\n'
     else:
         yield '{\n  "events": [\n    '
         while block:
-            yield _events_text(block)
-            block = list(islice(events, TRACE_BLOCK_EVENTS))
+            yield _records_text(block, json_text)
+            block = list(islice(records, TRACE_BLOCK_EVENTS))
             if block:
                 yield ",\n    "
         yield "\n  ],\n"

@@ -25,7 +25,7 @@ import random
 from roundsched import checker
 from roundsched.checker import check
 from roundsched.model import Mode, ModeSchedule, Round, hyperperiod
-from roundsched.sim import AuditError, Scenario, SimTrace, run
+from roundsched.sim import AuditError, Scenario, SimTrace, as_event, run
 from roundsched.specio import dumps, report_to_obj
 from roundsched.timing import round_length
 from support import af_oracle, df_oracle, mk_app, small_params, sv_oracle
@@ -195,7 +195,8 @@ def test_simulator_runs_exactly_the_schedules_check_accepts():
         report = check(mode, sched, P)
         trace = SimTrace()
         if report.ok:
-            events = list(run({mode.id: (mode, sched)}, Scenario(mode.id, 4), P, trace))
+            events = list(map(as_event, run({mode.id: (mode, sched)}, Scenario(mode.id, 4),
+                                            P, trace)))
             assert trace.beacons_sent == 4, f"case {i}"
             assert events[0]["t"] == min(r.t for r in sched.rounds), f"case {i}"
             continue

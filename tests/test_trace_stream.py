@@ -1,6 +1,6 @@
 """The live trace path: sim.run() streamed through specio.trace_chunks().
 
-Joined, the blocks written from the live event iterator must be the
+Joined, the blocks written from the live record iterator must be the
 bytes of dumps(trace_to_obj(simulate(..))), and writing a trace must
 hold a block of events at a time, not the run.
 """
@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from roundsched.sim import Scenario, SimTrace, SwitchRequest, run, simulate
+from roundsched.sim import SHAPES, Scenario, SimTrace, SwitchRequest, as_event, run, simulate
 from roundsched.specio import (
     TRACE_BLOCK_EVENTS,
     dumps,
@@ -88,23 +88,32 @@ def test_long_lossy_run_with_mode_changes(table):
 
 
 def test_every_event_is_flat(table):
-    # the writer lays events out without looking at their values, which
-    # holds only for a flat dict of scalars
+    # the writer fills a shape's template by the declared field types, so
+    # each value must have exactly its type: a bool where an int is
+    # declared would be written 1, not true
     switches = (SwitchRequest(250_000, "fallback"), SwitchRequest(90_000_000, "normal"))
-    full = simulate(table, Scenario("normal", 4000, 0.2, 11, switches), SPEC.network)
+
+    def records(n_rounds):
+        scenario = Scenario("normal", n_rounds, 0.2, 11, switches)
+        return list(run(table, scenario, SPEC.network, SimTrace()))
+
+    full = records(4000)
     # cut at the second switch beacon: a node that missed it is still
     # degraded when the run ends
-    last_sb = [e for e in full.of_kind("beacon") if e["sb"]][-1]
-    cut = simulate(table, Scenario("normal", last_sb["round_id"] + 1, 0.2, 11, switches),
-                   SPEC.network)
-    events = full.events + cut.events
-    for e in events:
-        assert type(e) is dict, e
-        assert type(e["t"]) is int and type(e["kind"]) is str, e
-        assert all(type(v) in (str, int, bool) for v in e.values()), e
-    assert {e["kind"] for e in events} == {
+    last_sb = [e for e in map(as_event, full) if e["kind"] == "beacon" and e["sb"]][-1]
+    cut = records(last_sb["round_id"] + 1)
+    for r in full + cut:
+        shape = SHAPES[r[0]]
+        assert type(r) is tuple and len(r) == 2 + len(shape.fields), r
+        assert type(r[1]) is int, r
+        for (name, typ), value in zip(shape.fields, r[2:]):
+            assert type(value) is typ, (r, name)
+        event = as_event(r)
+        assert list(event) == ["t", "kind"] + [name for name, _ in shape.fields], r
+        assert all(type(v) in (str, int, bool) for v in event.values()), r
+    assert {r[0] for r in full + cut} == set(SHAPES)
+    assert {SHAPES[tag].kind for tag in SHAPES} == {
         "request", "announce", "beacon", "miss", "resync", "degraded", "tx", "epoch"}
-    assert {"open" in e for e in events if e["kind"] == "degraded"} == {False, True}
 
 
 def peak_bytes_writing(table, scenario) -> int:

@@ -1,20 +1,23 @@
 """The streamed trace writer against the reference encoding.
 
-trace_chunks() must yield, joined, exactly dumps(trace_to_obj(trace)):
-the bytes a trace file had when the whole trace went through
-json.dumps(indent=2). Checked on random traces, at and around block
-boundaries, and on a long lossy simulation with mode changes.
+trace_chunks() renders records (see sim.SHAPES); joined, its blocks must
+be exactly dumps(trace_to_obj(trace)) for a trace whose events are the
+records' dicts (sim.as_event): the bytes a trace file had when the whole
+trace went through json.dumps(indent=2). Checked on random records of
+every declared shape, at and around block boundaries, and on a long
+lossy simulation with mode changes.
 """
 
 import os
 from pathlib import Path
 from unittest import mock
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from roundsched import specio
-from roundsched.sim import Scenario, SimTrace, SwitchRequest, simulate
+from roundsched.sim import SHAPES, Scenario, SimTrace, SwitchRequest, as_event, run
 from roundsched.specio import (
     TRACE_BLOCK_EVENTS,
     dumps,
@@ -27,66 +30,63 @@ from roundsched.synthesis import SynthConfig, synthesize
 
 CONTROL = str(Path(__file__).resolve().parent.parent / "specs" / "control_loop.json")
 
-# text that could confuse a writer that edits encoded JSON as text
+# text that could confuse a writer that edits encoded JSON as text, or
+# fills %-templates
 TRICKY = ('"', "\\", "\n", "\r\n", "\t", "},", "},\n      {", "{\n", "\n    }",
-          "é", "☃", "\U0001f600", "\x00", " ")
+          "é", "☃", "\U0001f600", "\x00", " ", "%", "%d", "%s", "%%")
 
 strings = st.lists(st.one_of(st.text(max_size=4), st.sampled_from(TRICKY)),
                    max_size=4).map("".join)
 ints = st.one_of(st.integers(-(2**70), 2**70), st.sampled_from((0, -1, 2**63, -(2**64))))
-scalars = st.one_of(strings, ints, st.booleans(), st.none())
-keys = st.one_of(strings, st.sampled_from(("t", "kind", "node", "msg", "round_id")))
+VALUES = {str: strings, int: ints, bool: st.booleans()}
 
-# an event is flat: "t", "kind" and scalar fields, which may be drawn
-# with the keys "t" and "kind" and then replace them
-flat_events = st.builds(
-    lambda t, kind, fields: {"t": t, "kind": kind, **fields},
-    ints, strings, st.dictionaries(keys, scalars, max_size=4),
-)
-collisions = st.fixed_dictionaries({
-    "t": ints,
-    "kind": st.just("collision"),
-    "round_id": st.integers(0, 2**40),
-    "slot": st.integers(0, 20),
-    "senders": st.integers(2, 5),
-})
+# a record of each declared shape, the open degraded span among them:
+# (tag, t, <field values in declared order>)
+records = st.one_of([
+    st.tuples(st.just(tag), ints, *(VALUES[typ] for _, typ in shape.fields))
+    for tag, shape in SHAPES.items()
+])
+
+
+def with_events(records: list[tuple]) -> SimTrace:
+    return SimTrace(events=[as_event(r) for r in records])
 
 
 @st.composite
 def traces(draw):
-    """A SimTrace and the block size to write it with.
+    """Records, the SimTrace of their events, and the block size to
+    write them with.
 
-    The events cycle through a small drawn pool, so a trace can hold a
+    The records cycle through a small drawn pool, so a trace can hold a
     block's worth of events, or one more or one fewer, cheaply.
     """
     block = draw(st.sampled_from((1, 2, 3, TRACE_BLOCK_EVENTS)))
-    pool = draw(st.lists(
-        st.one_of(flat_events, flat_events, collisions),
-        min_size=1, max_size=6,
-    ))
+    pool = draw(st.lists(records, min_size=1, max_size=6))
     n = draw(st.one_of(
         st.sampled_from((0, 1, block - 1, block, block + 1, 2 * block, 2 * block + 1)),
         st.integers(0, 12),
     ))
-    trace = SimTrace(events=[pool[i % len(pool)] for i in range(n)])
+    recs = [pool[i % len(pool)] for i in range(n)]
+    trace = with_events(recs)
     for name in ("beacons_sent", "beacons_missed", "transmissions", "collisions",
                  "resyncs"):
         setattr(trace, name, draw(st.integers(0, 2**40)))
-    return trace, block
+    return recs, trace, block
 
 
-def streamed(trace: SimTrace, block: int = TRACE_BLOCK_EVENTS) -> str:
+def streamed(records: list[tuple], trace: SimTrace, block: int = TRACE_BLOCK_EVENTS) -> str:
     with mock.patch.object(specio, "TRACE_BLOCK_EVENTS", block):
-        return "".join(trace_chunks(trace.events, trace))
+        return "".join(trace_chunks(records, trace))
 
 
-def assert_streams_as_reference(trace: SimTrace, block: int = TRACE_BLOCK_EVENTS) -> None:
+def assert_streams_as_reference(records: list[tuple], trace: SimTrace,
+                                block: int = TRACE_BLOCK_EVENTS) -> None:
     """Raise naming the first differing offset.
 
     A plain assert on the two strings would have pytest diff them, which
     takes minutes on large texts while hypothesis shrinks a failure.
     """
-    got, want = streamed(trace, block), dumps(trace_to_obj(trace))
+    got, want = streamed(records, trace, block), dumps(trace_to_obj(trace))
     if got != want:
         i = len(os.path.commonprefix([got, want]))
         lo = max(i - 30, 0)
@@ -103,18 +103,37 @@ def test_streamed_bytes_equal_reference(case):
 
 
 def test_empty_trace():
-    assert_streams_as_reference(SimTrace())
-    assert '"events": [],' in streamed(SimTrace())
+    assert_streams_as_reference([], SimTrace())
+    assert '"events": [],' in streamed([], SimTrace())
 
 
-def test_collision_at_every_position_of_a_block():
-    flat = {"t": 5, "kind": "tx", "node": "a", "msg": "m", "round_id": 0, "slot": 1}
-    hit = {"t": 5, "kind": "collision", "round_id": 0, "slot": 1, "senders": 2}
-    for pos in range(4):
-        trace = SimTrace(events=[flat] * 4)
-        trace.events[pos] = hit
-        for block in (1, 2, 4, 8):
-            assert_streams_as_reference(trace, block)
+def test_every_shape_at_every_position_of_a_block():
+    tx = ("tx", 5, "a", "m", 0, 1)
+    samples = {"request": ("request", 7, "fallback", 250_000),
+               "announce": ("announce", 7, "fallback", 300_000),
+               "beacon": ("beacon", 7, 3, "normal", 1, 1),
+               "miss": ("miss", 7, "n%d", 3),
+               "resync": ("resync", 7, "n\"1", "normal"),
+               "degraded": ("degraded", 7, "n1", 2),
+               "degraded_open": ("degraded_open", 2, "n1", 2, True),
+               "tx": ("tx", -7, "\u2603", "%s", 2**70, 0),
+               "epoch": ("epoch", 7, "normal")}
+    assert set(samples) == set(SHAPES)
+    for sample in samples.values():
+        for pos in range(4):
+            recs = [tx] * 4
+            recs[pos] = sample
+            for block in (1, 2, 4, 8):
+                assert_streams_as_reference(recs, with_events(recs), block)
+
+
+def test_an_undeclared_shape_is_refused():
+    # the simulator no longer makes collision records
+    collision = ("collision", 5, 0, 1, 2)
+    with pytest.raises(ValueError, match="undeclared record shape 'collision'"):
+        "".join(trace_chunks([("tx", 5, "a", "m", 0, 1), collision], SimTrace()))
+    with pytest.raises(ValueError, match="undeclared record shape 'collision'"):
+        as_event(collision)
 
 
 def test_long_lossy_run_with_mode_changes():
@@ -129,9 +148,11 @@ def test_long_lossy_run_with_mode_changes():
         "normal", 4000, beacon_loss=0.2, seed=11,
         switches=(SwitchRequest(250_000, "fallback"), SwitchRequest(90_000_000, "normal")),
     )
-    trace = simulate(table, scenario, spec.network)
+    trace = SimTrace()
+    recs = list(run(table, scenario, spec.network, trace))
+    trace.events = [as_event(r) for r in recs]
     assert len(trace.of_kind("epoch")) == 2
     assert trace.beacons_missed > 0
     assert len(trace.events) > 3 * TRACE_BLOCK_EVENTS
-    assert_streams_as_reference(trace)
-    assert_streams_as_reference(trace, 1000)
+    assert_streams_as_reference(recs, trace)
+    assert_streams_as_reference(recs, trace, 1000)
