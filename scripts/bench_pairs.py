@@ -10,8 +10,10 @@ parent first in even pairs and the change first in odd ones.  The output
 file holds every run's last stdout line (its JSON result) in the shape of
 the committed BENCH_*.json files, and is rewritten after each run, so an
 interrupted session keeps what it measured.  At the end, each workload's
-end-to-end metrics are printed as medians and quartiles per side, with
-the pairs the change reads lower in.
+metrics are printed as medians and quartiles per side, with the pairs the
+change reads lower in.  Each end-to-end metric of BENCHMARK.json also
+gets the relative change of the medians next to its bound, marked WORSE
+when the change's median is worse than the parent's by more than it.
 """
 
 from __future__ import annotations
@@ -23,7 +25,9 @@ import platform
 import statistics
 import subprocess
 import sys
+from pathlib import Path
 
+BENCHMARK = Path(__file__).resolve().parent.parent / "BENCHMARK.json"
 WORKLOADS = ("synth-small", "synth-ladder", "long-horizon")
 SEED = 11
 COMMAND = f"python3 perfbench/run.py --workload W --seed {SEED} --seconds {{seconds}} --trace 0"
@@ -65,9 +69,12 @@ def run_one(tree: str, workload: str, seconds: float) -> dict:
     return result
 
 
-def summary(runs: list[dict]) -> list[str]:
+def summary(runs: list[dict], end_to_end: list[dict]) -> list[str]:
     """Per workload and metric: each side's median [quartiles] and the
-    pairs in which the change reads lower."""
+    pairs in which the change reads lower; for the end_to_end metrics
+    (BENCHMARK.json's entries), the relative change of the medians against
+    the metric's bound."""
+    gates = {m["name"]: m for m in end_to_end}
     out = []
     for workload in dict.fromkeys(r["workload"] for r in runs):
         values: dict[str, dict[str, dict[int, float]]] = {}
@@ -79,16 +86,23 @@ def summary(runs: list[dict]) -> list[str]:
         failed = sum(r["result"].get("failed", 1) for r in runs if r["workload"] == workload)
         out.append(f"{workload} (failed operations, both sides: {failed})")
         for name, sides in values.items():
-            cells = []
+            cells, medians = [], {}
             for side in ("parent", "change"):
                 xs = list(sides.get(side, {}).values())
                 if len(xs) < 2:
                     continue
-                q1, med, q3 = statistics.quantiles(xs, n=4, method="inclusive")
-                cells.append(f"{side} {med:.4g} [{q1:.4g}, {q3:.4g}]")
+                q1, medians[side], q3 = statistics.quantiles(xs, n=4, method="inclusive")
+                cells.append(f"{side} {medians[side]:.4g} [{q1:.4g}, {q3:.4g}]")
             both = set(sides.get("parent", {})) & set(sides.get("change", {}))
             lower = sum(sides["change"][k] < sides["parent"][k] for k in both)
-            out.append(f"  {name}: {'; '.join(cells)}; change lower in {lower}/{len(both)}")
+            cells.append(f"change lower in {lower}/{len(both)}")
+            gate = gates.get(name)
+            if gate and len(medians) == 2 and medians["parent"]:
+                rel = medians["change"] / medians["parent"] - 1
+                worse = rel if gate["better"] == "lower" else -rel
+                cells.append(f"median {rel:+.1%} against bound {gate['bound']:.0%}"
+                             + (" WORSE" if worse > gate["bound"] else ""))
+            out.append(f"  {name}: {'; '.join(cells)}")
     return out
 
 
@@ -135,7 +149,9 @@ def main(argv: list[str] | None = None) -> int:
                 print(f"pair {pair} {workload} {side}: "
                       f"{result.get('error') or result.get('metrics', {}).get('total_s')}",
                       flush=True)
-    for line in summary(doc["runs"]):
+    with open(BENCHMARK, encoding="utf-8") as fh:
+        end_to_end = json.load(fh)["end_to_end"]
+    for line in summary(doc["runs"], end_to_end):
         print(line)
     return 0
 

@@ -15,8 +15,6 @@ Variable families, in index order:
     q_<t1>__<t2>        two tasks sharing a node: whole gcds in their start
                         difference, [-p1/gcd, p2/gcd - 1]
     rt<j>               round start, ticks, rounds kept sorted
-    ka<j>_<msg>         message instances released by round j's start
-    kd<j>_<msg>         message deadlines passed at round j's end
     n<j>_<msg>          data slots of round j granted to the message
     r0_<msg>            one instance is carried over the origin
 
@@ -36,6 +34,17 @@ and ends by its deadline, so md's window holds a whole round and fits its
 period.  When p < t_r that domain is empty and HiGHS reports the program
 infeasible; no row marks it.  synthesize() never builds such a program:
 the message lies on a chain, so min_rounds >= H/p > H/t_r >= max_rounds.
+
+Rows serve_hi_<j>_<msg> and serve_lo_<j>_<msg> hold the slots granted to
+that rule with no counter variable.  Releases fall at g*mo + k*p,
+deadlines g*md later.  Let S be the slots n_k granted to the message by
+the rounds k <= j (serve_hi) or k < j (serve_lo), less r0.  serve_hi is
+p*S <= p + g*rt_j - g*mo, so, S being an integer, S <= floor((g*rt_j -
+g*mo) / p) + 1: the releases at or before round j's start (at least 0, as
+g*mo < p).  serve_lo is p*S >= g*rt_j + t_r - g*mo - g*md, so S is at
+least the ceiling of that over p: the deadlines strictly before round j's
+end, less one while the instance released before the origin still has
+its deadline ahead (at least -1, as g*mo + g*md < 2p).
 
 Rows sym_<i>_<j> break the symmetry of interchangeable applications: for
 application i and the first later application j that model.swap_map can
@@ -159,6 +168,8 @@ def build_instance(
     t_max_us: int | None = None,
 ) -> ILPInstance:
     """Assemble the co-scheduling program for a fixed number of rounds."""
+    if grid_us < 1:
+        raise ValueError(f"grid_us must be at least 1 us, got {grid_us}")
     h = hyperperiod(mode)
     t_r = round_length(params)
     n_slots = params.slots_per_round
@@ -221,11 +232,6 @@ def build_instance(
         raise ValueError("round does not fit inside the horizon")
     for j in range(n_rounds):
         add(("rt", j), f"rt{j}", 0, rt_ub)
-    for j in range(n_rounds):
-        for mid in mids:
-            k_m = h // period_of[mid]
-            add(("ka", j, mid), f"ka{j}_{_safe(mid)}", 0, k_m + 1)
-            add(("kd", j, mid), f"kd{j}_{_safe(mid)}", -1, k_m + 1)
     for j in range(n_rounds):
         for mid in mids:
             add(("n", j, mid), f"n{j}_{_safe(mid)}", 0, n_slots)
@@ -300,34 +306,23 @@ def build_instance(
         # tj ends before ti starts again, one gcd later
         inst.add_row(nm + "_b", {oj: g, oi: -g, q: -gcd}, "<=", gcd - tj.wcet_us)
 
-    # --- service windows vs rounds ------------------------------------------
+    # --- service windows vs rounds (see the module docstring) ---------------
     for j in range(n_rounds):
         rt = key["rt", j]
         for mid in mids:
             p = period_of[mid]
             s = _safe(mid)
             mo, md, r0 = key["mo", mid], key["md", mid], key["r0", mid]
-            ka, kd = key["ka", j, mid], key["kd", j, mid]
-            # pin ka to the release count at the round's start
-            inst.add_row(f"arr_{j}_{s}_a", {rt: -g, mo: g, ka: p}, "<=", p)
-            inst.add_row(f"arr_{j}_{s}_b", {rt: g, mo: -g, ka: -p}, "<=", -1)
-            # pin kd to the deadline count at the round's end
-            inst.add_row(
-                f"due_{j}_{s}_a", {rt: -g, mo: g, md: g, kd: p}, "<=", t_r + p - 1
-            )
-            inst.add_row(
-                f"due_{j}_{s}_b", {rt: g, mo: -g, md: -g, kd: -p}, "<=", -t_r
-            )
-            # slots granted through round j never outrun arrivals at its start
-            coeffs = {ka: -1, r0: -1}
+            # slots granted through round j never outrun releases at its start
+            coeffs = {rt: -g, mo: g, r0: -p}
             for k in range(j + 1):
-                coeffs[key["n", k, mid]] = 1
-            inst.add_row(f"serve_hi_{j}_{s}", coeffs, "<=", 0)
+                coeffs[key["n", k, mid]] = p
+            inst.add_row(f"serve_hi_{j}_{s}", coeffs, "<=", p)
             # every deadline passed by round j's end is already served
-            coeffs = {kd: 1, r0: 1}
+            coeffs = {rt: g, mo: -g, md: -g, r0: p}
             for k in range(j):
-                coeffs[key["n", k, mid]] = -1
-            inst.add_row(f"serve_lo_{j}_{s}", coeffs, "<=", 0)
+                coeffs[key["n", k, mid]] = -p
+            inst.add_row(f"serve_lo_{j}_{s}", coeffs, "<=", -t_r)
 
     # --- slot capacity ------------------------------------------------------
     for j in range(n_rounds):

@@ -20,18 +20,17 @@ ValueError naming the option:
 - mip_rel_gap 0: the search stops only when the latency is proven
   optimal, not within HiGHS's default 0.01 % gap.
 - mip_pool_soft_limit 100: caps the cut pool, the main heap cost of the
-  larger programs.  The cap costs time on some programs and saves it on
-  others.  Measured on the programs synthesize() solves, the first
-  round's start bounded: the 4-pipeline ladder at 4 rounds (4 pipelines
-  sharing a controller, with its sym rows) is proven optimal in 1.3-1.6 s
-  (546 nodes) with the cap, and in 1.1-1.2 s (362 nodes) with HiGHS's
-  default pool of 10000 cuts; the 5-pipeline ladder at 4 rounds in
-  6.6-7.0 s with the cap and 8.4-9.8 s without.  Refuting 4 rounds of 5
-  pipelines with 115 ms deadlines takes 1.0-1.2 s with the cap and
-  1.8-1.9 s without it, time a 5 s budget for the whole search over round
-  counts needs for the next count: the cap stays.  A process that solves
-  one of these peaks at 84.4-88.2 MB RSS with the cap and 86.8-94.7 MB
-  without.
+  larger programs.  Measured on the programs synthesize() solves, the
+  first round's start bounded, three runs each: the 4-pipeline ladder at
+  4 rounds (4 pipelines sharing a controller, with its sym rows) is
+  proven optimal in 0.67-0.69 s (470 nodes) with the cap, and in
+  1.05-1.25 s (834 nodes) with HiGHS's default pool of 10000 cuts; the
+  5-pipeline ladder at 4 rounds in 4.6-4.8 s with the cap and 5.4-5.9 s
+  without.  Refuting 4 rounds of 5 pipelines with 115 ms deadlines takes
+  1.0-1.1 s with the cap and 1.5 s without it, time a 5 s budget for the
+  whole search over round counts needs for the next count.  A process
+  that solves one of these peaks at 83.4-87.2 MB RSS with the cap and
+  86.1-93.8 MB without.
 - mip_heuristic_run_feasibility_jump off: on the small programs whose
   root LP bound is already the optimum, the feasibility-jump heuristic
   spent about half of each ~20 ms solve finding an incumbent that the

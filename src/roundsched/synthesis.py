@@ -35,10 +35,11 @@ from .timing import NetworkParams, round_length
 
 # Longest hyperperiod handed to HiGHS, half the lowest failure measured.
 # HiGHS's integers may be 1e-6 off, 1 us on a 1e6 us coefficient.  Every
-# period = deadline = P, 1 us grid: perfbench's 400 pool modes pass at
-# 2e5..8e5 us; at 1e6 one point fails check_assignment (apart_t2__t3_a:
-# -999 > -1000), at 4e6 seven; ladder_mode(2) fails from 7e6; mode
-# "normal" has its 2 schedulable rounds refuted from 1e9.
+# period = deadline = P, 1 us grid, limit lifted: perfbench's 400 pool
+# modes (1 s budget) pass at 2e5..8e5 us; at 1e6 one point fails
+# check_assignment (prod_m2: -2999 > -3000), at 4e6 three.  With a 5 s
+# budget ladder_mode(2) and mode "normal" pass up to 1e8; at 1e9 HiGHS
+# refutes their 2 schedulable rounds.
 MAX_HYPERPERIOD_US = 500_000
 
 
@@ -117,6 +118,8 @@ def program(
     exceeds the grid g.  See ilp's docstring for why the bound keeps the
     optimum.
     """
+    if n_rounds < 1:
+        raise ValueError(f"n_rounds must be at least 1, got {n_rounds}")
     g = config.grid_us
     inst = build_instance(mode, n_rounds, params, grid_us=g, t_max_us=config.t_max_us)
     h = hyperperiod(mode)

@@ -72,10 +72,10 @@ def ladder_mode(k: int, deadline_ms: int | None = None) -> Mode:
     Loops of equal period are interchangeable (model.swap_map), so their
     latencies are ordered in the program.  Synthesized on a 5 ms grid over
     wide_params(hops=2), k = 4 needs four rounds and is proven optimal at
-    444 ms summed latency in about 1.5 s (546 nodes) on a 2-core x86 VM.
+    444 ms summed latency in about 0.7 s (470 nodes) on a 2-core x86 VM.
     With k = 5 and 115 ms deadlines, four rounds (the lower bound) are
-    infeasible, refuted in about 1.1 s, and five are optimal at 545 ms,
-    proven only after about 8 s more.
+    infeasible, refuted in about 1.0 s, and five are optimal at 545 ms,
+    proven only after about 4 s more.
     """
     apps = []
     for i in range(k):

@@ -6,8 +6,10 @@ shows up as a readable diff rather than a solver mystery.
 """
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from lptools import milp_solve, parse_lp
-from support import control_mode, mk_app, small_params, wide_params
+from support import af_oracle, control_mode, df_oracle, mk_app, small_params, wide_params
 
 from roundsched.checker import _overlap_cyclic
 from roundsched.ilp import ILPInstance, build_instance, check_assignment, extract_schedule
@@ -47,11 +49,13 @@ class TestControlInstance:
         # window width must fit one whole round: ceil(42644 / 1000)
         assert (byname["md_m1"].lb, byname["md_m1"].ub) == (43, 100)
         assert (byname["rt0"].lb, byname["rt0"].ub) == (0, 57)
-        assert (byname["ka0_m1"].lb, byname["ka0_m1"].ub) == (0, 2)
-        assert (byname["kd0_m1"].lb, byname["kd0_m1"].ub) == (-1, 2)
         assert (byname["n0_m1"].lb, byname["n0_m1"].ub) == (0, 5)
         assert (byname["sp_m1"].lb, byname["sp_m1"].ub) == (0, 1)
         assert (byname["r0_m3"].lb, byname["r0_m3"].ub) == (0, 1)
+        # 5 o, 3 each of mo, md, sp and r0, 4 sc, 1 d, 2 rt, 2 x 3 n: the
+        # service rows count releases and deadlines with no variable of
+        # their own
+        assert len(inst.variables) == 30
 
     def test_no_processor_pairs_on_distinct_nodes(self, inst):
         assert not [v for v in inst.variables if v.name.startswith("q_")]
@@ -88,43 +92,47 @@ class TestControlInstance:
         assert row.rhs == -42_644
 
     def test_arrival_window_rows(self, inst):
-        a = row_by_name(inst, "arr_1_m2_a")
-        assert named_coeffs(inst, a) == {
+        # 100 ms * (slots through round 1 - r0) <= 100 ms + releases' lead
+        hi = row_by_name(inst, "serve_hi_1_m2")
+        assert named_coeffs(inst, hi) == {
             "rt1": -1000,
             "mo_m2": 1000,
-            "ka1_m2": 100_000,
+            "r0_m2": -100_000,
+            "n0_m2": 100_000,
+            "n1_m2": 100_000,
         }
-        assert a.rhs == 100_000
-        b = row_by_name(inst, "arr_1_m2_b")
-        assert named_coeffs(inst, b) == {
-            "rt1": 1000,
-            "mo_m2": -1000,
-            "ka1_m2": -100_000,
-        }
-        assert b.rhs == -1
+        assert hi.sense == "<=" and hi.rhs == 100_000
 
     def test_deadline_window_rows(self, inst):
-        a = row_by_name(inst, "due_0_m3_a")
-        assert named_coeffs(inst, a) == {
-            "rt0": -1000,
-            "mo_m3": 1000,
-            "md_m3": 1000,
-            "kd0_m3": 100_000,
+        # round 0 has no earlier round to have served a passed deadline
+        lo = row_by_name(inst, "serve_lo_0_m3")
+        assert named_coeffs(inst, lo) == {
+            "rt0": 1000,
+            "mo_m3": -1000,
+            "md_m3": -1000,
+            "r0_m3": 100_000,
         }
-        assert a.rhs == 42_644 + 100_000 - 1
-        b = row_by_name(inst, "due_0_m3_b")
-        assert b.rhs == -42_644
+        assert lo.sense == "<=" and lo.rhs == -42_644
 
     def test_cumulative_service_rows(self, inst):
         hi = row_by_name(inst, "serve_hi_1_m1")
-        assert named_coeffs(inst, hi) == {
-            "ka1_m1": -1,
-            "r0_m1": -1,
-            "n0_m1": 1,
-            "n1_m1": 1,
+        assert {k: v for k, v in named_coeffs(inst, hi).items() if k[0] == "n"} == {
+            "n0_m1": 100_000,
+            "n1_m1": 100_000,
         }
         lo = row_by_name(inst, "serve_lo_1_m1")
-        assert named_coeffs(inst, lo) == {"kd1_m1": 1, "r0_m1": 1, "n0_m1": -1}
+        assert named_coeffs(inst, lo) == {
+            "rt1": 1000,
+            "mo_m1": -1000,
+            "md_m1": -1000,
+            "r0_m1": 100_000,
+            "n0_m1": -100_000,
+        }
+        assert lo.rhs == -42_644
+        families = {r.name.split("_")[0] for r in inst.rows}
+        assert families == {
+            "prod", "cons", "lat", "order", "serve", "cap", "total"
+        }
 
     def test_capacity_and_conservation(self, inst):
         cap = row_by_name(inst, "cap_0")
@@ -223,6 +231,65 @@ class TestApartRowsAreExact:
         assert cases == (p_i * (p_i + 1) // 2) * (p_j * (p_j + 1) // 2)
 
 
+class TestServiceRowsAreExact:
+    """At any in-bound integer point, serve_hi_<j> holds exactly when the
+    slots through round j, less r0, number at most the releases at or
+    before round j's start, and serve_lo_<j> exactly when the deadlines
+    passed before round j's end, plus r0, number at most the slots before
+    round j, both counted one instance at a time."""
+
+    @settings(max_examples=500, deadline=None)
+    @given(
+        data=st.data(),
+        periods=st.sampled_from([(40, 40), (40, 80), (80, 40), (40, 120), (50, 100)]),
+        grid_us=st.sampled_from([1, 1000, 5000]),
+        slots=st.integers(1, 3),
+        n_rounds=st.integers(1, 3),
+    )
+    def test_rows_agree_with_counted_instances(self, data, periods, grid_us, slots, n_rounds):
+        mode = Mode("m", tuple(
+            mk_app(f"a{i}", p, [(f"s{i}", f"x{i}", 1), (f"r{i}", f"y{i}", 1)],
+                   [(f"s{i}", f"r{i}", f"m{i}")])
+            for i, p in enumerate(periods)
+        ))
+        params = small_params(slots=slots)
+        t_r = round_length(params)
+        inst = build_instance(mode, n_rounds, params, grid_us=grid_us)
+        values = [data.draw(st.integers(v.lb, v.ub), label=v.name) for v in inst.variables]
+        val = {k: values[i] for k, i in inst.keys.items()}
+        g = grid_us
+        for j in range(n_rounds):
+            # a uniform start seldom lands where a count steps; aim some
+            # rounds within a tick of one of a message's rows' edges
+            aim = data.draw(st.sampled_from([None, *(
+                (i, row) for i in range(len(periods)) for row in ("hi", "lo"))]))
+            if aim is None:
+                continue
+            i, row = aim
+            mid, p = f"m{i}", periods[i] * 1000
+            served = sum(val["n", k, mid] for k in range(j + (row == "hi"))) - val["r0", mid]
+            edge = (g * val["mo", mid] + p * (served - 1) if row == "hi" else
+                    g * val["mo", mid] + g * val["md", mid] + p * served - t_r)
+            rt = inst.variables[inst.keys["rt", j]]
+            tick = edge // g + data.draw(st.integers(-1, 1))
+            values[inst.keys["rt", j]] = val["rt", j] = min(max(tick, rt.lb), rt.ub)
+        broken = {b.split(":")[0] for b in check_assignment(inst, values)}
+        for i, p_ms in enumerate(periods):
+            mid, p = f"m{i}", p_ms * 1000
+            mo, md, r0 = g * val["mo", mid], g * val["md", mid], val["r0", mid]
+            for j in range(n_rounds):
+                start = g * val["rt", j]
+                slots_before = sum(val["n", k, mid] for k in range(j))
+                released = af_oracle(mo, p, start)
+                passed = df_oracle(mo, md, p, start + t_r)
+                assert (f"serve_hi_{j}_{mid}" not in broken) == (
+                    slots_before + val["n", j, mid] - r0 <= released
+                )
+                assert (f"serve_lo_{j}_{mid}" not in broken) == (
+                    passed + r0 <= slots_before
+                )
+
+
 class TestSharedMessageEdge:
     """Two applications both list s -m-> x: the handoff rows of m are
     written once, as its variables are."""
@@ -238,8 +305,8 @@ class TestSharedMessageEdge:
 
     def test_each_handoff_row_is_written_once(self):
         inst = build_instance(self.mode(), 1, small_params(), grid_us=1000)
-        # a row per application that lists the edge would make 23
-        assert len(inst.rows) == 21
+        # a row per application that lists the edge would make 15
+        assert len(inst.rows) == 13
         rows = {(tuple(sorted(r.coeffs.items())), r.sense, r.rhs) for r in inst.rows}
         assert len(rows) == len(inst.rows)
         assert [r.name for r in inst.rows if r.name.endswith("_2")] == []
@@ -267,6 +334,17 @@ class TestGuards:
     def test_grid_must_divide_periods(self):
         with pytest.raises(ValueError, match="grid"):
             build_instance(control_mode(), 1, wide_params(hops=2), grid_us=7)
+
+    @pytest.mark.parametrize("grid_us", [0, -1000])
+    def test_grid_must_be_positive(self, grid_us):
+        with pytest.raises(ValueError, match=f"^grid_us must be at least 1 us, got {grid_us}$"):
+            build_instance(control_mode(), 1, wide_params(hops=2), grid_us=grid_us)
+
+    def test_round_must_fit_the_horizon(self):
+        # a 42.6 ms round and a 40 ms horizon
+        with pytest.raises(ValueError, match="^round does not fit inside the horizon$"):
+            build_instance(control_mode(), 1, wide_params(hops=2), grid_us=1000,
+                           t_max_us=40_000)
 
     def test_unservable_window_has_an_empty_md_domain(self):
         # a 20 ms period cannot contain a 42.6 ms round: md's domain is

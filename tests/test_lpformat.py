@@ -125,20 +125,20 @@ def shared_mode() -> Mode:
 # states it must record new digests here.
 PINNED_LP = {
     ("normal", 0): "2cd695216535faef0f774ddf4a25ba8f936b11529cda02515683e81d7aab7422",
-    ("normal", 1): "96de240910f35f7dd3925aefde9750c561d128a2f9030b79a5337af26d15545a",
-    ("normal", 2): "d4173e299cdd6c940016599010c6e0cd8b2b1de041a00bf13ea5dd50cfc572b7",
-    ("normal", 3): "e1b7e2f3d792643f36415a136fdff4d26f5f93b5ff77fc6cbf964e4f7b94d640",
+    ("normal", 1): "59ee15b5a5343cc1b622ad813877d66191202d1ea81ab27917bb35af7d1f71c0",
+    ("normal", 2): "98eccd68d6db992e1d28843d6d6c7553ee1640de638aba6a77dd1dc4a74f72f9",
+    ("normal", 3): "37547c7dfee43466276bea11f071e2b13f7bd430b48bac08dd486470fe2de96f",
     ("fallback", 0): "26b66bdbdc9f398393a5891893028be2cf7eb6568eaaf3c94fcd491da920f4bd",
-    ("fallback", 1): "81332e35b0b7444192c35456fd030a32f174b9878ac7425972dc39fdb4e63522",
-    ("fallback", 2): "c2f56f88a16a272001d676417508f96baf9c29e289e1ff9bb1f1fd2b634c0501",
-    ("fallback", 3): "762a94aa485a5d30bd1bbdf3091f802da0c7e4ab2dd5d240354bb8af2bb5222f",
+    ("fallback", 1): "6846dc19212bccf77aa1dd22c546644e3b38eac32378bdbdb6077c748d16780f",
+    ("fallback", 2): "3bf85b83b5fb35368ed843d2d95c44b075cdeb4dfcce86c4b96d9541f02d9162",
+    ("fallback", 3): "13f25f29fd9981bb2141942feb3ab53f2f1fd23cdee3792e37cb9b740fd0c918",
     ("shared", 0): "7485ffdb649b14cec5018eba4845c950f25b3619074757fb54cf6f0c41e1bcac",
-    ("shared", 1): "9e9a3c46a077c8bb27bb694865c8a532abf9b5c1f67f900cd4ad532a5e8ad61d",
-    ("shared", 2): "0ecc0013f836c2a1008e560b93cbc9373e84c054762a2f363171047454ab8ade",
-    ("shared", 3): "29bd39dd407f8e13c604431066aa1428e7ac016ccb2abe2882724c174d8b4e58",
+    ("shared", 1): "d076fe92230ea29e35d0e53296de36040b0030d55df7130e99800a897cc2af1b",
+    ("shared", 2): "5464b9bf92d51107890b3d5e05f42f3eaefa904f3e22186cafd12986af109492",
+    ("shared", 3): "a960a769b6fff51d2583dcf6b60e3fb21b78209a693ad9b9256c7b9052e5cca3",
     # the modes above share no node; the ladder pins the q_<t1>__<t2>
     # integers and apart_ rows of tasks that share one
-    ("ladder4", 4): "7916b18bc62238ab10ae86cfd732d59d44fc672657f5f9665eb61f0bd6e4ab9b",
+    ("ladder4", 4): "4aeb1b9b4c41014406f1b1e500821b47340d8c2908eb69255b2efe3c231bf668",
 }
 
 

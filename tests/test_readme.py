@@ -1,9 +1,11 @@
-"""Every roundsched command in README.md's code blocks runs and exits 0.
+"""Every roundsched command in README.md's code blocks runs and exits 0,
+and so does its Python API example.
 
 The commands run in order through cli.main, in a directory that holds a
 copy of specs/, so the schedules the synth examples write are the ones
 the check and simulate examples read.  A flag that the command line no
-longer takes fails here instead of in a reader's shell.
+longer takes fails here instead of in a reader's shell, and so does a
+name the Python example uses that the package no longer has.
 """
 
 import re
@@ -16,6 +18,7 @@ from roundsched.sim import SHAPES
 
 ROOT = Path(__file__).resolve().parent.parent
 FENCE = re.compile(r"^```[^\n]*\n(.*?)^```", re.S | re.M)
+PYTHON_FENCE = re.compile(r"^```python\n(.*?)^```", re.S | re.M)
 EVENT_TABLE = re.compile(r"^\| `kind` \| fields \| meaning \|\n\|[-|]+\|\n((?:\|.*\n)+)", re.M)
 
 
@@ -39,6 +42,16 @@ def test_every_readme_command_exits_0(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     for argv in readme_commands():
         assert main(argv) == 0, argv
+
+
+def test_the_python_example_runs(tmp_path, monkeypatch):
+    blocks = PYTHON_FENCE.findall((ROOT / "README.md").read_text(encoding="utf-8"))
+    assert len(blocks) == 1
+    # the example reads specs/ and writes trace.json where it runs
+    shutil.copytree(ROOT / "specs", tmp_path / "specs")
+    monkeypatch.chdir(tmp_path)
+    exec(compile(blocks[0], "README.md", "exec"), {})
+    assert (tmp_path / "trace.json").stat().st_size > 0
 
 
 def test_the_event_table_lists_the_declared_shapes():

@@ -7,6 +7,9 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "scripts"))
+
+import bench_pairs  # noqa: E402
 
 
 def test_demo_synthesis_runs():
@@ -61,3 +64,27 @@ def test_bench_pairs_records_a_run_whose_last_line_is_not_json(tmp_path):
         ("change", {"error": "last line is not JSON: done"}),
     ]
     assert "long-horizon (failed operations, both sides: 2)" in proc.stdout
+
+
+def test_bench_pairs_summary_marks_a_median_worse_than_its_bound():
+    end_to_end = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
+    assert {m["name"]: m["bound"] for m in end_to_end}["total_s"] == 0.25
+
+    def runs(workload, parent_s, change_s):
+        return [
+            {"workload": workload, "side": side, "pair": pair,
+             "result": {"failed": 0, "metrics": {"total_s": {"value": x * (1 + pair / 100)}}}}
+            for pair in range(4)
+            for side, x in (("parent", parent_s), ("change", change_s))
+        ]
+
+    lines = bench_pairs.summary(
+        runs("slower", 10.0, 13.0) + runs("near", 10.0, 11.0), end_to_end)
+    assert lines == [
+        "slower (failed operations, both sides: 0)",
+        "  total_s: parent 10.15 [10.07, 10.22]; change 13.2 [13.1, 13.29]; "
+        "change lower in 0/4; median +30.0% against bound 25% WORSE",
+        "near (failed operations, both sides: 0)",
+        "  total_s: parent 10.15 [10.07, 10.22]; change 11.16 [11.08, 11.25]; "
+        "change lower in 0/4; median +10.0% against bound 25%",
+    ]

@@ -71,6 +71,10 @@ class TestBasics:
         assert sol.status == "timeout"
         assert sol.values is None
 
+    @pytest.mark.parametrize("bound", [math.inf, -math.inf, math.nan])
+    def test_no_finite_dual_bound_states_none(self, bound):
+        assert solver._dual_bound(bound, 7) is None
+
     def test_a_refutation_counts_its_nodes(self):
         # HiGHS branches to refute three rounds of two pipelines
         inst = program(ladder_mode(2), 3, wide_params(hops=2), SynthConfig(grid_us=5000))

@@ -30,6 +30,7 @@ from roundsched.synthesis import (
     SynthConfig,
     max_rounds,
     min_rounds,
+    program,
     synthesize,
 )
 
@@ -141,6 +142,10 @@ class TestLimitsAndGuards:
     def test_meaningless_budget_is_rejected(self, cfg, match):
         with pytest.raises(ValueError, match=match):
             synthesize(control_mode(), wide_params(hops=2), cfg)
+
+    def test_program_needs_a_round(self):
+        with pytest.raises(ValueError, match="^n_rounds must be at least 1, got 0$"):
+            program(control_mode(), 0, wide_params(hops=2), GRID)
 
     @pytest.mark.parametrize("period_ms, grid_us", [(10**6, 1), (10**8, 1000)])
     def test_hyperperiod_above_the_limit_is_refused(self, period_ms, grid_us):
