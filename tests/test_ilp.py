@@ -92,7 +92,7 @@ class TestControlInstance:
         assert row.rhs == -42_644
 
     def test_arrival_window_rows(self, inst):
-        # 100 ms * (slots through round 1 - r0) <= 100 ms + releases' lead
+        # 100 ms * (slots through round 1 - r0) <= 100 ms + g*rt1 - g*mo_m2
         hi = row_by_name(inst, "serve_hi_1_m2")
         assert named_coeffs(inst, hi) == {
             "rt1": -1000,
