@@ -12,8 +12,15 @@ the committed BENCH_*.json files, and is rewritten after each run, so an
 interrupted session keeps what it measured.  At the end, each workload's
 metrics are printed as medians and quartiles per side, with the pairs the
 change reads lower in.  Each end-to-end metric of BENCHMARK.json also
-gets the relative change of the medians next to its bound, marked WORSE
-when the change's median is worse than the parent's by more than it.
+gets the relative change of the medians next to its bound and a verdict:
+
+- WORSE: the change's median is worse than the parent's by more than the
+  bound;
+- gain: the change reads better in at least 9 of every 10 pairs (ties
+  count for neither side), and its median beats the parent's by more than
+  the parent's interquartile range;
+- unresolved: the parent's interquartile range, relative to its median,
+  exceeds the bound, and not every change run beats every parent run.
 """
 
 from __future__ import annotations
@@ -73,7 +80,7 @@ def summary(runs: list[dict], end_to_end: list[dict]) -> list[str]:
     """Per workload and metric: each side's median [quartiles] and the
     pairs in which the change reads lower; for the end_to_end metrics
     (BENCHMARK.json's entries), the relative change of the medians against
-    the metric's bound."""
+    the metric's bound and the verdicts of the module docstring."""
     gates = {m["name"]: m for m in end_to_end}
     out = []
     for workload in dict.fromkeys(r["workload"] for r in runs):
@@ -86,22 +93,33 @@ def summary(runs: list[dict], end_to_end: list[dict]) -> list[str]:
         failed = sum(r["result"].get("failed", 1) for r in runs if r["workload"] == workload)
         out.append(f"{workload} (failed operations, both sides: {failed})")
         for name, sides in values.items():
-            cells, medians = [], {}
+            cells, quartiles = [], {}
             for side in ("parent", "change"):
                 xs = list(sides.get(side, {}).values())
                 if len(xs) < 2:
                     continue
-                q1, medians[side], q3 = statistics.quantiles(xs, n=4, method="inclusive")
-                cells.append(f"{side} {medians[side]:.4g} [{q1:.4g}, {q3:.4g}]")
+                quartiles[side] = q1, med, q3 = statistics.quantiles(xs, n=4, method="inclusive")
+                cells.append(f"{side} {med:.4g} [{q1:.4g}, {q3:.4g}]")
             both = set(sides.get("parent", {})) & set(sides.get("change", {}))
             lower = sum(sides["change"][k] < sides["parent"][k] for k in both)
             cells.append(f"change lower in {lower}/{len(both)}")
             gate = gates.get(name)
-            if gate and len(medians) == 2 and medians["parent"]:
-                rel = medians["change"] / medians["parent"] - 1
-                worse = rel if gate["better"] == "lower" else -rel
-                cells.append(f"median {rel:+.1%} against bound {gate['bound']:.0%}"
-                             + (" WORSE" if worse > gate["bound"] else ""))
+            if gate and len(quartiles) == 2 and quartiles["parent"][1]:
+                (p1, parent, p3), change = quartiles["parent"], quartiles["change"][1]
+                rel = change / parent - 1
+                # sign * (parent - change) is how much better the change reads
+                sign = 1 if gate["better"] == "lower" else -1
+                wins = sum(sign * (sides["parent"][k] - sides["change"][k]) > 0 for k in both)
+                beats_all = (min(sign * x for x in sides["parent"].values())
+                             > max(sign * x for x in sides["change"].values()))
+                marks = [mark for mark, holds in (
+                    ("WORSE", sign * rel > gate["bound"]),
+                    ("gain", 10 * wins >= 9 * len(both) > 0
+                     and sign * (parent - change) > p3 - p1),
+                    ("unresolved", (p3 - p1) / abs(parent) > gate["bound"] and not beats_all),
+                ) if holds]
+                cells.append(" ".join([f"median {rel:+.1%} against bound {gate['bound']:.0%}",
+                                       *marks]))
             out.append(f"  {name}: {'; '.join(cells)}")
     return out
 

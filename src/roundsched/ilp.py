@@ -167,7 +167,10 @@ def build_instance(
     grid_us: int = 1,
     t_max_us: int | None = None,
 ) -> ILPInstance:
-    """Assemble the co-scheduling program for a fixed number of rounds."""
+    """Assemble the co-scheduling program for a fixed number of rounds,
+    0 or more."""
+    if n_rounds < 0:
+        raise ValueError(f"n_rounds must be at least 0, got {n_rounds}")
     if grid_us < 1:
         raise ValueError(f"grid_us must be at least 1 us, got {grid_us}")
     h = hyperperiod(mode)

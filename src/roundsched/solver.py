@@ -74,7 +74,8 @@ class SolverSolution:
     objective: int | None
     # branch-and-bound nodes HiGHS explored, whatever the status: a
     # refutation counts its nodes too (107 for the 2-pipeline ladder at 3
-    # rounds on the 5 ms grid)
+    # rounds on the 5 ms grid), and a program refuted before branch and
+    # bound starts counts 0
     nodes: int
     # no point has a smaller objective: HiGHS's mip_dual_bound rounded up to
     # an integer (objectives are integers) and capped at the objective;
@@ -158,7 +159,8 @@ def solve(inst: ILPInstance, *, deadline: float | None = None) -> SolverSolution
     h = _run_highs(inst, time_limit_s)
     model_status = h.getModelStatus()
     info = h.getInfo()
-    nodes = info.mip_node_count
+    # HiGHS reports -1 when branch and bound never started
+    nodes = max(0, info.mip_node_count)
     if model_status == highs.HighsModelStatus.kInfeasible:
         return SolverSolution("infeasible", None, None, nodes)
     if model_status == highs.HighsModelStatus.kOptimal:

@@ -33,8 +33,15 @@ SPEC_DIR = Path(__file__).resolve().parent.parent / "specs"
 CONTROL = str(SPEC_DIR / "control_loop.json")
 SCENARIO = str(SPEC_DIR / "mode_change.json")
 SRC = Path(__file__).resolve().parent.parent / "src"
-# a spec on which HiGHS printf()s a diagnostic line to the C stdout
+# perfbench's small_case(75): with HIGHS_STDOUT_DRIVER's feasibility
+# tolerance, HiGHS 1.12 printf()s a diagnostic line to the C stdout on it
 HIGHS_STDOUT = str(Path(__file__).resolve().parent / "data" / "highs_stdout.json")
+HIGHS_STDOUT_DRIVER = """
+import sys
+from roundsched import cli, solver
+solver.HIGHS_OPTIONS["mip_feasibility_tolerance"] = 1e-9
+sys.exit(cli.main(sys.argv[1:]))
+"""
 
 
 def mode_spec(tmp_path: Path, mode: Mode, grid_us: int = 1000) -> str:
@@ -192,11 +199,14 @@ class TestSynth:
             p for p in (str(SRC), env.get("PYTHONPATH")) if p
         )
         proc = subprocess.run(
-            [sys.executable, "-m", "roundsched.cli", "synth", "--spec", HIGHS_STDOUT],
+            [sys.executable, "-c", HIGHS_STDOUT_DRIVER, "synth", "--spec", HIGHS_STDOUT],
             capture_output=True, text=True, env=env, timeout=120,
         )
         assert proc.returncode == 0, proc.stderr
-        assert json.loads(proc.stdout)["mode_id"] == "rand64"
+        assert json.loads(proc.stdout)["mode_id"] == "rand75"
+        # the case still reaches the printf, so a stdout left unguarded
+        # would begin with this line instead of the schedule
+        assert "HighsMipSolverData::transformNewIntegerFeasibleSolution" in proc.stderr
 
     def test_module_entry_point(self):
         # `python -m roundsched.cli` exits with main()'s code

@@ -340,6 +340,16 @@ class TestGuards:
         with pytest.raises(ValueError, match=f"^grid_us must be at least 1 us, got {grid_us}$"):
             build_instance(control_mode(), 1, wide_params(hops=2), grid_us=grid_us)
 
+    @pytest.mark.parametrize("n_rounds", [-1, -3])
+    def test_round_count_must_not_be_negative(self, n_rounds):
+        with pytest.raises(ValueError, match=f"^n_rounds must be at least 0, got {n_rounds}$"):
+            build_instance(control_mode(), n_rounds, wide_params(hops=2), grid_us=1000)
+
+    def test_zero_rounds_is_a_program(self):
+        inst = build_instance(control_mode(), 0, wide_params(hops=2), grid_us=1000)
+        assert (inst.name, inst.meta["n_rounds"]) == ("normal_r0", 0)
+        assert "rt0" not in {v.name for v in inst.variables}
+
     def test_round_must_fit_the_horizon(self):
         # a 42.6 ms round and a 40 ms horizon
         with pytest.raises(ValueError, match="^round does not fit inside the horizon$"):
@@ -355,7 +365,9 @@ class TestGuards:
         md = inst.variables[inst.keys["md", "m"]]
         assert (md.lb, md.ub) == (43, 20)
         assert not any(r.name.startswith("nofit") for r in inst.rows)
-        assert solve(inst).status == "infeasible"
+        # refuted before branch and bound starts, where HiGHS counts -1 nodes
+        sol = solve(inst)
+        assert (sol.status, sol.nodes) == ("infeasible", 0)
         assert milp_solve(parse_lp(render_lp(inst)))[0] == "infeasible"
 
 

@@ -1,7 +1,6 @@
 """The scripts in scripts/ still run against the package."""
 
 import json
-import os
 import subprocess
 import sys
 from pathlib import Path
@@ -10,20 +9,6 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "scripts"))
 
 import bench_pairs  # noqa: E402
-
-
-def test_demo_synthesis_runs():
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
-    )
-    script = ROOT / "scripts" / "demo_synthesis.py"
-    proc = subprocess.run(
-        [sys.executable, str(script), "--sim-rounds", "10"],
-        capture_output=True, text=True, env=env, timeout=120,
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert "mode normal: 2 rounds" in proc.stdout
 
 
 def test_bench_pairs_records_both_sides_of_each_pair(tmp_path):
@@ -88,3 +73,41 @@ def test_bench_pairs_summary_marks_a_median_worse_than_its_bound():
         "  total_s: parent 10.15 [10.07, 10.22]; change 11.16 [11.08, 11.25]; "
         "change lower in 0/4; median +10.0% against bound 25%",
     ]
+
+
+def test_bench_pairs_summary_gives_each_verdict():
+    end_to_end = [{"name": "total_s", "better": "lower", "bound": 0.25},
+                  {"name": "rounds", "better": "higher", "bound": 0.25}]
+    steady = [10 + i / 10 for i in range(10)]  # median 10.45, quartiles 10.225, 10.675
+    wide = [10, 14, 6, 13, 7, 12, 8, 11, 9, 15]  # median 10.5, quartiles 8.25, 12.75
+    cases = {
+        # lower in 10/10 pairs, the medians 1.0 apart against a spread of 0.45
+        "gain": (steady, [x - 1 for x in steady], "total_s"),
+        "nine of ten": (steady, [x - 1 for x in steady[:9]] + [11], "total_s"),
+        "eight of ten": (steady, [x - 1 for x in steady[:8]] + [11, 11], "total_s"),
+        "within the spread": (steady, [x - 0.1 for x in steady], "total_s"),
+        "spread past the bound": (wide, wide, "total_s"),
+        "every run lower": (wide, [5 - i / 10 for i in range(10)], "total_s"),
+        "higher is better": (steady, [x + 1 for x in steady], "rounds"),
+        "higher is worse": (steady, [x * 0.7 for x in steady], "rounds"),
+    }
+    runs = [
+        {"workload": workload, "side": side, "pair": pair,
+         "result": {"failed": 0, "metrics": {metric: {"value": xs[pair]}}}}
+        for workload, (parent, change, metric) in cases.items()
+        for pair in range(10)
+        for side, xs in (("parent", parent), ("change", change))
+    ]
+    lines = bench_pairs.summary(runs, end_to_end)
+    # each metric line ends "median <change> against bound 25%[ <verdict>...]"
+    verdicts = dict(zip(cases, (line.rsplit("%", 1)[1].strip() for line in lines[1::2])))
+    assert verdicts == {
+        "gain": "gain",
+        "nine of ten": "gain",
+        "eight of ten": "",
+        "within the spread": "",
+        "spread past the bound": "unresolved",
+        "every run lower": "gain",
+        "higher is better": "gain",
+        "higher is worse": "WORSE",
+    }

@@ -102,6 +102,15 @@ class TestOptions:
             solve(knapsackish())
 
 
+def test_a_row_naming_a_missing_variable_is_refused():
+    inst = ILPInstance(name="dangling")
+    inst.add_var("x", 0, 1)
+    inst.add_var("y", 0, 1)
+    inst.add_row("ghost", {5: 1}, "<=", 1)
+    with pytest.raises(RuntimeError, match="^HiGHS refused the program$"):
+        solve(inst)
+
+
 class Ran:
     """A canned stand-in for the Highs object after its run."""
 
