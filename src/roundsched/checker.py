@@ -3,15 +3,19 @@
 check() re-derives every scheduling property straight from the model and
 the counting step functions; it shares no code with the ILP construction,
 so the two can disagree only if one of them is wrong.  Up to sorting,
-the audit is linear in the rounds plus each message's check instants: the
-allocations are gathered in one pass over the rounds, and each message's
-demand <= service <= arrival ordering is checked in one merged sweep of
-its instants and round ends (stepfuncs.first_order_violation), whose
-counts at the first failing instant word the curve_order violation.
+the audit is linear in the rounds plus each message's check instants up
+to its first failing one: the allocations are gathered in one pass over
+the rounds, and each message's demand <= service <= arrival ordering is
+checked in one lazily merged sweep of its instants and round ends
+(stepfuncs.first_order_violation), which stops at the first failing
+instant and words the curve_order violation from its counts.  A schedule
+that passes allocates one slot per instance, so the cost follows the
+schedule file, not the hyperperiod or the offsets.
 """
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass
 
@@ -330,10 +334,15 @@ def check(mode: Mode, schedule: ModeSchedule, params: NetworkParams) -> CheckRep
             # and it only rises: the ordering first fails at 0 or at a step
             mt = MsgTiming(mid, o, d, p)
             ends = [r.t + t_r for r in allocs]
-            points = {0}
-            points.update(min(h + 1, e + 1) for e in ends)
-            points.update(x + 1 for x in deadline_instants(mt, h))
-            bad = first_order_violation(mt, sorted(points), ends, r0)
+            # merged lazily, so the sweep stops at the first violation
+            # without listing all h/p deadlines; a repeated point gives
+            # the same counts twice
+            points = heapq.merge(
+                (0,),
+                (min(h + 1, e + 1) for e in ends),
+                (x + 1 for x in deadline_instants(mt, h)),
+            )
+            bad = first_order_violation(mt, points, ends, r0)
             if bad is not None:
                 t, df, sf, af = bad
                 rep.add(

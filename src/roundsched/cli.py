@@ -20,9 +20,9 @@ from dataclasses import replace
 from typing import Iterable
 
 from .checker import check
-from .lpformat import write_lp
 from .model import ValidationReport, validate_mode, validate_modes_disjoint
 from .sim import AuditError, SimTrace, run
+from .solver import write_lp
 from .specio import (
     SpecError,
     dumps,

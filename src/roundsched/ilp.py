@@ -148,6 +148,11 @@ class ILPInstance:
 
     def add_row(self, name: str, coeffs: dict[int, int], sense: str, rhs: int) -> None:
         assert sense in ("<=", "==")
+        for i in coeffs:
+            if not 0 <= i < len(self.variables):
+                raise ValueError(
+                    f"row {name!r} names variable {i}, outside the instance's "
+                    f"{len(self.variables)}")
         name = _unique(name, self._row_names)
         self.rows.append(Row(name, {k: v for k, v in coeffs.items() if v}, sense, rhs))
 

@@ -12,6 +12,9 @@ check raises instead of being returned, and so does any HiGHS status
 other than optimal, infeasible or a time limit reached at the deadline.
 solve() stops at the absolute time.monotonic() deadline of the search
 that calls it, so one budget covers every round count synthesize() tries.
+write_lp() hands the same fill, its columns and rows named as in the
+instance, to HiGHS's own LP writer, so a written file is the program
+solve() runs.
 
 HiGHS runs with three options set (HIGHS_OPTIONS), measured on a 2-core
 VM; an option HiGHS does not have, or a value it refuses, raises
@@ -102,13 +105,11 @@ def _stdout_to_stderr():
         os.close(saved)
 
 
-def _run_highs(inst: ILPInstance, time_limit_s: float | None):
-    """The Highs object after it has run on the instance, every variable
-    integer."""
+def _model(inst: ILPInstance, settings: dict) -> highs._Highs:
+    """A Highs holding the instance's program, every variable integer and
+    every column and row named as in the instance, with settings as its
+    options."""
     options = highs.HighsOptions()
-    settings = dict(HIGHS_OPTIONS, log_to_console=False)
-    if time_limit_s is not None:
-        settings["time_limit"] = time_limit_s
     for key, value in settings.items():
         try:
             setattr(options, key, value)
@@ -127,6 +128,8 @@ def _run_highs(inst: ILPInstance, time_limit_s: float | None):
     lp.row_lower_ = [r.rhs if r.sense == "==" else -highs.kHighsInf for r in inst.rows]
     lp.row_upper_ = [r.rhs for r in inst.rows]
     lp.integrality_ = [highs.HighsVarType.kInteger] * n
+    lp.col_names_ = [v.name for v in inst.variables]
+    lp.row_names_ = [r.name for r in inst.rows]
     start, index, value = [0], [], []
     for r in inst.rows:
         index.extend(r.coeffs)
@@ -142,9 +145,30 @@ def _run_highs(inst: ILPInstance, time_limit_s: float | None):
             raise ValueError(f"HiGHS refused the options {settings}")
         if h.passModel(lp) == highs.HighsStatus.kError:
             raise RuntimeError("HiGHS refused the program")
+    return h
+
+
+def _run_highs(inst: ILPInstance, time_limit_s: float | None):
+    """The Highs object after it has run on the instance."""
+    settings = dict(HIGHS_OPTIONS, log_to_console=False)
+    if time_limit_s is not None:
+        settings["time_limit"] = time_limit_s
+    h = _model(inst, settings)
+    with _stdout_to_stderr():
         if h.run() == highs.HighsStatus.kError:
             raise RuntimeError(f"HiGHS run failed: {h.modelStatusToString(h.getModelStatus())}")
     return h
+
+
+def write_lp(inst: ILPInstance, path: str) -> None:
+    """Write the program solve() hands HiGHS to path, in HiGHS's LP format."""
+    # HiGHS 1.12 crashes the process on a file it cannot open, so an
+    # unwritable path raises OSError here first
+    open(path, "w").close()
+    h = _model(inst, {"log_to_console": False, "output_flag": False})
+    with _stdout_to_stderr():
+        if h.writeModel(path) == highs.HighsStatus.kError:
+            raise OSError(f"HiGHS could not write {path}")
 
 
 def solve(inst: ILPInstance, *, deadline: float | None = None) -> SolverSolution:

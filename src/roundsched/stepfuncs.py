@@ -7,10 +7,11 @@ actually carried. All three count from the hyperperiod origin t=0 and use
 exact integer arithmetic (floor/ceil with mathematically correct behaviour
 for negative numerators).
 
-Service is counted over an ascending list of instants in one merged pass
-over the round ends (service_sweep); first_order_violation() runs that
-pass to find where demand <= service <= arrival first fails, which is
-what the schedule checker runs.
+Service is counted over ascending instants in one merged pass over the
+round ends (service_sweep); first_order_violation() runs that pass to
+find where demand <= service <= arrival first fails, which is what the
+schedule checker runs.  deadline_instants() is a range, so instants are
+made only as the pass reaches them.
 """
 
 from __future__ import annotations
@@ -65,16 +66,12 @@ def demand(m: MsgTiming, t: TimeUs) -> int:
     return _ceil_div(t - m.offset_us - m.deadline_us, m.period_us)
 
 
-def deadline_instants(m: MsgTiming, horizon_us: int) -> list[TimeUs]:
+def deadline_instants(m: MsgTiming, horizon_us: int) -> range:
     """Deadline instants of m inside [0, horizon_us], wrapped ones included."""
-    out = []
     t = m.offset_us + m.deadline_us
-    while t > m.period_us:
-        t -= m.period_us
-    while t <= horizon_us:
-        out.append(t)
-        t += m.period_us
-    return out
+    if t > m.period_us:
+        t = (t - 1) % m.period_us + 1  # the wrapped deadline, in (0, period]
+    return range(t, horizon_us + 1, m.period_us)
 
 
 def service_sweep(

@@ -1,92 +1,130 @@
 """LP text parsing and an independent mixed-integer solve, test side only.
 
-The parser reads the interchange format written by the package and
-rebuilds matrices from the text alone, so a round trip through it plus
-scipy's milp checks the written text against the package's solver.  Both
-ends run HiGHS, so this checks the export, not the engine; the engine is
-checked against exhaustive enumeration (test_solver, acceptance 5).
+lp_text() has HiGHS write a program through solver.write_lp, the fill
+solve() runs, and parse_lp() reads HiGHS's LP dialect back from the text
+alone.  Comparing the parse row by row with the ILPInstance checks that
+fill: every objective term, row coefficient, sense, right-hand side,
+bound and integrality mark HiGHS is handed.  milp_solve() rebuilds the
+matrices from the parse for scipy's milp, a second way into HiGHS; both
+ends run HiGHS, so that checks the fill, not the engine, which is checked
+against exhaustive enumeration (test_solver, acceptance 5).
 """
 
 from __future__ import annotations
 
+import os
 import re
+import tempfile
 import warnings
+from fractions import Fraction
 
 import numpy as np
 from scipy.optimize import Bounds, LinearConstraint, milp
 
-_TOKEN = re.compile(r"[A-Za-z_][A-Za-z0-9_]*|\d+|[+-]")
+from roundsched.solver import write_lp
+
+_NUM = r"[+-]?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?"
+_TOKEN = re.compile(
+    r"(?P<label>[^\s:]+):"
+    r"|(?P<op><=|>=|=)"
+    rf"|(?P<num>{_NUM})"
+    r"|(?P<name>[A-Za-z_][A-Za-z0-9_]*)"
+    r"|(?P<bad>\S+)"
+)
+# x <= 99, 43 <= x <= 100 or x = 0; HiGHS omits a lower bound of 0
+_BOUND = re.compile(
+    rf"^(?:(?P<lb>{_NUM}) <= )?(?P<var>[A-Za-z_][A-Za-z0-9_]*)"
+    rf" (?:<= (?P<ub>{_NUM})|= (?P<fix>{_NUM}))$"
+)
+_SECTIONS = {"min", "st", "bounds", "bin", "gen", "semi", "end"}
 
 
-def _parse_expr(text: str) -> dict[str, int]:
-    coeffs: dict[str, int] = {}
-    sign = 1
+def lp_text(inst) -> str:
+    """The LP text solver.write_lp writes for inst."""
+    with tempfile.TemporaryDirectory() as d:
+        path = os.path.join(d, "program.lp")
+        write_lp(inst, path)
+        with open(path, encoding="ascii") as fh:
+            return fh.read()
+
+
+def _int(tok: str) -> int:
+    x = Fraction(tok)
+    if x.denominator != 1:
+        raise ValueError(f"not an integer: {tok!r}")
+    return int(x)
+
+
+def _statements(text: str) -> list[tuple[str | None, dict[str, int], str | None, int | None]]:
+    """(label, terms, sense, right-hand side) of each labelled statement;
+    HiGHS wraps long ones over several lines."""
+    out: list = []
     coef: int | None = None
-    for tok in _TOKEN.findall(text):
-        if tok == "+":
-            sign, coef = 1, None
-        elif tok == "-":
-            sign, coef = -1, None
-        elif tok.isdigit():
-            coef = int(tok)
+    for m in _TOKEN.finditer(text):
+        kind, tok = m.lastgroup, m[0]
+        if kind == "label":
+            out.append([m["label"], {}, None, None])
+        elif kind == "bad" or not out or out[-1][3] is not None:
+            raise ValueError(f"unexpected {tok!r}")
+        elif kind == "op":
+            out[-1][2] = tok
+        elif kind == "num" and out[-1][2] is not None:
+            out[-1][3] = _int(tok)
+        elif kind == "num":
+            coef = _int(tok)
         else:
-            coeffs[tok] = coeffs.get(tok, 0) + sign * (1 if coef is None else coef)
-            sign, coef = 1, None
-    return coeffs
+            terms = out[-1][1]
+            terms[tok] = terms.get(tok, 0) + (1 if coef is None else coef)
+            coef = None
+    return [tuple(s) for s in out]
 
 
 def parse_lp(text: str) -> dict:
-    objective: dict[str, int] = {}
-    rows: list[tuple[str, dict[str, int], str, int]] = []
-    bounds: dict[str, tuple[int, int]] = {}
-    generals: list[str] = []
+    """objective {var: coefficient}; rows [(name, {var: coefficient},
+    sense, rhs)] in file order; bounds {var: (lb, ub)} of every variable
+    the bounds, bin or gen sections name; integers, the bin and gen
+    variables in file order."""
+    body: dict[str, list[str]] = {}
     section = None
     for raw in text.splitlines():
         line = raw.strip()
         if not line or line.startswith("\\"):
             continue
-        low = line.lower()
-        if low == "minimize":
-            section = "obj"
-            continue
-        if low == "subject to":
-            section = "rows"
-            continue
-        if low == "bounds":
-            section = "bounds"
-            continue
-        if low in ("generals", "general"):
-            section = "generals"
-            continue
-        if low == "end":
-            section = None
-            continue
-        if section == "obj":
-            _, expr = line.split(":", 1)
-            objective = _parse_expr(expr)
-        elif section == "rows":
-            name, rest = line.split(":", 1)
-            m = re.search(r"(<=|>=|=)\s*(-?\d+)\s*$", rest)
-            if m is None:
-                raise ValueError(f"bad row: {line!r}")
-            rows.append(
-                (name.strip(), _parse_expr(rest[: m.start()]), m.group(1),
-                 int(m.group(2)))
-            )
-        elif section == "bounds":
-            m = re.match(r"^(-?\d+)\s*<=\s*(\S+)\s*<=\s*(-?\d+)$", line)
-            if m is None:
-                raise ValueError(f"bad bound: {line!r}")
-            bounds[m.group(2)] = (int(m.group(1)), int(m.group(3)))
-        elif section == "generals":
-            generals.append(line)
-        else:
+        if line.lower() in _SECTIONS:
+            section = line.lower()
+            body.setdefault(section, [])
+        elif section is None or section == "end":
             raise ValueError(f"text outside any section: {line!r}")
+        else:
+            body[section].append(line)
+    if body.get("semi"):
+        raise ValueError(f"semi-continuous variables: {body['semi']}")
+    (obj,) = _statements(" ".join(body.get("min", [])))
+    if obj[2] is not None:
+        raise ValueError(f"objective with a sense: {obj}")
+    rows = _statements(" ".join(body.get("st", [])))
+    if any(op is None or rhs is None for _, _, op, rhs in rows):
+        raise ValueError(f"row without a right-hand side: {rows}")
+    bounds: dict[str, tuple[int, int]] = {}
+    for line in body.get("bounds", []):
+        m = _BOUND.match(line)
+        if m is None or (m["lb"] and m["fix"]):
+            raise ValueError(f"bad bound: {line!r}")
+        if m["fix"]:
+            bounds[m["var"]] = (_int(m["fix"]), _int(m["fix"]))
+        else:
+            bounds[m["var"]] = (_int(m["lb"] or "0"), _int(m["ub"]))
+    binary = [n for line in body.get("bin", []) for n in line.split()]
+    general = [n for line in body.get("gen", []) for n in line.split()]
+    for name in binary:
+        bounds[name] = (0, 1)
+    for name in general:
+        bounds.setdefault(name, (0, np.inf))
     return {
-        "objective": objective,
+        "objective": obj[1],
         "rows": rows,
         "bounds": bounds,
-        "generals": generals,
+        "integers": binary + general,
     }
 
 
@@ -97,12 +135,12 @@ def milp_solve(
 
     options are HiGHS options by their HiGHS names; milp passes those it
     does not know on to HiGHS, with a warning silenced here."""
-    names = parsed["generals"]
+    names = parsed["integers"]
     idx = {n: i for i, n in enumerate(names)}
     n = len(names)
     lo = np.zeros(n)
     hi = np.zeros(n)
-    for name in parsed["generals"]:
+    for name in names:
         lo[idx[name]], hi[idx[name]] = parsed["bounds"][name]
     c = np.zeros(n)
     for name, cf in parsed["objective"].items():

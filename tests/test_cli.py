@@ -9,6 +9,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -25,8 +26,9 @@ from roundsched.specio import (
     parse_spec,
     trace_to_obj,
 )
-from roundsched.synthesis import MAX_HYPERPERIOD_US, synthesize
+from roundsched.synthesis import MAX_HYPERPERIOD_US, SynthConfig, program, synthesize
 from roundsched.timing import NetworkParams, round_length
+from lptools import lp_text, parse_lp
 from support import RADIO_KEYS, ladder_mode, mk_app, pipeline_app
 
 SPEC_DIR = Path(__file__).resolve().parent.parent / "specs"
@@ -58,6 +60,13 @@ def mode_spec(tmp_path: Path, mode: Mode, grid_us: int = 1000) -> str:
     spec = tmp_path / f"{mode.id}.json"
     spec.write_text(json.dumps(data))
     return str(spec)
+
+
+def src_env() -> dict:
+    """The environment with this tree's src first on PYTHONPATH."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(SRC), env.get("PYTHONPATH")) if p)
+    return env
 
 
 @pytest.fixture(scope="module")
@@ -193,27 +202,24 @@ class TestSynth:
         assert err.endswith(", dual bound 89000 us\n")
         assert main(["check", "--spec", CONTROL, "--schedule", str(out)]) == 0
 
-    def test_stdout_is_only_json_in_a_subprocess(self):
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            p for p in (str(SRC), env.get("PYTHONPATH")) if p
-        )
+    def test_stdout_is_only_json_in_a_subprocess(self, tmp_path):
+        env = src_env()
+        # HiGHS's LP writer logs "Writing the model to ..." unless told not to
         proc = subprocess.run(
-            [sys.executable, "-c", HIGHS_STDOUT_DRIVER, "synth", "--spec", HIGHS_STDOUT],
+            [sys.executable, "-c", HIGHS_STDOUT_DRIVER, "synth", "--spec", HIGHS_STDOUT,
+             "--lp-dir", str(tmp_path)],
             capture_output=True, text=True, env=env, timeout=120,
         )
         assert proc.returncode == 0, proc.stderr
         assert json.loads(proc.stdout)["mode_id"] == "rand75"
+        assert [p.suffix for p in tmp_path.iterdir()] == [".lp"]
         # the case still reaches the printf, so a stdout left unguarded
         # would begin with this line instead of the schedule
         assert "HighsMipSolverData::transformNewIntegerFeasibleSolution" in proc.stderr
 
     def test_module_entry_point(self):
         # `python -m roundsched.cli` exits with main()'s code
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            p for p in (str(SRC), env.get("PYTHONPATH")) if p
-        )
+        env = src_env()
 
         def run(*argv):
             return subprocess.run([sys.executable, "-m", "roundsched.cli", *argv],
@@ -242,8 +248,11 @@ class TestSynth:
                    "--out", str(tmp_path / "f.json"), "--lp-dir", str(lp_dir)])
         assert rc == 0
         assert sorted(p.name for p in lp_dir.iterdir()) == ["fallback_r1.lp"]
-        text = (lp_dir / "fallback_r1.lp").read_text()
-        assert text.startswith("\\ fallback_r1\nMinimize\n")
+        # the one program the search ran, as HiGHS writes it
+        spec = parse_spec(load_json(CONTROL))
+        inst = program(spec.mode_by_id("fallback"), 1, spec.network,
+                       SynthConfig(grid_us=spec.grid_us))
+        assert (lp_dir / "fallback_r1.lp").read_text() == lp_text(inst)
 
     def test_lp_dump_starts_at_the_lower_bound(self, capsys, tmp_path):
         # a 3-task pipeline whose two messages need two rounds; HiGHS
@@ -291,7 +300,20 @@ class TestSynth:
         assert sorted(p.name for p in lp_dir.iterdir()) == [f"{stem}_r1.lp"]
         assert sorted(p.name for p in tmp_path.iterdir()) == ["f.json", "lps", "renamed.json"]
         text = (lp_dir / f"{stem}_r1.lp").read_text(encoding="ascii")
-        assert text.startswith(f"\\ {stem}_r1\nMinimize\n")
+        assert parse_lp(text)["objective"] == {"d_watch": 1}
+
+    def test_lp_dump_to_an_unwritable_path_is_an_error(self, tmp_path):
+        # HiGHS 1.12 crashes the process on a file it cannot open, so this
+        # runs in a subprocess: a directory stands where the file would go
+        lp_dir = tmp_path / "lps"
+        (lp_dir / "fallback_r1.lp").mkdir(parents=True)
+        proc = subprocess.run(
+            [sys.executable, "-m", "roundsched.cli", "synth", "--spec", CONTROL,
+             "--mode", "fallback", "--lp-dir", str(lp_dir)],
+            capture_output=True, text=True, env=src_env(), timeout=120,
+        )
+        assert (proc.returncode, proc.stdout) == (1, "")
+        assert proc.stderr.splitlines()[-1].startswith("error: [Errno 21] Is a directory: ")
 
     @pytest.mark.parametrize("mode, grid_us, lp, bound", [
         # no WCET exceeds the grid: the first round starts at 0
@@ -306,10 +328,54 @@ class TestSynth:
                    "--out", str(tmp_path / "s.json"), "--lp-dir", str(lp_dir)])
         assert rc == 0, capsys.readouterr().err
         assert sorted(p.name for p in lp_dir.iterdir()) == [lp]
-        assert f"\n 0 <= rt0 <= {bound}\n" in (lp_dir / lp).read_text()
+        assert parse_lp((lp_dir / lp).read_text())["bounds"]["rt0"] == (0, bound)
+
+
+def pipelines_case(tmp_path: Path, periods: dict[str, int], offsets: dict[str, int]):
+    """Spec and schedule files: one pipeline a_<msg> -<msg>-> b_<msg> of
+    10 us tasks on nodes n1 and n2 per message, its period from periods,
+    and one round at 0 carrying every message, each task started at 0 and
+    each message given its offset and its period as deadline."""
+    data = json.loads(Path(CONTROL).read_text())
+    data["grid_us"] = 10
+    data["modes"] = [{"id": "m", "applications": [{
+        "id": f"app_{m}", "period_us": p,
+        "tasks": [{"id": f"a_{m}", "node": "n1", "wcet_us": 10},
+                  {"id": f"b_{m}", "node": "n2", "wcet_us": 10}],
+        "edges": [{"src": f"a_{m}", "dst": f"b_{m}", "msg": m}],
+    } for m, p in periods.items()]}]
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps(data))
+    schedule = tmp_path / "schedule.json"
+    schedule.write_text(json.dumps({
+        "mode_id": "m", "hyperperiod_us": max(periods.values()),
+        "round_len_us": round_length(parse_spec(data).network),
+        "task_offsets": {f"{x}_{m}": 0 for m in periods for x in "ab"},
+        "message_offsets": offsets, "message_deadlines": periods,
+        "leftover": {m: 0 for m in periods},
+        "rounds": [{"t": 0, "alloc": list(periods)}],
+    }))
+    return str(spec), str(schedule)
 
 
 class TestCheck:
+    @pytest.mark.parametrize("periods, offsets, families", [
+        # the wrapped deadline is found by arithmetic, not a period at a time
+        ({"m": 100}, {"m": 10**15},
+         "curve_order, domains, e2e_deadline, precedence, round_gap, service_after_release"),
+        # 10**10 deadline instants of m in the hyperperiod: the sweep stops
+        # at the first violation instead of listing them
+        ({"m": 100, "k": 10**12}, {"m": 0, "k": 0},
+         "conservation, curve_order, e2e_deadline, node_exclusive"),
+    ], ids=["offset-1e15", "periods-1e2-1e12"])
+    def test_cost_follows_the_schedule_file(self, capsys, tmp_path, periods, offsets, families):
+        spec, schedule = pipelines_case(tmp_path, periods, offsets)
+        start = time.perf_counter()
+        rc = main(["check", "--spec", spec, "--schedule", schedule])
+        assert time.perf_counter() - start < 10
+        assert rc == 3
+        assert capsys.readouterr().err == f"schedule violates: {families}\n"
+
     def test_good_schedule_passes(self, capsys, synthesized):
         rc = main(["check", "--spec", CONTROL,
                    "--schedule", str(synthesized["normal"])])

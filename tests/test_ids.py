@@ -12,12 +12,11 @@ from functools import lru_cache
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from lptools import parse_lp
+from lptools import lp_text, parse_lp
 from support import mk_app, random_small_case, small_params, wide_params
 
 from roundsched.checker import check
 from roundsched.ilp import build_instance
-from roundsched.lpformat import render_lp
 from roundsched.model import Mode, ValidationReport, validate_mode
 from roundsched.synthesis import SynthConfig, synthesize
 
@@ -90,8 +89,8 @@ class TestSharing:
 
 class TestExportedNames:
     def assert_legal_and_unique(self, inst):
-        parsed = parse_lp(render_lp(inst))
-        var_names = parsed["generals"]
+        parsed = parse_lp(lp_text(inst))
+        var_names = parsed["integers"]
         row_names = [name for name, *_ in parsed["rows"]]
         assert len(var_names) == len(inst.variables)
         assert len(row_names) == len(inst.rows)

@@ -8,12 +8,11 @@ shows up as a readable diff rather than a solver mystery.
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from lptools import milp_solve, parse_lp
+from lptools import lp_text, milp_solve, parse_lp
 from support import af_oracle, control_mode, df_oracle, mk_app, small_params, wide_params
 
 from roundsched.checker import _overlap_cyclic
 from roundsched.ilp import ILPInstance, build_instance, check_assignment, extract_schedule
-from roundsched.lpformat import render_lp
 from roundsched.model import Application, Mode, ModelError, Task
 from roundsched.solver import solve
 from roundsched.synthesis import SynthConfig, synthesize
@@ -368,7 +367,7 @@ class TestGuards:
         # refuted before branch and bound starts, where HiGHS counts -1 nodes
         sol = solve(inst)
         assert (sol.status, sol.nodes) == ("infeasible", 0)
-        assert milp_solve(parse_lp(render_lp(inst)))[0] == "infeasible"
+        assert milp_solve(parse_lp(lp_text(inst)))[0] == "infeasible"
 
 
 class TestAssignmentRoundTrip:
@@ -392,6 +391,16 @@ class TestAssignmentRoundTrip:
         assert check_assignment(inst, [1, 2]) == []
         assert check_assignment(inst, [3, -2]) == [
             "x=3 outside [0, 2]", "y=-2 outside [-1, 2]", "sum: 1 != 3"]
+
+    @pytest.mark.parametrize("index", [2, 5, -1])
+    def test_add_row_refuses_a_variable_outside_the_instance(self, index):
+        inst = ILPInstance(name="tiny")
+        inst.add_var("x", 0, 2)
+        inst.add_var("y", -1, 2)
+        with pytest.raises(ValueError, match=(
+                f"^row 'ghost' names variable {index}, outside the instance's 2$")):
+            inst.add_row("ghost", {0: 1, index: 1}, "<=", 1)
+        assert inst.rows == []
 
     def test_check_assignment_reports_broken_rows(self):
         mode = control_mode()

@@ -10,7 +10,7 @@ import time
 from types import SimpleNamespace
 
 import pytest
-from lptools import milp_solve, parse_lp
+from lptools import lp_text, milp_solve, parse_lp
 from support import (
     control_mode,
     enumerate_milp,
@@ -20,8 +20,7 @@ from support import (
     wide_params,
 )
 
-from roundsched.ilp import ILPInstance, build_instance, check_assignment
-from roundsched.lpformat import render_lp
+from roundsched.ilp import ILPInstance, Row, build_instance, check_assignment
 from roundsched import solver
 from roundsched.solver import HIGHS_OPTIONS, solve
 from roundsched.synthesis import SynthConfig, max_rounds, min_rounds, program
@@ -106,7 +105,8 @@ def test_a_row_naming_a_missing_variable_is_refused():
     inst = ILPInstance(name="dangling")
     inst.add_var("x", 0, 1)
     inst.add_var("y", 0, 1)
-    inst.add_row("ghost", {5: 1}, "<=", 1)
+    # add_row refuses such a row, so it is appended as it stands
+    inst.rows.append(Row("ghost", {5: 1}, "<=", 1))
     with pytest.raises(RuntimeError, match="^HiGHS refused the program$"):
         solve(inst)
 
@@ -225,7 +225,7 @@ class TestIndependentPath:
     @staticmethod
     def agree(inst: ILPInstance) -> str:
         sol = solve(inst)
-        want = milp_solve(parse_lp(render_lp(inst)), HIGHS_OPTIONS)[:2]
+        want = milp_solve(parse_lp(lp_text(inst)), HIGHS_OPTIONS)[:2]
         assert (sol.status, sol.objective) == want
         return sol.status
 

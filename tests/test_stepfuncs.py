@@ -102,7 +102,7 @@ class TestService:
 
 def test_deadline_instants():
     m = timings(8, 5, 10)
-    assert deadline_instants(m, 30 * MS) == [3 * MS, 13 * MS, 23 * MS]
+    assert list(deadline_instants(m, 30 * MS)) == [3 * MS, 13 * MS, 23 * MS]
 
 
 def order_violation(m, t, rs, round_len):
