@@ -140,11 +140,10 @@ def check(mode: Mode, schedule: ModeSchedule, params: NetworkParams) -> CheckRep
         rep.complete = False
         return rep
 
-    for tid, t in tasks.items():
-        o = schedule.task_offsets[tid]
-        hi = task_period[tid] - t.wcet_us
-        if not 0 <= o <= hi:
-            rep.add("domains", f"task {tid}", f"offset {o} outside [0, {hi}]")
+    for tid in tasks:
+        o, p = schedule.task_offsets[tid], task_period[tid]
+        if not 0 <= o < p:
+            rep.add("domains", f"task {tid}", f"offset {o} outside [0, {p})")
     for mid, p in period_of.items():
         o = schedule.message_offsets[mid]
         d = schedule.message_deadlines[mid]

@@ -6,7 +6,7 @@ worst-case execution times, round lengths, and periods appear in
 microseconds with a grid factor on the tick variables.
 
 Variable families, in index order:
-    o_<task>            task start offset, ticks, [0, (p - e) // g]
+    o_<task>            task start offset, ticks, [0, p/g - 1]
     mo_<msg>, md_<msg>  message window offset [0, p/g) and width
                         [ceil(t_r/g), p/g], empty when no round fits p
     sp_<msg>            producer handoff slips one period
@@ -62,33 +62,29 @@ never overlap exactly when e1 <= D mod G <= G - e2, the rule
 checker._overlap_cyclic audits.  The rows state e1 <= D - G*q <= G - e2.
 WCETs are at least 1 us, so that interval lies inside (0, G) and the only
 q that can satisfy it is floor(D / G): the rows hold for some q exactly
-when the rule does.  Since -(p1 - e1) <= D <= p2 - e2, floor(D / G) lies
-in [-p1/G, p2/G - 1], the bounds of q, so they never bind.
+when the rule does.  Since -p1 < D < p2, floor(D / G) lies in
+[-p1/G, p2/G - 1], the bounds of q, so they never bind.
 
 A schedule shifted along the time axis is a schedule too, so the program
 holds copies of each point that differ only in where time starts.  Here
-rt0 is free; synthesis.program bounds it by U = g * (sum over the task
-instances of the hyperperiod of ceil(e/g) - 1), 0 when no WCET exceeds
-the grid.  The bound keeps the optimum.  Take an optimal point with every
-slip as small as its rows allow (that only lowers latencies), and let c
-be the latest grid point <= g*rt0 that no task instance strictly
-straddles.  An instance straddles ceil(e/g) - 1 grid points at most and
-none straddles 0, so c >= g*rt0 - U.
-Shift everything left by c: an offset x of period p becomes x - c mod p,
-plus p when x < c mod p (x wraps, w = 1; else w = 0).
+rt0 is free; synthesis.program pins it at 0, which keeps the optimum.
+Tasks, messages and rounds share one cyclic time axis: a task may run
+across its period boundary, as a message window may.  Take any point and
+shift everything left by c = g*rt0: an offset x of period p becomes
+x - c mod p, plus p when x < c mod p (x wraps, w = 1; else w = 0).
 - Rounds move left by c, so they stay sorted in [0, t_max - t_r], and rt0
-  drops to at most U/g.
-- A task that wraps started before c and, straddling nothing, ended by
-  it, so it still ends inside its period.
+  becomes 0.  Offsets stay in [0, p), widths and slots do not move.
 - With sp' = sp + w_prod - w_msg and sc' = sc + w_msg - w_cons the prod
   and cons rows hold, and each chain's latency telescopes to its old
   value: d, the sym rows and the objective do not move.  Those slips stay
-  0 or 1.  A slip of -1 contradicts its row.  sp' = 2 puts the producer
-  over c: it starts before c mod p <= mo < its end.  sc' = 2 makes the
-  chain span more than a period, above its deadline: mo < c mod p <= o_cons
-  and sc = 1 give o_cons + p - mo > p.
+  0 or 1.  prod gives p*sp' >= o' + e - mo' > -p and cons gives
+  p*sc' >= mo' + md - o_cons' > -p, so neither is negative.  A chain
+  through the message then spans o_last' + e_last - o_first' + p * (sum
+  of its slips) > -p + p * (sum of its slips), so a slip of 2 or more
+  would put it above one period, above d <= deadline <= period.  Every
+  message and handoff lies on a chain, so neither slip exceeds 1.
 - Start differences of two tasks on a node move by multiples of their
-  periods, so D mod G, and the apart rows with q = floor(D / G), hold.
+  periods' gcd, so D mod G, and the apart rows with q = floor(D / G), hold.
 - The service rows count releases and deadlines against rounds in cyclic
   order.  A window is at most a period wide, so at most one instance of a
   message straddles c, and r0_<msg> carries it if a round after c serves it.
@@ -210,7 +206,7 @@ def build_instance(
     # --- variables ----------------------------------------------------------
     md_lb = -(-t_r // g)  # window must be wide enough to hold one round
     for t in tasks.values():
-        add(("o", t.id), f"o_{_safe(t.id)}", 0, (task_period[t.id] - t.wcet_us) // g)
+        add(("o", t.id), f"o_{_safe(t.id)}", 0, task_period[t.id] // g - 1)
     for mid, p in period_of.items():
         pg = p // g
         add(("mo", mid), f"mo_{_safe(mid)}", 0, pg - 1)

@@ -113,24 +113,16 @@ def program(
     mode: Mode, n_rounds: int, params: NetworkParams, config: SynthConfig
 ) -> ILPInstance:
     """The program HiGHS solves for n_rounds >= 1: build_instance's, with
-    the first round's start bounded by U = g * (sum over the task instances
-    of the hyperperiod of ceil(e / g) - 1), which is 0 when no WCET
-    exceeds the grid g.  See ilp's docstring for why the bound keeps the
-    optimum.
+    the first round's start pinned at 0.  See ilp's docstring for why the
+    pin keeps the optimum.
     """
     if n_rounds < 1:
         raise ValueError(f"n_rounds must be at least 1, got {n_rounds}")
-    g = config.grid_us
-    inst = build_instance(mode, n_rounds, params, grid_us=g, t_max_us=config.t_max_us)
-    h = hyperperiod(mode)
-    periods = mode.task_periods()
-    u_ticks = sum(
-        h // periods[t.id] * (-(-t.wcet_us // g) - 1)
-        for t in mode.all_tasks().values()
+    inst = build_instance(
+        mode, n_rounds, params, grid_us=config.grid_us, t_max_us=config.t_max_us
     )
     i = inst.keys["rt", 0]
-    rt0 = inst.variables[i]
-    inst.variables[i] = replace(rt0, ub=min(rt0.ub, u_ticks))
+    inst.variables[i] = replace(inst.variables[i], ub=0)
     return inst
 
 

@@ -397,3 +397,50 @@ def brute_force_min_rounds(
         },
     )
     return best[0], witness
+
+
+def unrolled_task_verdicts(mode: Mode, schedule: ModeSchedule) -> set[str]:
+    """Which of node_exclusive and precedence the schedule fails, found by
+    unrolling task instances instead of check()'s modular arithmetic.
+
+    node_exclusive: some instance of one task of a node, among those that
+    start in [-H, 2H), overlaps an instance of another.  precedence: of a
+    message's releases mo + k*p, k >= 0, the first at or after its
+    producer's end has k > 1, or of a consumer's starts o + k*p the first
+    at or after the message's deadline has k > 1.
+    """
+    h = hyperperiod(mode)
+    tasks = mode.all_tasks()
+    periods = mode.task_periods()
+    failed: set[str] = set()
+
+    def runs(tid: str) -> list[tuple[int, int]]:
+        o, p, e = schedule.task_offsets[tid], periods[tid], tasks[tid].wcet_us
+        return [(o + k * p, o + k * p + e) for k in range(-h // p, 2 * h // p)]
+
+    ids = sorted(tasks)
+    for i, a in enumerate(ids):
+        for b in ids[i + 1 :]:
+            if tasks[a].node == tasks[b].node and any(
+                s1 < e2 and s2 < e1 for s1, e1 in runs(a) for s2, e2 in runs(b)
+            ):
+                failed.add("node_exclusive")
+
+    def periods_late(offset: int, p: int, t: int) -> int:
+        """The least k >= 0 with offset + k*p >= t."""
+        k = 0
+        while offset + k * p < t:
+            k += 1
+        return k
+
+    producers = mode.producers()
+    for app in mode.applications:
+        p = app.period_us
+        for src, dst, mid in app.edges:
+            mo = schedule.message_offsets[mid]
+            done = schedule.task_offsets[src] + producers[mid].wcet_us
+            closes = mo + schedule.message_deadlines[mid]
+            if max(periods_late(mo, p, done),
+                   periods_late(schedule.task_offsets[dst], p, closes)) > 1:
+                failed.add("precedence")
+    return failed

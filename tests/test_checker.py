@@ -15,6 +15,7 @@ from roundsched.checker import VERDICT_FAMILIES, check
 from roundsched.model import Mode, ModeSchedule, ModelError, Round
 from roundsched.specio import dumps, report_to_obj
 from roundsched.timing import round_length
+from oracle import unrolled_task_verdicts
 from support import mk_app, small_params
 
 P = small_params()  # 1 hop, 2 slots, 8-byte payloads
@@ -114,11 +115,22 @@ class TestMutations:
         ]
         assert self.run(mutate(rounds=(Round(1000, ("m",)), Round(51_000, ())))).ok
 
+    def test_rounds_at_the_same_start(self):
+        # they overlap; listed in time order, they are not out of order
+        rep = self.run(mutate(rounds=(Round(1000, ("m",)), Round(1000, ()))))
+        assert [str(v) for v in rep.violations] == [
+            f"round_overlap at rounds 0,1: start 1000 before 1000 + {T_R}"
+        ]
+
     def test_round_outside_hyperperiod(self):
         rep = self.run(
             mutate(rounds=(Round(1000, ("m",)), Round(100_000 - T_R + 1, ())))
         )
         assert "round_gap" in rep.failed()
+
+    def test_round_ending_at_the_hyperperiod_ok(self):
+        rep = self.run(mutate(rounds=(Round(1000, ("m",)), Round(100_000 - T_R, ()))))
+        assert rep.ok, str(rep)
 
     def test_schedule_without_rounds(self):
         # even a mode without messages needs beacons to announce a change
@@ -168,16 +180,29 @@ class TestMutations:
         rep = self.run(mutate(leftover={"m": 1}))
         assert "leftover" in rep.failed()
 
+    def test_leftover_on_a_window_that_ends_at_the_period(self):
+        # the window [84.9, 100] ms ends at the period, not across it
+        sched = mutate(task_offsets={"t1": 83_900, "t2": 0},
+                       message_offsets={"m": 84_900},
+                       rounds=(Round(84_900, ("m",)),))
+        assert self.run(sched).ok
+        assert "leftover" in self.run(dataclasses.replace(sched, leftover={"m": 1})).failed()
+
     def test_offset_out_of_range(self):
-        # a task's offset range comes from its application's period
-        rep = self.run(mutate(task_offsets={"t1": 99_500, "t2": 16_100}))
+        # a task's offset range is its application's period: t1 may start
+        # at p - 1 and run across the period's end, its message then
+        # leaving one period late, but not at p
+        assert self.run(mutate(task_offsets={"t1": 99_999, "t2": 16_100})).ok
+        rep = self.run(mutate(task_offsets={"t1": 100_000, "t2": 16_100}))
         assert [str(v) for v in rep.violations] == [
-            "domains at task t1: offset 99500 outside [0, 99000]"
+            "domains at task t1: offset 100000 outside [0, 100000)"
         ]
 
     @pytest.mark.parametrize("change, text", [
         ({"message_offsets": {"m": 100_000}}, "offset 100000 outside [0, 100000)"),
         ({"message_deadlines": {"m": 100_001}}, "deadline 100001 outside (0, 100000]"),
+        # the spec reader refuses it; a schedule built in Python reaches check()
+        ({"message_deadlines": {"m": 0}}, "deadline 0 outside (0, 100000]"),
     ])
     def test_message_window_out_of_range(self, change, text):
         # the first verdict names the domain; the later ones follow from it
@@ -190,6 +215,36 @@ class TestMutations:
         assert [str(v) for v in rep.violations] == [
             "leftover at message m: carried count 2 not 0 or 1"
         ]
+
+    @pytest.mark.parametrize("solo_ms, offsets, mo, failed", [
+        # t1 runs [99.5, 100.5) ms, so m leaves one period late at 101 ms,
+        # or two at 200.4 ms
+        (None, {"t1": 99_500}, 1000, set()),
+        (None, {"t1": 99_500}, 400, {"precedence"}),
+        # t2 runs across the period's end; its start, not its end, counts
+        (None, {"t2": 99_500}, 1000, set()),
+        (None, {"t2": 10_000}, 99_000, {"precedence"}),
+        # s shares node n1 with t1, whose run wraps to [-0.5, 0.5) ms
+        (100, {"t1": 99_500, "s": 500}, 1000, set()),
+        (100, {"t1": 99_500, "s": 499}, 1000, {"node_exclusive"}),
+        (100, {"t1": 99_500, "s": 98_500}, 1000, set()),
+        (100, {"t1": 99_500, "s": 98_501}, 1000, {"node_exclusive"}),
+        (50, {"t1": 99_500, "s": 500}, 1000, set()),
+        (50, {"t1": 99_500, "s": 49_600}, 1000, {"node_exclusive"}),
+    ])
+    def test_task_across_its_period_end(self, solo_ms, offsets, mo, failed):
+        # check() reduces start differences modulo the periods' gcd; the
+        # oracle unrolls the instances over three hyperperiods
+        mode = pipeline_mode()
+        if solo_ms:
+            solo = mk_app("solo", solo_ms, [("s", "n1", 1)], [])
+            mode = Mode("op", (*mode.applications, solo))
+        sched = mutate(task_offsets={**base_schedule().task_offsets, **offsets},
+                       message_offsets={"m": mo})
+        assert unrolled_task_verdicts(mode, sched) == failed
+        rep = self.run(sched, mode)
+        assert "domains" not in rep.failed()
+        assert rep.failed() & {"node_exclusive", "precedence"} == failed
 
     @pytest.mark.parametrize("change, text", [
         ({"mode_id": "other"}, "mode id 'other' != 'op'"),

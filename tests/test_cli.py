@@ -35,15 +35,6 @@ SPEC_DIR = Path(__file__).resolve().parent.parent / "specs"
 CONTROL = str(SPEC_DIR / "control_loop.json")
 SCENARIO = str(SPEC_DIR / "mode_change.json")
 SRC = Path(__file__).resolve().parent.parent / "src"
-# perfbench's small_case(75): with HIGHS_STDOUT_DRIVER's feasibility
-# tolerance, HiGHS 1.12 printf()s a diagnostic line to the C stdout on it
-HIGHS_STDOUT = str(Path(__file__).resolve().parent / "data" / "highs_stdout.json")
-HIGHS_STDOUT_DRIVER = """
-import sys
-from roundsched import cli, solver
-solver.HIGHS_OPTIONS["mip_feasibility_tolerance"] = 1e-9
-sys.exit(cli.main(sys.argv[1:]))
-"""
 
 
 def mode_spec(tmp_path: Path, mode: Mode, grid_us: int = 1000) -> str:
@@ -203,16 +194,19 @@ class TestSynth:
         assert main(["check", "--spec", CONTROL, "--schedule", str(out)]) == 0
 
     def test_stdout_is_only_json_in_a_subprocess(self, tmp_path):
-        env = src_env()
-        # HiGHS's LP writer logs "Writing the model to ..." unless told not to
+        # HiGHS 1.12 printf()s a diagnostic line to the C stdout while it
+        # solves ladder_mode(4) on a 1 us grid, and its LP writer logs
+        # "Writing the model to ..." unless told not to
+        lp_dir = tmp_path / "lps"
         proc = subprocess.run(
-            [sys.executable, "-c", HIGHS_STDOUT_DRIVER, "synth", "--spec", HIGHS_STDOUT,
-             "--lp-dir", str(tmp_path)],
-            capture_output=True, text=True, env=env, timeout=120,
+            [sys.executable, "-m", "roundsched.cli", "synth",
+             "--spec", mode_spec(tmp_path, ladder_mode(4), grid_us=1),
+             "--lp-dir", str(lp_dir)],
+            capture_output=True, text=True, env=src_env(), timeout=120,
         )
         assert proc.returncode == 0, proc.stderr
-        assert json.loads(proc.stdout)["mode_id"] == "rand75"
-        assert [p.suffix for p in tmp_path.iterdir()] == [".lp"]
+        assert json.loads(proc.stdout)["mode_id"] == "ladder4"
+        assert [p.suffix for p in lp_dir.iterdir()] == [".lp"]
         # the case still reaches the printf, so a stdout left unguarded
         # would begin with this line instead of the schedule
         assert "HighsMipSolverData::transformNewIntegerFeasibleSolution" in proc.stderr
@@ -316,11 +310,10 @@ class TestSynth:
         assert proc.stderr.splitlines()[-1].startswith("error: [Errno 21] Is a directory: ")
 
     @pytest.mark.parametrize("mode, grid_us, lp, bound", [
-        # no WCET exceeds the grid: the first round starts at 0
         (ladder_mode(4), 5000, "ladder4_r4.lp", 0),
-        # three 1 ms tasks straddle one 500 us grid point each, where
-        # build_instance allows (200 ms - 42.644 ms) // 500 us = 314
-        (ladder_mode(1), 500, "ladder1_r2.lp", 3),
+        # 1 ms tasks longer than the grid: the first round starts at 0 all
+        # the same, where build_instance allows (200 ms - 42.644 ms) // 500 us
+        (ladder_mode(1), 500, "ladder1_r2.lp", 0),
     ])
     def test_lp_dump_is_the_program_solved(self, capsys, tmp_path, mode, grid_us, lp, bound):
         lp_dir = tmp_path / "lps"
@@ -328,7 +321,10 @@ class TestSynth:
                    "--out", str(tmp_path / "s.json"), "--lp-dir", str(lp_dir)])
         assert rc == 0, capsys.readouterr().err
         assert sorted(p.name for p in lp_dir.iterdir()) == [lp]
-        assert parse_lp((lp_dir / lp).read_text())["bounds"]["rt0"] == (0, bound)
+        bounds = parse_lp((lp_dir / lp).read_text())["bounds"]
+        assert bounds["rt0"] == (0, bound)
+        # a task may start anywhere in its 200 ms period
+        assert bounds["o_c0"] == (0, 200_000 // grid_us - 1)
 
 
 def pipelines_case(tmp_path: Path, periods: dict[str, int], offsets: dict[str, int]):

@@ -355,6 +355,13 @@ class TestGuards:
             build_instance(control_mode(), 1, wide_params(hops=2), grid_us=1000,
                            t_max_us=40_000)
 
+    def test_a_horizon_of_one_round_fits(self):
+        # the round can only start at 0
+        params = wide_params(hops=2)
+        inst = build_instance(control_mode(), 1, params, grid_us=1000,
+                              t_max_us=round_length(params))
+        assert inst.variables[inst.keys["rt", 0]].ub == 0
+
     def test_unservable_window_has_an_empty_md_domain(self):
         # a 20 ms period cannot contain a 42.6 ms round: md's domain is
         # [ceil(42.6 ms / 1 ms), 20 ms / 1 ms], empty, and no row marks it

@@ -83,8 +83,10 @@ class TestRendering:
         # build_instance's names never hold a space; HiGHS refuses one
         inst = ILPInstance(name="spaced")
         inst.add_var("a b", 0, 3)
+        path = tmp_path / "out.lp"
         with pytest.raises(OSError, match="^HiGHS could not write .*out.lp$"):
-            write_lp(inst, str(tmp_path / "out.lp"))
+            write_lp(inst, str(path))
+        assert not path.exists()
 
 
 def bundled_instance(mode_id, n_rounds):

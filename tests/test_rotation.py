@@ -1,11 +1,12 @@
-"""The first round's start, bounded against the time-rotation symmetry.
+"""The first round's start, pinned against the time-rotation symmetry.
 
-A schedule shifted along the time axis by a grid multiple that no task
-instance straddles is a schedule of the same mode with the same chain
-latencies, so synthesis.program bounds rt0 by U = g * (sum over the task
-instances of the hyperperiod of ceil(e/g) - 1) (see ilp's docstring).
-The independent checker backs the shift, and the optimum HiGHS proves
-on build_instance's program, where rt0 is free, backs the bound.
+Tasks, messages and rounds share one cyclic time axis: a task may run
+across its period boundary, as a message window may.  So a schedule
+rotated along the time axis by any grid multiple that no round straddles
+is a schedule of the same mode with the same chain latencies, and
+synthesis.program pins rt0 at 0 (see ilp's docstring).  The independent
+checker backs the rotation, and the optimum HiGHS proves on
+build_instance's program, where rt0 is free, backs the pin.
 """
 
 import dataclasses
@@ -18,7 +19,7 @@ from support import ladder_mode, mk_app, random_small_case, small_params, wide_p
 
 from roundsched.checker import check
 from roundsched.ilp import build_instance
-from roundsched.model import Mode, ModeSchedule, Round, chains, hyperperiod
+from roundsched.model import Mode, ModeSchedule, Round, chains
 from roundsched.solver import solve
 from roundsched.specio import load_json, parse_spec
 from roundsched.synthesis import SynthConfig, max_rounds, min_rounds, program, synthesize
@@ -28,27 +29,6 @@ BUNDLED = parse_spec(load_json(str(Path(__file__).resolve().parent.parent
 LADDER_GRID = SynthConfig(grid_us=5000)
 GRID = SynthConfig(grid_us=1000)
 SEEDS = range(40)
-
-
-def u_ticks(mode: Mode, g: int) -> int:
-    """U / g counted one task instance at a time: the grid points strictly
-    inside an execution that starts on the grid."""
-    h = hyperperiod(mode)
-    periods = mode.task_periods()
-    return sum(len(range(g, t.wcet_us, g)) * (h // periods[t.id])
-               for t in mode.all_tasks().values())
-
-
-def straddled(mode: Mode, schedule: ModeSchedule, x: int) -> bool:
-    """Whether some task instance of the hyperperiod strictly straddles x."""
-    periods = mode.task_periods()
-    for t in mode.all_tasks().values():
-        p = periods[t.id]
-        for k in range(schedule.hyperperiod_us // p):
-            start = schedule.task_offsets[t.id] + k * p
-            if start < x < start + t.wcet_us:
-                return True
-    return False
 
 
 def rotate(mode: Mode, schedule: ModeSchedule, c: int) -> ModeSchedule:
@@ -96,7 +76,7 @@ def chain_latencies(mode: Mode, schedule: ModeSchedule) -> list[int]:
     return out
 
 
-def without_bound(mode: Mode, params, config: SynthConfig) -> tuple:
+def free_search(mode: Mode, params, config: SynthConfig) -> tuple:
     """(status, round count, objective) of the search over round counts
     on build_instance's programs, rt0 free; ("infeasible", None, None)
     when no count fits."""
@@ -108,6 +88,12 @@ def without_bound(mode: Mode, params, config: SynthConfig) -> tuple:
     return "infeasible", None, None
 
 
+def pinned_search(out) -> tuple:
+    """synthesize's outcome in free_search's terms."""
+    status = "optimal" if out.status == "feasible" else out.status
+    return status, out.rounds_used, out.objective_us
+
+
 def rt0_bounds(mode: Mode, n_rounds: int, params, config: SynthConfig) -> tuple[int, int]:
     """rt0's upper bound in program's and in build_instance's program."""
     pinned = program(mode, n_rounds, params, config)
@@ -115,14 +101,6 @@ def rt0_bounds(mode: Mode, n_rounds: int, params, config: SynthConfig) -> tuple[
                           t_max_us=config.t_max_us)
     return (pinned.variables[pinned.keys["rt", 0]].ub,
             free.variables[free.keys["rt", 0]].ub)
-
-
-def optimum_at_zero(mode: Mode, n_rounds: int, params, config: SynthConfig) -> int | None:
-    """The optimum of program's program with the first round at 0."""
-    inst = program(mode, n_rounds, params, config)
-    i = inst.keys["rt", 0]
-    inst.variables[i] = dataclasses.replace(inst.variables[i], ub=0)
-    return solve(inst).objective
 
 
 def long_task_mode() -> Mode:
@@ -151,21 +129,20 @@ CASES = {
 
 
 class TestShiftedSchedules:
-    """A synthesized schedule shifted to any grid point that no task
-    instance and no round straddles passes check() with the same chain
-    latencies."""
+    """A synthesized schedule shifted to any grid point that no round
+    straddles passes check() with the same chain latencies, also where a
+    task runs across the point and so across its period boundary."""
 
-    def shifts(self, mode, schedule, config) -> list[int]:
+    def shifts(self, schedule, config) -> list[int]:
         t_r = schedule.round_len_us
         return [c for c in range(config.grid_us, schedule.hyperperiod_us, config.grid_us)
-                if not straddled(mode, schedule, c)
-                and not any(r.t < c < r.t + t_r for r in schedule.rounds)]
+                if not any(r.t < c < r.t + t_r for r in schedule.rounds)]
 
     def assert_shifts_pass(self, mode, params, config, out) -> int:
         assert out.status == "feasible"
         assert check(mode, out.schedule, params).ok
         want = chain_latencies(mode, out.schedule)
-        shifts = self.shifts(mode, out.schedule, config)
+        shifts = self.shifts(out.schedule, config)
         for c in shifts:
             shifted = rotate(mode, out.schedule, c)
             assert check(mode, shifted, params).ok, c
@@ -184,23 +161,25 @@ class TestShiftedSchedules:
         for seed, mode, params, out in feasible:
             assert self.assert_shifts_pass(mode, params, GRID, out) > 0, seed
 
-    def test_a_straddled_shift_is_refused(self):
-        # a task runs across the start of long_task_mode's one round, and a
-        # shift to that start would cut it in two
-        mode, params, config = CASES["straddle"]
-        out = synthesize(mode, params, config)
-        start = out.schedule.rounds[0].t
-        assert straddled(mode, out.schedule, start)
-        assert "domains" in check(mode, rotate(mode, out.schedule, start), params).failed()
-
 
 class TestBoundKeepsTheOptimum:
+    """The pinned search ends on the free search's status, round count and
+    objective."""
+
     @pytest.mark.parametrize("k, objective", [(2, 212_000), (3, 333_000), (4, 444_000)])
     def test_ladder(self, k, objective):
-        # test_synthesis.py::TestLadderOptima proves these optima with rt0 <= 0
+        # test_synthesis.py::TestLadderOptima proves these optima pinned
         mode, params = ladder_mode(k), wide_params(hops=2)
         assert rt0_bounds(mode, 4, params, LADDER_GRID) == (0, 71)
-        assert without_bound(mode, params, LADDER_GRID) == ("optimal", 4, objective)
+        assert free_search(mode, params, LADDER_GRID) == ("optimal", 4, objective)
+
+    @pytest.mark.parametrize("k, objective", [(2, 178_576), (3, 270_864)])
+    def test_ladder_on_the_microsecond_grid(self, k, objective):
+        mode, params, config = ladder_mode(k), wide_params(hops=2), SynthConfig(grid_us=1)
+        assert rt0_bounds(mode, 4, params, config) == (0, 357_356)
+        out = synthesize(mode, params, config)
+        assert pinned_search(out) == free_search(mode, params, config) == (
+            "optimal", 4, objective)
 
     @pytest.mark.parametrize("mode_id, n_rounds, objective", [
         ("normal", 2, 89_000), ("fallback", 1, 45_000)])
@@ -208,35 +187,31 @@ class TestBoundKeepsTheOptimum:
         mode = BUNDLED.mode_by_id(mode_id)
         assert rt0_bounds(mode, n_rounds, BUNDLED.network, GRID) == (0, 57)
         out = synthesize(mode, BUNDLED.network, GRID)
-        assert (out.status, out.rounds_used, out.objective_us) == (
-            "feasible", n_rounds, objective)
-        assert without_bound(mode, BUNDLED.network, GRID) == ("optimal", n_rounds, objective)
+        assert pinned_search(out) == free_search(mode, BUNDLED.network, GRID) == (
+            "optimal", n_rounds, objective)
 
     def test_seeded_modes_with_long_tasks(self):
-        # every seed: program bounds rt0 by U at the count the search ends
-        # on, unless no round fits the hyperperiod and there is no program,
-        # and the free search ends on the same count and optimum
-        programs = binds = 0
+        # every seed: program pins rt0 at the count the search ends on,
+        # unless no round fits the hyperperiod and there is no program, and
+        # the free search ends on the same count and optimum
+        programs = 0
         for seed, mode, params, out in seeded_cases():
             n = out.rounds_used or out.min_rounds
             if n <= max_rounds(mode, params, GRID):
                 pinned, free = rt0_bounds(mode, n, params, GRID)
-                assert pinned == min(free, u_ticks(mode, GRID.grid_us)), seed
+                assert pinned == 0 < free, seed
                 programs += 1
-                binds += pinned < free
-            status = "optimal" if out.status == "feasible" else out.status
-            assert without_bound(mode, params, GRID) == (
-                status, out.rounds_used, out.objective_us), seed
-        assert programs >= 30 and binds >= 10
+            assert pinned_search(out) == free_search(mode, params, GRID), seed
+        assert programs >= 30
 
     def test_long_task_over_the_rotation_point(self):
-        # no optimum has an unstraddled round start, so a bound of 0 costs
-        # 4 ms; U = 2 * 6 ticks, from L's two instances, keeps the optimum
+        # every optimum has L running across a round's start, so with the
+        # round at 0, L runs across its period boundary
         mode, params, config = CASES["straddle"]
-        assert rt0_bounds(mode, 1, params, config) == (12, 15)
         rounds, _schedule = brute_force_min_rounds(mode, params, config.grid_us)
         out = synthesize(mode, params, config)
-        assert (out.status, out.rounds_used, out.objective_us) == ("feasible", rounds, 26_000)
-        assert without_bound(mode, params, config) == ("optimal", 1, 26_000)
-        assert optimum_at_zero(mode, 1, params, config) == 30_000
-
+        assert pinned_search(out) == free_search(mode, params, config) == (
+            "optimal", rounds, 26_000)
+        assert out.schedule.rounds[0].t == 0
+        assert out.schedule.task_offsets["L"] + 13_000 > 20_000
+        assert check(mode, out.schedule, params).ok

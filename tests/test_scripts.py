@@ -111,3 +111,64 @@ def test_bench_pairs_summary_gives_each_verdict():
         "higher is better": "gain",
         "higher is worse": "WORSE",
     }
+
+
+TOY = '''\
+def at_least(a, b):
+    return (a) >= b
+
+
+def inside(x, lo, hi):
+    return (lo <= x
+            < hi)
+'''
+
+TOY_TESTS = '''\
+from toy import at_least, inside
+
+
+def test_toy():
+    assert at_least(2, 1) and not at_least(1, 2)
+    assert inside(0, 0, 2) and not inside(-1, 0, 2) and not inside(2, 0, 2)
+'''
+
+
+def test_mutants_names_each_surviving_flip(tmp_path):
+    # the toy tests pin both of inside's boundaries but not at_least's
+    tree = tmp_path / "tree"
+    (tree / "src").mkdir(parents=True)
+    (tree / "tests").mkdir()
+    (tree / "src" / "toy.py").write_text(TOY)
+    (tree / "tests" / "test_toy.py").write_text(TOY_TESTS)
+    out = tmp_path / "mutants.json"
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "mutants.py"), "--root", str(tree),
+         "--files", "src/toy.py", "--out", str(out)],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    doc = json.loads(out.read_text())
+    assert doc["baseline"] == "pass"
+    assert [(m["line"], m["col"], m["operator"], m["tier1"]) for m in doc["mutants"]] == [
+        (2, 16, ">= -> >", "pass"), (6, 16, "<= -> <", "fail"), (7, 13, "< -> <=", "fail"),
+    ]
+    assert doc["survivors"] == doc["mutants"][:1]
+    # the tree itself is never modified
+    assert (tree / "src" / "toy.py").read_text() == TOY
+
+
+def test_mutants_refuses_a_tree_that_fails_unmutated(tmp_path):
+    tree = tmp_path / "tree"
+    (tree / "src").mkdir(parents=True)
+    (tree / "tests").mkdir()
+    (tree / "src" / "toy.py").write_text(TOY)
+    (tree / "tests" / "test_toy.py").write_text(TOY_TESTS.replace("2, 1", "1, 2"))
+    out = tmp_path / "mutants.json"
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "mutants.py"), "--root", str(tree),
+         "--files", "src/toy.py", "--out", str(out)],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 2
+    assert "Tier-1 does not pass on the unparsed files: fail" in proc.stderr
+    assert json.loads(out.read_text())["mutants"] == []
