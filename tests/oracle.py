@@ -165,11 +165,12 @@ def brute_force_min_rounds(
 ) -> tuple[int | None, ModeSchedule | None]:
     """Exhaustively find the smallest feasible round count for a tiny mode.
 
-    Enumerates grid-aligned task offsets, derives the widest admissible
-    service window for every message (branching on which side of the
-    hyperperiod boundary a wrapping instance is served), and solves the
-    round-placement subproblem exactly.  Raises ValueError when the
-    instance exceeds the documented size limits.
+    Enumerates grid-aligned task offsets over each task's whole period (a
+    task that starts late runs across its period's end), derives the
+    widest admissible service window for every message (branching on
+    which side of the hyperperiod boundary a wrapping instance is
+    served), and solves the round-placement subproblem exactly.  Raises
+    ValueError when the instance exceeds the documented size limits.
     """
     h = hyperperiod(mode)
     t_r = round_length(params)
@@ -349,7 +350,7 @@ def brute_force_min_rounds(
             return
         t = task_order[idx]
         p = task_period[t.id]
-        for o in range(0, p - t.wcet_us + 1, grid_us):
+        for o in range(0, p, grid_us):
             budget.spend()
             clash = False
             for other_id, oo in offsets.items():
